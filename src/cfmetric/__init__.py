@@ -20,6 +20,7 @@ from .cfcore import (
     gauss_digit_tail,
     gauss_measure,
     lebesgue_measure,
+    ln_gauss_measure,
     remove_digit_ratio,
     word,
 )
@@ -39,6 +40,7 @@ __all__ = [
     "gauss_digit_tail",
     "gauss_measure",
     "lebesgue_measure",
+    "ln_gauss_measure",
     "remove_digit_ratio",
     "word",
 ]

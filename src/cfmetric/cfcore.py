@@ -8,6 +8,7 @@ log-magnitude shadows used by the pressure engine.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
@@ -265,7 +266,10 @@ def gauss_measure(a: RationalLike | float, b: RationalLike | float) -> float:
     """Gauss measure of [a, b]: (ln(1+b) - ln(1+a)) / ln 2.
 
     Computed as log1p((b-a)/(1+a)) so that exact rational endpoints of a deep
-    cylinder keep full relative accuracy instead of cancelling.
+    cylinder keep full relative accuracy instead of cancelling.  A nonempty
+    interval whose measure falls below the normal float range (a cylinder
+    deeper than about 300 digits) raises DomainError; ln_gauss_measure gives
+    its logarithm instead.
     """
     if not (0 <= a <= b <= 1):
         raise DomainError(f"[{a}, {b}] is not a subinterval of [0, 1]")
@@ -273,19 +277,39 @@ def gauss_measure(a: RationalLike | float, b: RationalLike | float) -> float:
         delta = (float(b) - float(a)) / (1.0 + float(a))
     else:
         delta = float(Fraction(b - a) / (1 + Fraction(a)))
-    return math.log1p(delta) / LOG2
+    measure = math.log1p(delta) / LOG2
+    if b > a and measure < sys.float_info.min:
+        raise DomainError(
+            "Gauss measure underflows a float (below 2.2e-308); use ln_gauss_measure"
+        )
+    return measure
+
+
+def ln_gauss_measure(a: RationalLike | float, b: RationalLike | float) -> float:
+    """Natural log of the Gauss measure of [a, b], at any cylinder depth.
+
+    ln(ln(1 + delta) / ln 2) with delta = (b-a)/(1+a) taken exactly from the
+    rational endpoints (floats are read as the binary rationals they are), so
+    it stays finite where gauss_measure underflows.  An empty interval gives
+    -inf.
+    """
+    if not (0 <= a <= b <= 1):
+        raise DomainError(f"[{a}, {b}] is not a subinterval of [0, 1]")
+    a, b = Fraction(a), Fraction(b)
+    if a == b:
+        return -math.inf
+    delta = (b - a) / (1 + a)
+    # ln ln(1+d) = ln d + ln(log1p(d)/d); the correction is about -d/2 and
+    # is 0 once d underflows
+    d = float(delta)
+    correction = math.log(math.log1p(d) / d) if d > 0.0 else 0.0
+    return ln_fraction(delta) + correction - math.log(LOG2)
 
 
 def lebesgue_measure(a: RationalLike | float, b: RationalLike | float) -> float:
     if not (0 <= a <= b <= 1):
         raise DomainError(f"[{a}, {b}] is not a subinterval of [0, 1]")
     return float(b - a)
-
-
-def _ln1p(x) -> float:
-    if isinstance(x, Fraction):
-        return ln_fraction(x + 1)
-    return math.log1p(float(x))
 
 
 def gauss_digit_law(k: int) -> float:

@@ -11,13 +11,19 @@ for r large digits against a geometric threshold B^n is the root of
 Digit sums are truncated at a cap, with the tail enclosed between the
 monotone integral bounds int_{A}^inf and int_{A+1}^inf applied to inf/sup of
 f near 0, so every estimate carries a bracket.
+
+The collocation matrix is sum_a (a+x_i)^{-2s} C_a, where the interpolation
+rows C_a of the points 1/(a+x_i) do not depend on s.  One kernel builds the
+matrices for a vector of s values from a single pass over those rows: the
+cached P(s) curve gets all its nodes from one pass, and the single-s callers
+use the same kernel with one s.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -48,13 +54,14 @@ def _bary_rows(u: np.ndarray, nodes: np.ndarray, bw: np.ndarray) -> np.ndarray:
     """Interpolation rows: C @ f gives the interpolant of f at points u."""
     d = u[..., None] - nodes
     exact = d == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = bw / d
-        c = r / r.sum(axis=-1, keepdims=True)
     hit = exact.any(axis=-1)
+    # d becomes the rows in place: bw/d, then normalised along the last axis
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(bw, d, out=d)
+        d /= d.sum(axis=-1, keepdims=True)
     if np.any(hit):
-        c[hit] = exact[hit].astype(float)
-    return c
+        d[hit] = exact[hit]
+    return d
 
 
 @dataclass
@@ -64,7 +71,6 @@ class OperatorGrid:
     nodes: np.ndarray
     values: np.ndarray
     digit_cap: int = DEFAULT_CAP
-    tail_mode: str = "analytic-integral-bound"
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
 
@@ -89,7 +95,33 @@ class OperatorGrid:
         return cls(x, np.asarray([fn(t) for t in x], dtype=float), cap)
 
 
-# one matrix per (s, grid, cap); the curve builder reuses these heavily
+# digits per block of interpolation rows: (grid, 128, grid) doubles, 16 MB at grid 128
+_DIGIT_CHUNK = 128
+
+
+def _operator_matrices(
+    s_values, grid_size: int, cap: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Collocation matrices M[k] of L_s for every s in s_values, digits 1..cap.
+
+    M[k][i, j] = sum_a (a + x_i)^{-2 s_k} C[i, a, j], where C[i, a] is the
+    interpolation row of the point 1/(a + x_i).  The rows do not depend on s,
+    so each digit chunk builds them once and contracts them with the weights
+    of every s in one batched matmul (i, S, a) @ (i, a, j).
+    """
+    s = np.asarray(s_values, dtype=float).reshape(-1)
+    nodes, bw = chebyshev_lobatto(grid_size)
+    acc = np.zeros((grid_size, s.size, grid_size))
+    expo = -2.0 * s[None, :, None]
+    for a0 in range(1, cap + 1, _DIGIT_CHUNK):
+        a = np.arange(a0, min(cap, a0 + _DIGIT_CHUNK - 1) + 1, dtype=float)
+        base = nodes[:, None] + a[None, :]
+        rows = _bary_rows(1.0 / base, nodes, bw)
+        acc += np.matmul(base[:, None, :] ** expo, rows)
+    return nodes, bw, np.ascontiguousarray(acc.transpose(1, 0, 2))
+
+
+# one matrix per (s, grid, cap) for the single-s callers
 _matrix_cache: dict = {}
 _matrix_lock = threading.Lock()
 
@@ -99,19 +131,10 @@ def _operator_matrix(s: float, grid_size: int, cap: int) -> tuple[np.ndarray, np
     with _matrix_lock:
         if key in _matrix_cache:
             return _matrix_cache[key]
-    nodes, bw = chebyshev_lobatto(grid_size)
-    M = np.zeros((grid_size, grid_size))
-    chunk = max(1, min(256, cap))
-    a0 = 1
-    while a0 <= cap:
-        a = np.arange(a0, min(cap, a0 + chunk - 1) + 1, dtype=float)[:, None]
-        base = a + nodes[None, :]
-        rows = _bary_rows(1.0 / base, nodes, bw)
-        M += np.einsum("ai,aij->ij", base ** (-2.0 * s), rows)
-        a0 += chunk
+    nodes, bw, mats = _operator_matrices([s], grid_size, cap)
     with _matrix_lock:
-        _matrix_cache[key] = (nodes, bw, M)
-    return nodes, bw, M
+        _matrix_cache[key] = (nodes, bw, mats[0])
+    return nodes, bw, mats[0]
 
 
 def _tail_bounds(s, nodes, bw, flo, fhi, cap):
@@ -165,7 +188,7 @@ def transfer_apply(grid: OperatorGrid, s: float) -> OperatorGrid:
     tlo, thi = _tail_bounds(s, nodes, bw, flo, fhi, grid.digit_cap)
     lo = mp @ flo + mm @ fhi + tlo
     hi = mp @ fhi + mm @ flo + thi
-    return OperatorGrid(nodes, 0.5 * (lo + hi), grid.digit_cap, grid.tail_mode, lo, hi)
+    return OperatorGrid(nodes, 0.5 * (lo + hi), grid.digit_cap, lo, hi)
 
 
 def pressure_eigen(
@@ -180,6 +203,20 @@ def pressure_eigen(
     if s <= 0.5:
         raise DomainError("pressure is defined only for s > 1/2 here")
     nodes, bw, M = _operator_matrix(s, grid_size, cap)
+    return _power_iterate(s, nodes, bw, M, cap, tol, max_iter)
+
+
+def _power_iterate(
+    s: float,
+    nodes: np.ndarray,
+    bw: np.ndarray,
+    M: np.ndarray,
+    cap: int,
+    tol: float = 1e-10,
+    max_iter: int = 10_000,
+) -> PressureEstimate:
+    """Power iteration of pressure_eigen on the collocation matrix M of L_s."""
+    grid_size = len(nodes)
     f = np.ones(grid_size)
     spread_prev = math.inf
     value = bracket = None
@@ -307,8 +344,12 @@ class PressureCurve:
         self.grid_size = grid_size
         self.cap = cap
         self.s_floor, self.s_ceil = s_floor, s_ceil
+        nodes, bw, mats = _operator_matrices(self.s_nodes, grid_size, cap)
         self.values = np.array(
-            [pressure_eigen(s, grid_size, cap).value for s in self.s_nodes]
+            [
+                _power_iterate(float(s), nodes, bw, M, cap).value
+                for s, M in zip(self.s_nodes, mats)
+            ]
         )
 
     def eval(self, s: float) -> float:
@@ -341,6 +382,13 @@ def default_curve(grid_size: int = DEFAULT_GRID, cap: int = CURVE_CAP) -> Pressu
         return _curve_cache[key]
 
 
+def _check_tol(tol: float) -> None:
+    if tol < 5e-6:
+        raise DomainError(
+            f"tol={tol} below the cached curve's accuracy 5e-6; rebuild with a larger grid"
+        )
+
+
 @dataclass(frozen=True)
 class DimensionResult:
     regime: str  # "B=1" | "finite-B" | "B=inf"
@@ -365,8 +413,7 @@ def solve_dimension(
         raise DomainError("r must be >= 1")
     if not 1.0 < B < math.inf:
         raise DomainError("solve_dimension needs 1 < B < inf")
-    if tol < 5e-6:
-        raise DomainError("tol below cached-curve accuracy; rebuild with a larger grid")
+    _check_tol(tol)
     curve = curve or default_curve()
     ln_b = math.log(B)
 
@@ -414,6 +461,7 @@ def hussain_shulga_exponent(
         raise DomainError("r must be >= 1")
     if not 1.0 < B < math.inf:
         raise DomainError("hussain_shulga_exponent needs 1 < B < inf")
+    _check_tol(tol)
     curve = curve or default_curve()
     ln_b = math.log(B)
     roots = []

@@ -18,6 +18,8 @@ from cfmetric.cfcore import (
     gauss_digit_law,
     gauss_measure,
     ln_big,
+    ln_fraction,
+    ln_gauss_measure,
     remove_digit_ratio,
     word,
 )
@@ -246,6 +248,29 @@ class TestGaussMeasure:
         cs = convergents(w)
         ln_len = -cs[-1].log_q - ln_big(cs[-1].q + cs[-2].q)
         assert -0.33 < math.log(m) - ln_len < 0.37
+
+    def test_deep_cylinder_underflow_raises(self):
+        c = cylinder(word(*([5] * 300)))
+        with pytest.raises(DomainError, match="ln_gauss_measure"):
+            gauss_measure(c.left, c.right)
+        assert ln_gauss_measure(c.left, c.right) == pytest.approx(-988.25, abs=0.01)
+
+    def test_ln_measure_of_1000_digit_cylinder(self):
+        # density between 1/(2 ln 2) and 1/ln 2 bounds ln(mu/|I|)
+        c = cylinder(word(*([3, 1, 7] * 333 + [2])))
+        gap = ln_gauss_measure(c.left, c.right) - ln_fraction(c.length)
+        assert -math.log(2 * math.log(2)) <= gap <= -math.log(math.log(2))
+
+    def test_ln_measure_matches_measure(self):
+        for a, b in [(0, 1), (Fraction(1, 3), Fraction(1, 2)), (0.25, 0.75)]:
+            assert ln_gauss_measure(a, b) == pytest.approx(
+                math.log(gauss_measure(a, b)), abs=1e-14
+            )
+        c = cylinder(word(*([2] * 300)))
+        assert ln_gauss_measure(c.left, c.right) == pytest.approx(
+            math.log(gauss_measure(c.left, c.right)), rel=1e-14
+        )
+        assert ln_gauss_measure(Fraction(1, 2), Fraction(1, 2)) == -math.inf
 
     def test_additivity_over_digit_partition(self):
         total = sum(gauss_digit_law(k) for k in range(1, 2000))

@@ -5,6 +5,7 @@ import pytest
 
 from cfmetric.cfcore import DomainError
 from cfmetric.pressure import (
+    S_FLOOR,
     DimensionResult,
     OperatorGrid,
     PressureCurve,
@@ -18,6 +19,7 @@ from cfmetric.pressure import (
     solve_dimension,
     transfer_apply,
 )
+from cfmetric.pressure import _operator_matrices
 from cfmetric.thresholds import double_exp, geometric, poly_log, scaled_geometric, table
 
 PI2_6 = math.pi**2 / 6.0
@@ -55,6 +57,42 @@ class TestTransferApply:
     def test_divergence_guard(self):
         with pytest.raises(DomainError):
             transfer_apply(OperatorGrid.ones(), 0.5)
+
+
+def naive_operator_matrix(s, grid_size, cap):
+    """Per-s double loop of the barycentric formula: M[i, j] =
+    sum_a (a + x_i)^{-2s} l_j(1/(a + x_i))."""
+    x, w = chebyshev_lobatto(grid_size)
+    M = np.zeros((grid_size, grid_size))
+    for i in range(grid_size):
+        for a in range(1, cap + 1):
+            u = 1.0 / (a + x[i])
+            weight = (a + x[i]) ** (-2.0 * s)
+            if np.any(u == x):
+                M[i] += weight * (u == x)
+            else:
+                r = w / (u - x)
+                M[i] += weight * r / r.sum()
+    return M
+
+
+class TestOperatorKernel:
+    # a = 1, x = 0 puts u = 1 exactly on the last node; the s values span
+    # the curve domain, S_FLOOR to S_CEIL
+    S_VALUES = [S_FLOOR, 0.55, 0.8, 1.0, 1.02]
+
+    @pytest.mark.parametrize("cap", [256, 300])
+    def test_stacked_build_matches_naive_loop(self, cap):
+        _, _, mats = _operator_matrices(self.S_VALUES, 12, cap)
+        assert mats.shape == (len(self.S_VALUES), 12, 12)
+        for s, M in zip(self.S_VALUES, mats):
+            want = naive_operator_matrix(s, 12, cap)
+            assert float(np.abs(M - want).max()) <= 1e-13
+
+    def test_curve_matches_single_s_eigen(self):
+        curve = PressureCurve(32, 2048)
+        for k, s in enumerate(curve.s_nodes):
+            assert abs(curve.values[k] - pressure_eigen(s, 32, 2048).value) <= 1e-13
 
 
 class TestPressureEigen:
@@ -174,6 +212,10 @@ class TestHussainShulga:
         per = res.inputs["per_offset"]
         assert res.inputs["argmin"] == 2
         assert per[0] > per[1] > per[2]
+
+    def test_tol_guard(self, curve):
+        with pytest.raises(DomainError):
+            hussain_shulga_exponent(1, 2.0, tol=1e-9, curve=curve)
 
 
 class TestDimensionDispatch:
