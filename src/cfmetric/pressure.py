@@ -389,6 +389,32 @@ def _check_tol(tol: float) -> None:
         )
 
 
+def _root(g, curve: PressureCurve, tol: float) -> tuple[float, tuple]:
+    """Root of a decreasing g on (1/2, 1] by bisection, to within tol.
+
+    Returns the root and the trace of (midpoint, g(midpoint)) pairs."""
+    hi = 1.0
+    if g(hi) >= 0.0:
+        raise DomainError("B is too close to 1 for the cached curve accuracy")
+    lo = 0.5 + 1e-3
+    while g(lo) <= 0.0:
+        lo = 0.5 + (lo - 0.5) / 4.0
+        if lo - 0.5 < curve.s_floor - 0.5:
+            raise DomainError(
+                "root sits below the cached curve domain; rebuild with a smaller s floor"
+            )
+    trace = []
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        trace.append((mid, gm))
+        if gm > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), tuple(trace)
+
+
 @dataclass(frozen=True)
 class DimensionResult:
     regime: str  # "B=1" | "finite-B" | "B=inf"
@@ -420,29 +446,8 @@ def solve_dimension(
     def g(s):
         return curve.eval(s) - (s + (2.0 * s - 1.0) * (r - 1)) * ln_b
 
-    hi = 1.0
-    if g(hi) >= 0.0:
-        raise DomainError("B is too close to 1 for the cached curve accuracy")
-    lo = 0.5 + 1e-3
-    while g(lo) <= 0.0:
-        lo = 0.5 + (lo - 0.5) / 4.0
-        if lo - 0.5 < curve.s_floor - 0.5:
-            raise DomainError(
-                "root sits below the cached curve domain; rebuild with a smaller s floor"
-            )
-    trace = []
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        trace.append((mid, gm))
-        if gm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    value = 0.5 * (lo + hi)
-    return DimensionResult(
-        "finite-B", value, {"r": r, "B": B, "tol": tol}, tuple(trace)
-    )
+    value, trace = _root(g, curve, tol)
+    return DimensionResult("finite-B", value, {"r": r, "B": B, "tol": tol}, trace)
 
 
 def hussain_shulga_exponent(
@@ -472,21 +477,7 @@ def hussain_shulga_exponent(
         def g(s, a=ln_beta_i, b=ln_beta_prev):
             return curve.eval(s) - s * a + (1.0 - s) * b
 
-        hi = 1.0
-        if g(hi) >= 0.0:
-            raise DomainError("B is too close to 1 for the cached curve accuracy")
-        lo = 0.5 + 1e-3
-        while g(lo) <= 0.0:
-            lo = 0.5 + (lo - 0.5) / 4.0
-            if lo - 0.5 < curve.s_floor - 0.5:
-                raise DomainError("root below cached curve domain")
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if g(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
+        roots.append(_root(g, curve, tol)[0])
     best = min(range(r), key=lambda i: roots[i])
     return DimensionResult(
         "finite-B",

@@ -1,19 +1,19 @@
 """Exact sampling of Gauss-distributed partial-quotient sequences.
 
-Two engines, both exactly mu-distributed and deterministic in
-(seed, stream index):
+BulkDigitStream is the one exact engine: it draws the digit process of the
+Gauss (or Lebesgue) measure for a block of streams, level by level, and is
+deterministic in (seed, stream index).  Given the digits so far, the tail
+y = T^k x has conditional density proportional to 1/((1 + beta y)(1 + gamma y))
+where beta = (p+q)'/(p+q) and gamma = q'/q both update as z -> 1/(a+z).  Each
+digit is drawn by inverting the conditional CDF against a 53-bit uniform;
+every decision is verified against rigorous float interval bounds, and the
+rare ambiguous case is settled exactly by _exact_digit (window continuants +
+mpmath + more uniform bits).  BulkDigitStream(seed, 1, stream_offset=j) is
+the scalar stream j; the exact enclosure of its point after n digits is
+cfcore.cylinder(word(*digits)).
 
-* GaussDigitStream - one point x = 2^U - 1 with U built from lazy random
-  bits; keeps an exact rational enclosure of x and emits a digit only once
-  every point of the enclosure shares it.  The faithful-but-heavy engine.
-
-* BulkDigitStream - level-synchronous sampling of many streams at once.
-  Given the digits so far, the tail y = T^k x has conditional density
-  proportional to 1/((1 + beta y)(1 + gamma y)) where beta = (p+q)'/(p+q)
-  and gamma = q'/q both update as z -> 1/(a+z).  Each digit is drawn by
-  inverting the conditional CDF against a 53-bit uniform; every decision is
-  verified against rigorous float interval bounds, and the rare ambiguous
-  case is settled exactly (window continuants + mpmath + more uniform bits).
+sample_iid_gauss_kuzmin is the deliberate non-exact baseline: i.i.d. digits
+with the Gauss-Kuzmin marginal, without the dependence between positions.
 
 Randomness comes from a splitmix64 counter generator keyed by
 (seed, stream, level, round), so results are independent of worker count.
@@ -21,9 +21,8 @@ Randomness comes from a splitmix64 counter generator keyed by
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -35,9 +34,8 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _M64 = (1 << 64) - 1
 
-# domain separators for the different consumers of the bit source
+# domain separator of the uniforms V that select each digit
 _DOM_VBITS = 0x9D8F0A6B42E1C753
-_DOM_UBITS = 0x51E2B8A7C3F09D15
 
 TWO_NEG53 = 2.0**-53
 _SLOP = 1e-13  # relative widening that dominates float rounding in F
@@ -317,10 +315,6 @@ class BulkDigitStream:
         else:
             for j in np.nonzero(undecided)[0]:
                 digits[j] = self._fallback(int(j))
-                undecided[j] = False
-        if np.any(undecided):
-            for j in np.nonzero(undecided)[0]:
-                digits[j] = self._fallback(int(j))
 
         self._advance(digits)
         return digits
@@ -380,164 +374,3 @@ def sample_iid_gauss_kuzmin(seed: int, n_streams: int, depth: int,
         out[:, k] = np.floor(1.0 / x).astype(np.int64)
     return out
 
-
-# ---------------------------------------------------------------------------
-# single-point interval-refinement stream
-# ---------------------------------------------------------------------------
-
-
-def _isqrt_interval(lo: int, hi: int, prec: int) -> tuple[int, int]:
-    """Directed-rounding sqrt of [lo, hi] * 2^-prec at the same scale."""
-    s_lo = math.isqrt(lo << prec)
-    s_hi = math.isqrt(hi << prec)
-    if s_hi * s_hi < (hi << prec):
-        s_hi += 1
-    return s_lo, s_hi
-
-
-class _RootChain:
-    """Enclosures of 2^(2^-k) at a common precision, grown on demand."""
-
-    def __init__(self):
-        self.prec = 0
-        self.chain: list[tuple[int, int]] = []
-
-    def get(self, k: int, prec: int) -> tuple[int, int, int]:
-        if prec > self.prec:
-            self.prec = prec
-            self.chain = [(2 << prec, 2 << prec)]
-        while k >= len(self.chain):
-            self.chain.append(_isqrt_interval(*self.chain[-1], self.prec))
-        lo, hi = self.chain[k]
-        return lo, hi, self.prec
-
-
-_roots = _RootChain()
-
-
-class GaussDigitStream:
-    """Exact digits of one Gauss-distributed point, by interval refinement.
-
-    The point is x = 2^U - 1 with U uniform on [0,1) built bit by bit (the
-    inverse CDF of the Gauss measure).  A dyadic rational enclosure of x is
-    maintained; the next digit is emitted once all points of the enclosure
-    agree on it.  A 4096-bit budget per digit guards against (measure-zero)
-    boundary points.
-    """
-
-    def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed)
-        self.stream = int(stream)
-        self.consumed_bits = 0
-        self._u_num = 0
-        # enclosure of 2^{u_lo}, integers at scale 2^-P; P doubles on demand
-        # and the whole product is rebuilt so widths track 2^-(t+64)
-        self._P = 128
-        self._pow_lo = 1 << 128
-        self._pow_hi = 1 << 128
-        # tail y = (A x + B) / (C x + D)
-        self._mob = (1, 0, 0, 1)
-        self._emitted = 0
-
-    # -- bit plumbing -------------------------------------------------------
-
-    def _bit(self, i: int) -> int:
-        w = _word_scalar(self.seed, _DOM_UBITS, self.stream, i >> 6)
-        return (w >> (63 - (i & 63))) & 1
-
-    def _mul_root(self, k: int) -> None:
-        r_lo, r_hi, r_prec = _roots.get(k, self._P)
-        self._pow_lo = (self._pow_lo * r_lo) >> r_prec
-        self._pow_hi = -((-self._pow_hi * r_hi) >> r_prec)  # ceil
-
-    def _rebuild(self) -> None:
-        t = self.consumed_bits
-        self._pow_lo = 1 << self._P
-        self._pow_hi = 1 << self._P
-        for j in range(t):
-            if (self._u_num >> (t - 1 - j)) & 1:
-                self._mul_root(j + 1)
-
-    def _consume_bit(self) -> None:
-        b = self._bit(self.consumed_bits)
-        self.consumed_bits += 1
-        t = self.consumed_bits
-        self._u_num = (self._u_num << 1) | b
-        if t + 64 > self._P:
-            self._P *= 2
-            self._rebuild()
-        elif b:
-            self._mul_root(t)
-
-    def enclosure(self) -> tuple[Fraction, Fraction]:
-        """Current exact rational enclosure of the sampled point x."""
-        scale = 1 << self._P
-        lo = Fraction(self._pow_lo - scale, scale)
-        t = self.consumed_bits
-        if t:
-            r_lo, r_hi, r_prec = _roots.get(t, self._P)
-            hi = Fraction(self._pow_hi * r_hi - (scale << r_prec), scale << r_prec)
-        else:
-            hi = Fraction(1)
-        return lo, hi
-
-    # -- digit extraction ---------------------------------------------------
-
-    def _x_bounds_raw(self) -> Optional[tuple[int, int, int]]:
-        """(lo_num, hi_num, shift): x in [lo_num, hi_num] / 2^shift, gcd-free."""
-        t = self.consumed_bits
-        if t == 0:
-            return None
-        r_lo, r_hi, r_prec = _roots.get(t, self._P)
-        shift = self._P + r_prec
-        one = 1 << shift
-        lo_num = (self._pow_lo << r_prec) - one
-        hi_num = self._pow_hi * r_hi - one
-        return lo_num, hi_num, shift
-
-    def _try_digit(self) -> Optional[int]:
-        raw = self._x_bounds_raw()
-        if raw is None:
-            return None
-        lo_num, hi_num, shift = raw
-        if lo_num <= 0 or hi_num >= (1 << shift):
-            return None
-        a, b, c, d = self._mob
-        digit = None
-        for num in (lo_num, hi_num):
-            yn = a * num + (b << shift)
-            yd = c * num + (d << shift)
-            if yd < 0:
-                yn, yd = -yn, -yd
-            if yn <= 0 or yd <= 0 or yn >= yd:
-                return None
-            k = yd // yn
-            if digit is None:
-                digit = k
-            elif digit != k:
-                return None
-        return digit if digit >= 1 else None
-
-    def __iter__(self) -> Iterator[int]:
-        return self
-
-    def __next__(self) -> int:
-        start_bits = self.consumed_bits
-        while True:
-            digit = self._try_digit()
-            if digit is not None:
-                break
-            if self.consumed_bits - start_bits >= PER_DIGIT_BIT_BUDGET:
-                raise RuntimeError(
-                    f"{PER_DIGIT_BIT_BUDGET}-bit budget exhausted for one digit "
-                    f"(seed={self.seed}, stream={self.stream}, "
-                    f"digit #{self._emitted + 1})"
-                )
-            self._consume_bit()
-        a, b, c, d = self._mob
-        self._mob = (c - digit * a, d - digit * b, a, b)
-        self._emitted += 1
-        return digit
-
-    def take(self, n: int) -> list[int]:
-        return [next(self) for _ in range(n)]

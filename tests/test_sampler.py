@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cfmetric.cfcore import cylinder, expand_rational, gauss_digit_law, gauss_measure, word
+from cfmetric import sampler
+from cfmetric.cfcore import DomainError, cylinder, gauss_digit_law, gauss_measure, word
 from cfmetric.sampler import (
     BulkDigitStream,
-    GaussDigitStream,
     _exact_digit,
     _mix,
     _mix_scalar,
@@ -37,57 +37,6 @@ class TestBitSource:
             assert got == pytest.approx(want, rel=1e-13)
 
 
-class TestGaussDigitStream:
-    def test_deterministic(self):
-        a = GaussDigitStream(2024, 5).take(60)
-        b = GaussDigitStream(2024, 5).take(60)
-        assert a == b
-        assert GaussDigitStream(2024, 6).take(60) != a
-
-    def test_prefix_is_expansion_of_enclosure(self):
-        s = GaussDigitStream(42)
-        digs = s.take(80)
-        lo, hi = s.enclosure()
-        mid = (lo + hi) / 2
-        got = expand_rational(mid.numerator, mid.denominator)
-        assert got.digits[:80] == tuple(digs)
-
-    def test_enclosure_width_strictly_decreases(self):
-        s = GaussDigitStream(7)
-        prev = None
-        for _ in range(300):
-            s._consume_bit()
-            lo, hi = s.enclosure()
-            width = hi - lo
-            if prev is not None:
-                assert width < prev
-            prev = width
-
-    def test_bit_budget_diagnostic(self):
-        class StuckStream(GaussDigitStream):
-            def _bit(self, i):
-                return 0  # u = 0 exactly: x -> 0, first digit never resolves
-
-        with pytest.raises(RuntimeError, match="budget"):
-            next(StuckStream(1))
-
-    def test_digit_marginals_match_gauss_kuzmin(self):
-        # 20_000 independent streams x 50 digits = 1e6 emitted digits.
-        # Streams are i.i.d., so a cluster-robust standard error over
-        # per-stream counts gives an honest 3-sigma band.
-        n_streams, depth = 20_000, 50
-        counts = np.zeros((n_streams, 8), dtype=np.int64)
-        for st in range(n_streams):
-            d = np.asarray(GaussDigitStream(20260810, st).take(depth))
-            for k in range(1, 9):
-                counts[st, k - 1] = int(np.sum(d == k))
-        for k in range(1, 9):
-            freq = counts[:, k - 1].sum() / (n_streams * depth)
-            se = counts[:, k - 1].std(ddof=1) / (depth * math.sqrt(n_streams))
-            want = gauss_digit_law(k)
-            assert abs(freq - want) <= 3.0 * se + 1e-6, (k, freq, want, se)
-
-
 @pytest.fixture(scope="module")
 def bulk_sample():
     return sample_digit_matrix(31337, 60_000, 6)
@@ -103,6 +52,10 @@ class TestBulkDigitStream:
         left = sample_digit_matrix(99, 40, 12)
         right = sample_digit_matrix(99, 24, 12, stream_offset=40)
         assert np.array_equal(np.vstack([left, right]), full)
+        # a single stream is the scalar API: the same digits as its row
+        one = sample_digit_matrix(99, 1, 12, stream_offset=63)
+        assert np.array_equal(one[0], full[63])
+        assert not np.array_equal(one[0], full[62])
 
     def test_marginals(self, bulk_sample):
         m = bulk_sample
@@ -113,6 +66,19 @@ class TestBulkDigitStream:
             for pos in (0, 5):
                 freq = float(np.mean(m[:, pos] == k))
                 assert abs(freq - want) <= 4 * se, (k, pos, freq)
+
+    def test_digit_marginals_match_gauss_kuzmin(self):
+        # 20_000 independent streams x 50 digits = 1e6 emitted digits.
+        # Streams are i.i.d., so a cluster-robust standard error over
+        # per-stream counts gives an honest 3-sigma band.
+        n_streams, depth = 20_000, 50
+        m = sample_digit_matrix(20260810, n_streams, depth)
+        for k in range(1, 9):
+            counts = np.sum(m == k, axis=1)
+            freq = counts.sum() / (n_streams * depth)
+            se = counts.std(ddof=1) / (depth * math.sqrt(n_streams))
+            want = gauss_digit_law(k)
+            assert abs(freq - want) <= 3.0 * se + 1e-6, (k, freq, want, se)
 
     def test_pair_correlations_are_exact_not_iid(self, bulk_sample):
         # P(a_k = 1, a_{k+1} = 1) is the Gauss measure of the cylinder [1,1],
@@ -145,6 +111,32 @@ class TestBulkDigitStream:
                 assert d == int(taken[level][j])
             replay.step()
 
+    def test_fallback_past_history_window(self, monkeypatch):
+        # levels 200..399 lie past the 160-digit window, so the exact
+        # fallback works from a truncated history (full_history=False)
+        want = BulkDigitStream(7, 4)
+        taken = [want.step().copy() for _ in range(400)]
+        eng = BulkDigitStream(7, 4)
+        for _ in range(200):
+            eng.step()
+        assert eng.fallbacks == 0
+        # float bounds that decide nothing send every digit to the fallback
+        monkeypatch.setattr(sampler, "_cdf_bounds", lambda *args: (0.0, 1.0))
+        for level in range(200, 400):
+            assert np.array_equal(eng.step(), taken[level]), level
+        assert eng.fallbacks == 800
+
+    def test_bit_budget_diagnostic(self, monkeypatch):
+        # at the Gauss start F(1/2) = log2(1.5); a V whose 53-bit interval
+        # straddles it cannot pick the first digit within 53 bits
+        from mpmath import mp
+
+        with mp.workdps(40):
+            v_num = int(mp.floor(mp.log(1.5, 2) * 2**53))
+        monkeypatch.setattr(sampler, "_word_scalar", lambda *args: v_num << 11)
+        with pytest.raises(RuntimeError, match="budget"):
+            _exact_digit(1, 0, 0, [], True, bit_budget=53)
+
     def test_lebesgue_start(self):
         m = sample_digit_matrix(5, 40_000, 1, start="lebesgue")
         # uniform x: P(a_1 = k) = 1/(k(k+1))
@@ -154,7 +146,7 @@ class TestBulkDigitStream:
             assert abs(float(np.mean(m[:, 0] == k)) - want) <= 4 * se
 
     def test_budget_guard(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DomainError, match="digit budget"):
             sample_digit_matrix(1, 10**6, 10**4)
 
 
