@@ -57,6 +57,13 @@ class TestBulkDigitStream:
         assert np.array_equal(one[0], full[63])
         assert not np.array_equal(one[0], full[62])
 
+    def test_deterministic(self):
+        # one stream is fixed by (seed, stream index); its neighbour differs
+        a = sample_digit_matrix(2024, 1, 60, stream_offset=5)
+        b = sample_digit_matrix(2024, 1, 60, stream_offset=5)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(sample_digit_matrix(2024, 1, 60, stream_offset=6), a)
+
     def test_marginals(self, bulk_sample):
         m = bulk_sample
         n = m.shape[0]
