@@ -8,21 +8,24 @@ for r large digits against a geometric threshold B^n is the root of
 
     P(s) = (s + (2s-1)(r-1)) ln B.
 
-Digit sums are truncated at a cap, with the tail enclosed between the
-monotone integral bounds int_{A}^inf and int_{A+1}^inf applied to inf/sup of
-f near 0, so every estimate carries a bracket.
+The collocation matrix is M = sum_a (a+x_i)^{-2s} C_a over the digits
+a = 1..cap, where the interpolation rows C_a of the points 1/(a+x_i) do not
+depend on s.  One kernel builds the matrices for a vector of s values from a
+single pass over those rows: the cached P(s) curve gets all its nodes from
+one pass, and the single-s callers use the same kernel with one s.
 
-The collocation matrix is sum_a (a+x_i)^{-2s} C_a, where the interpolation
-rows C_a of the points 1/(a+x_i) do not depend on s.  One kernel builds the
-matrices for a vector of s values from a single pass over those rows: the
-cached P(s) curve gets all its nodes from one pass, and the single-s callers
-use the same kernel with one s.
+Every application of L_s goes through one enclosure step, _step.  For any f
+between flo and fhi it writes f = mid +- rad in midpoint-radius form, so the
+digits 1..cap give M @ mid +- |M| @ rad; the digits beyond the cap add the
+monotone integral bounds int_{A}^inf and int_{A+1}^inf applied to the inf
+and sup of f near 0.  transfer_apply, the power iteration and the cylinder
+sums all use it, so every estimate carries a bracket.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -121,19 +124,10 @@ def _operator_matrices(
     return nodes, bw, np.ascontiguousarray(acc.transpose(1, 0, 2))
 
 
-# one matrix per (s, grid, cap) for the single-s callers
-_matrix_cache: dict = {}
-_matrix_lock = threading.Lock()
-
-
+# one matrix per (s, grid, cap) for the single-s callers; 131 KB each at grid 128
+@functools.lru_cache(maxsize=64)
 def _operator_matrix(s: float, grid_size: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    key = (round(float(s), 15), grid_size, cap)
-    with _matrix_lock:
-        if key in _matrix_cache:
-            return _matrix_cache[key]
     nodes, bw, mats = _operator_matrices([s], grid_size, cap)
-    with _matrix_lock:
-        _matrix_cache[key] = (nodes, bw, mats[0])
     return nodes, bw, mats[0]
 
 
@@ -154,6 +148,18 @@ def _tail_bounds(s, nodes, bw, flo, fhi, cap):
     integral_lo = (cap + 1.0 + nodes) ** expo / denom
     integral_hi = (cap + nodes) ** expo / denom
     return fmin * integral_lo, fmax * integral_hi
+
+
+def _step(s, nodes, bw, M, cap, flo, fhi, tail=True):
+    """Enclosure (lo, hi) of L_s f at the nodes for every f with flo <= f <= fhi.
+
+    Midpoint-radius form: M @ mid +- |M| @ rad.  When flo == fhi the radius
+    is exactly 0, so a point iterate is not widened by rounding.
+    """
+    core = M @ (0.5 * (flo + fhi))
+    spread = np.abs(M) @ (0.5 * (fhi - flo))
+    tlo, thi = _tail_bounds(s, nodes, bw, flo, fhi, cap) if tail else (0.0, 0.0)
+    return core - spread + tlo, core + spread + thi
 
 
 @dataclass(frozen=True)
@@ -178,16 +184,12 @@ def transfer_apply(grid: OperatorGrid, s: float) -> OperatorGrid:
     """One application of L_s with the digit tail enclosed."""
     if s <= 0.5:
         raise DomainError("transfer operator diverges for s <= 1/2")
-    nodes, bw, M = _operator_matrix(s, len(grid.nodes), grid.digit_cap)
+    nodes, bw, M = _operator_matrix(float(s), len(grid.nodes), grid.digit_cap)
     if not np.allclose(nodes, grid.nodes):
         raise DomainError("grid nodes must be the Chebyshev-Lobatto grid")
     flo = grid.values if grid.lower is None else grid.lower
     fhi = grid.values if grid.upper is None else grid.upper
-    mp = np.clip(M, 0.0, None)
-    mm = np.clip(M, None, 0.0)
-    tlo, thi = _tail_bounds(s, nodes, bw, flo, fhi, grid.digit_cap)
-    lo = mp @ flo + mm @ fhi + tlo
-    hi = mp @ fhi + mm @ flo + thi
+    lo, hi = _step(s, nodes, bw, M, grid.digit_cap, flo, fhi)
     return OperatorGrid(nodes, 0.5 * (lo + hi), grid.digit_cap, lo, hi)
 
 
@@ -202,7 +204,7 @@ def pressure_eigen(
     cone with a nodewise Collatz-Wielandt bracket."""
     if s <= 0.5:
         raise DomainError("pressure is defined only for s > 1/2 here")
-    nodes, bw, M = _operator_matrix(s, grid_size, cap)
+    nodes, bw, M = _operator_matrix(float(s), grid_size, cap)
     return _power_iterate(s, nodes, bw, M, cap, tol, max_iter)
 
 
@@ -221,9 +223,7 @@ def _power_iterate(
     spread_prev = math.inf
     value = bracket = None
     for it in range(max_iter):
-        tlo, thi = _tail_bounds(s, nodes, bw, f, f, cap)
-        core = M @ f
-        g_lo, g_hi = core + tlo, core + thi
+        g_lo, g_hi = _step(s, nodes, bw, M, cap, f, f)
         g = 0.5 * (g_lo + g_hi)
         if np.any(g <= 0):
             raise RuntimeError(f"iterate left the positive cone at step {it}")
@@ -236,7 +236,8 @@ def _power_iterate(
         if spread < tol or (it > 12 and spread >= spread_prev * 0.999):
             return PressureEstimate(
                 s, value, bracket, "eigen",
-                {"grid": grid_size, "cap": cap, "iterations": it + 1, "spread": spread},
+                {"grid": grid_size, "cap": cap, "iterations": it + 1, "spread": spread,
+                 "converged": spread < tol},
             )
         spread_prev = spread
     raise RuntimeError(
@@ -281,19 +282,13 @@ def pressure_cylinder(
         raise DomainError("cylinder sums diverge for s <= 1/2")
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    nodes, bw, M = _operator_matrix(s, grid_size, cap)
-    mp = np.clip(M, 0.0, None)
-    mm = np.clip(M, None, 0.0)
+    nodes, bw, M = _operator_matrix(float(s), grid_size, cap)
     flo = np.ones(grid_size)
     fhi = np.ones(grid_size)
     log_scale = 0.0
     log_sums = []
     for _ in range(depth):
-        if include_tail:
-            tlo, thi = _tail_bounds(s, nodes, bw, flo, fhi, cap)
-        else:
-            tlo = thi = 0.0
-        flo, fhi = mp @ flo + mm @ fhi + tlo, mp @ fhi + mm @ flo + thi
+        flo, fhi = _step(s, nodes, bw, M, cap, flo, fhi, include_tail)
         log_sums.append(
             (log_scale + math.log(flo[0]), log_scale + math.log(fhi[0]))
         )
@@ -334,13 +329,9 @@ class PressureCurve:
         s_ceil: float = S_CEIL,
     ):
         t_lo, t_hi = math.log(s_floor - 0.5), math.log(s_ceil - 0.5)
-        k = np.arange(n_nodes)
-        t = t_lo + 0.5 * (1.0 - np.cos(np.pi * k / (n_nodes - 1))) * (t_hi - t_lo)
-        self.tau = t
-        self.s_nodes = 0.5 + np.exp(t)
-        self.bw = np.ones(n_nodes)
-        self.bw[0] = self.bw[-1] = 0.5
-        self.bw *= (-1.0) ** k
+        x, self.bw = chebyshev_lobatto(n_nodes)
+        self.tau = t_lo + x * (t_hi - t_lo)
+        self.s_nodes = 0.5 + np.exp(self.tau)
         self.grid_size = grid_size
         self.cap = cap
         self.s_floor, self.s_ceil = s_floor, s_ceil
@@ -366,20 +357,12 @@ class PressureCurve:
         return float(r @ self.values / r.sum())
 
 
-_curve_cache: dict = {}
-_curve_lock = threading.Lock()
-
-
 def default_curve(grid_size: int = DEFAULT_GRID, cap: int = CURVE_CAP) -> PressureCurve:
-    key = (grid_size, cap)
-    with _curve_lock:
-        cached = _curve_cache.get(key)
-    if cached is not None:
-        return cached
-    curve = PressureCurve(grid_size, cap)
-    with _curve_lock:
-        _curve_cache.setdefault(key, curve)
-        return _curve_cache[key]
+    # positional call, so default_curve() and default_curve(128, 2048) share one entry
+    return _cached_curve(grid_size, cap)
+
+
+_cached_curve = functools.lru_cache(maxsize=None)(PressureCurve)
 
 
 def _check_tol(tol: float) -> None:

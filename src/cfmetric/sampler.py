@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cfcore import DomainError
+from .cfcore import DomainError, continuant_tail
 
 U64 = np.uint64
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -123,17 +123,12 @@ def _window_state_bounds(rev_digits, full_history):
         one = Fraction(1)
         zero = Fraction(0)
         return one, one, zero, zero
-    p_prev, q_prev, p, q = 1, 0, 0, 1
-    for a in rev_digits:
-        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+    p_prev, q_prev, p, q = continuant_tail(rev_digits)
     if full_history:
         gamma = Fraction(p, q)
         # same digits but innermost a_1 bumped to a_1 + 1
-        bp_prev, bq_prev, bp, bq = 1, 0, 0, 1
-        for a in rev_digits[:-1]:
-            bp_prev, bq_prev, bp, bq = bp, bq, a * bp + bp_prev, a * bq + bq_prev
-        a_last = rev_digits[-1] + 1
-        beta = Fraction(a_last * bp + bp_prev, a_last * bq + bq_prev)
+        _, _, bp, bq = continuant_tail(rev_digits[:-1] + [rev_digits[-1] + 1])
+        beta = Fraction(bp, bq)
         return beta, beta, gamma, gamma
     lo = Fraction(p, q)
     hi = Fraction(p + p_prev, q + q_prev)

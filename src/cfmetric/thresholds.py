@@ -79,6 +79,8 @@ class ThresholdFn:
 
     @property
     def domain_limit(self) -> Optional[int]:
+        if self.kind == "scaled_geometric":
+            return self.inner.domain_limit
         return len(self.values) if self.kind == "table" else None
 
     # -- monotonicity hint --------------------------------------------------
@@ -271,19 +273,22 @@ class SeriesVerdict:
         raise TypeError("compare SeriesVerdict.verdict explicitly")
 
 
-def _partial_sums(r: int, psi: ThresholdFn, horizon: int) -> tuple:
-    limit = psi.domain_limit
-    n_max = min(horizon, limit) if limit else horizon
+def _partial_sums(r: int, log_psi: Sequence[float]) -> tuple[list, tuple]:
+    """ln of the terms n^{r-1} psi(n)^{-r} for n = 1..N given ln psi(1..N),
+    and the partial sums (n, sum) at n = 8, 32, 128, ... and N."""
+    n_max = len(log_psi)
+    terms = []
     samples = []
     total = 0.0
     mark = 8
-    for n in range(1, n_max + 1):
-        lt = (r - 1) * math.log(n) - r * psi.log_value(n)
+    for n, lv in enumerate(log_psi, 1):
+        lt = (r - 1) * math.log(n) - r * lv
+        terms.append(lt)
         total += math.exp(lt) if lt < 700 else INF
         if n == mark or n == n_max:
             samples.append((n, total))
             mark *= 4
-    return tuple(samples)
+    return terms, tuple(samples)
 
 
 def series_classify(r: int, psi: ThresholdFn, horizon: int = 4096) -> SeriesVerdict:
@@ -292,7 +297,8 @@ def series_classify(r: int, psi: ThresholdFn, horizon: int = 4096) -> SeriesVerd
         raise DomainError("r must be >= 1")
 
     def analytic(kind: str) -> SeriesVerdict:
-        return SeriesVerdict(kind, "analytic", _partial_sums(r, psi, 512), 512)
+        _, sums = _partial_sums(r, [psi.log_value(n) for n in range(1, 513)])
+        return SeriesVerdict(kind, "analytic", sums, 512)
 
     k = psi.kind
     if k == "poly_log":
@@ -326,17 +332,7 @@ def series_classify(r: int, psi: ThresholdFn, horizon: int = 4096) -> SeriesVerd
     # numeric path (tables and anything without a closed form)
     env = envelope(psi, min(horizon, psi.domain_limit or horizon))
     n_max = len(env)
-    sums = []
-    total = 0.0
-    terms = []
-    mark = 8
-    for n in range(1, n_max + 1):
-        lt = (r - 1) * math.log(n) - r * env.log_values[n - 1]
-        terms.append(lt)
-        total += math.exp(lt) if lt < 700 else INF
-        if n == mark or n == n_max:
-            sums.append((n, total))
-            mark *= 4
+    terms, sums = _partial_sums(r, env.log_values)
     verdict = "undetermined"
     if n_max >= 64:
         # slope of log-term against log n over the last half
@@ -351,7 +347,7 @@ def series_classify(r: int, psi: ThresholdFn, horizon: int = 4096) -> SeriesVerd
                 verdict = "convergent"
             elif slope > -0.9:
                 verdict = "divergent"
-    return SeriesVerdict(verdict, "numeric", tuple(sums), n_max)
+    return SeriesVerdict(verdict, "numeric", sums, n_max)
 
 
 # ---------------------------------------------------------------------------

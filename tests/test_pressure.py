@@ -1,10 +1,13 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from cfmetric.cfcore import DomainError
 from cfmetric.pressure import (
+    CURVE_CAP,
+    DEFAULT_GRID,
     S_FLOOR,
     DimensionResult,
     OperatorGrid,
@@ -19,7 +22,7 @@ from cfmetric.pressure import (
     solve_dimension,
     transfer_apply,
 )
-from cfmetric.pressure import _operator_matrices
+from cfmetric.pressure import _operator_matrices, _operator_matrix, _step
 from cfmetric.thresholds import double_exp, geometric, poly_log, scaled_geometric, table
 
 PI2_6 = math.pi**2 / 6.0
@@ -95,7 +98,58 @@ class TestOperatorKernel:
             assert abs(curve.values[k] - pressure_eigen(s, 32, 2048).value) <= 1e-13
 
 
+class TestStepAndCaches:
+    def test_step_matches_clipped_form_and_encloses(self):
+        s, cap = 0.7, 64
+        nodes, bw, M = _operator_matrices([s], 12, cap)
+        M = M[0]
+        rng = np.random.default_rng(20261018)
+        mid = 1.0 + rng.random(12)
+        rad = 0.1 * rng.random(12)
+        flo, fhi = mid - rad, mid + rad
+        lo, hi = _step(s, nodes, bw, M, cap, flo, fhi, tail=False)
+        mp, mm = np.clip(M, 0.0, None), np.clip(M, None, 0.0)
+        assert float(np.abs(lo - (mp @ flo + mm @ fhi)).max()) <= 1e-13
+        assert float(np.abs(hi - (mp @ fhi + mm @ flo)).max()) <= 1e-13
+        for _ in range(50):
+            f = flo + rng.random(12) * (fhi - flo)
+            g = M @ f
+            assert np.all(lo <= g) and np.all(g <= hi)
+        # the tail only widens the enclosure
+        tlo, thi = _step(s, nodes, bw, M, cap, flo, fhi)
+        assert np.all(tlo >= lo) and np.all(thi > hi)
+
+    def test_matrix_cache_is_bounded_and_counts(self):
+        grid = OperatorGrid.ones(8, 16)
+        for k in range(70):
+            transfer_apply(grid, 0.6 + 0.005 * k)
+        info = _operator_matrix.cache_info()
+        assert info.maxsize == info.currsize == 64
+        transfer_apply(grid, 0.6 + 0.005 * 69)
+        assert _operator_matrix.cache_info().hits == info.hits + 1
+
+    def test_default_curve_shared_across_call_forms(self, curve):
+        assert default_curve(DEFAULT_GRID, CURVE_CAP) is curve
+
+    def test_threads_match_serial(self):
+        s_values = [0.6, 0.9] * 2
+        _operator_matrix.cache_clear()
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(lambda s: pressure_eigen(s, 16, 64), s_values))
+        _operator_matrix.cache_clear()
+        for s, got in zip(s_values, threaded):
+            want = pressure_eigen(s, 16, 64)
+            assert (got.value, got.bracket, got.params) == (want.value, want.bracket, want.params)
+
+
 class TestPressureEigen:
+    def test_converged_flag(self):
+        # at s = 0.6 the spread stalls at 5.6e-5, short of tol = 1e-10
+        stalled = pressure_eigen(0.6, 32, 2048)
+        assert stalled.params["converged"] is False
+        assert stalled.params["spread"] > 1e-10
+        assert pressure_eigen(0.6, 32, 2048, tol=1e-3).params["converged"] is True
+
     def test_conformality_anchor(self):
         est = pressure_eigen(1.0)
         assert abs(est.value) <= 1e-6

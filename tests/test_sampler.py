@@ -11,6 +11,7 @@ from cfmetric.sampler import (
     _mix,
     _mix_scalar,
     _phi,
+    _window_state_bounds,
     sample_digit_matrix,
     sample_iid_gauss_kuzmin,
 )
@@ -117,6 +118,18 @@ class TestBulkDigitStream:
                 d = _exact_digit(123, j, level, rev, full_history=replay.level <= 160)
                 assert d == int(taken[level][j])
             replay.step()
+
+    def test_window_state_bounds(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 7, 30):
+            rev = [int(a) for a in rng.choice([1, 1, 2, 3, 7, 500], size=n)]
+            beta = word(*rev[:-1], rev[-1] + 1).evaluate()
+            gamma = word(*rev).evaluate()
+            assert _window_state_bounds(rev, True) == (beta, beta, gamma, gamma)
+            # a truncated window of the w most recent digits still encloses both
+            for w in range(1, n):
+                blo, bhi, glo, ghi = _window_state_bounds(rev[:w], False)
+                assert blo <= beta <= bhi and glo <= gamma <= ghi
 
     def test_fallback_past_history_window(self, monkeypatch):
         # levels 200..399 lie past the 160-digit window, so the exact

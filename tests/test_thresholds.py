@@ -120,6 +120,14 @@ class TestSeriesClassify:
         v3 = series_classify(1, table([float(n) for n in range(1, 2049)]))
         assert v3.verdict == "undetermined"
 
+    def test_scaled_table_keeps_domain_limit(self):
+        psi = scaled_geometric(2.0, table([float(n) for n in range(1, 101)]))
+        assert psi.domain_limit == 100
+        v = series_classify(2, psi)
+        assert (v.verdict, v.method, v.horizon) == ("convergent", "numeric", 100)
+        with pytest.raises(DomainError, match="horizon 200 exceeds table domain 100"):
+            envelope(psi, 200)
+
     def test_partial_sums_recorded(self):
         v = series_classify(2, poly_log(1, 0.6))
         assert v.partial_sums
