@@ -154,10 +154,11 @@ def _step(s, nodes, bw, M, cap, flo, fhi, tail=True):
     """Enclosure (lo, hi) of L_s f at the nodes for every f with flo <= f <= fhi.
 
     Midpoint-radius form: M @ mid +- |M| @ rad.  When flo == fhi the radius
-    is exactly 0, so a point iterate is not widened by rounding.
+    is exactly 0, so a point iterate is not widened by rounding; when flo is
+    fhi the product |M| @ 0 is skipped.
     """
     core = M @ (0.5 * (flo + fhi))
-    spread = np.abs(M) @ (0.5 * (fhi - flo))
+    spread = 0.0 if flo is fhi else np.abs(M) @ (0.5 * (fhi - flo))
     tlo, thi = _tail_bounds(s, nodes, bw, flo, fhi, cap) if tail else (0.0, 0.0)
     return core - spread + tlo, core + spread + thi
 

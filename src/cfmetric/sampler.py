@@ -5,10 +5,11 @@ Gauss (or Lebesgue) measure for a block of streams, level by level, and is
 deterministic in (seed, stream index).  Given the digits so far, the tail
 y = T^k x has conditional density proportional to 1/((1 + beta y)(1 + gamma y))
 where beta = (p+q)'/(p+q) and gamma = q'/q both update as z -> 1/(a+z).  Each
-digit is drawn by inverting the conditional CDF against a 53-bit uniform;
-every decision is verified against rigorous float interval bounds, and the
-rare ambiguous case is settled exactly by _exact_digit (window continuants +
-mpmath + more uniform bits).  BulkDigitStream(seed, 1, stream_offset=j) is
+digit is drawn by inverting the conditional CDF against a 53-bit uniform: the
+closed-form inverse at the midpoint state only seeds the digit, every decision
+is verified against rigorous float interval bounds, and the rare ambiguous
+case is settled exactly by _exact_digit (window continuants + mpmath + more
+uniform bits).  BulkDigitStream(seed, 1, stream_offset=j) is
 the scalar stream j; the exact enclosure of its point after n digits is
 cfcore.cylinder(word(*digits)).
 
@@ -21,6 +22,7 @@ Randomness comes from a splitmix64 counter generator keyed by
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from typing import Optional
 
@@ -105,6 +107,19 @@ def _cdf_bounds(u, blo, bhi, glo, ghi):
 
 def _cdf_mid(u, b, g, z):
     return u * _phi(b * u, g * u) / z
+
+
+def _inverse_cdf(w, b, g):
+    """The u with F(u) = w at the point state (b, g), in closed form.
+
+    F(u) = w means (1 + b u)/(1 + g u) = E with E = exp(w (b - g) Phi(b, g)),
+    so u = e/(1 - g e) with e = (E - 1)/(b - g), which tends to w Phi(b, g)
+    as b - g -> 0."""
+    z = _phi(b, g)
+    d = b - g
+    safe = np.where(d == 0.0, 1.0, d)
+    e = np.where(d == 0.0, w * z, np.expm1(w * safe * z) / safe)
+    return e / (1.0 - g * e)
 
 
 # ---------------------------------------------------------------------------
@@ -256,28 +271,18 @@ class BulkDigitStream:
         self.bhi = np.full(n, b0)
         self.glo = np.full(n, g0)
         self.ghi = np.full(n, g0)
-        self.hist = np.zeros((n, _HIST_WINDOW), dtype=np.int64)
+        # digit rows of the last _HIST_WINDOW levels, oldest first
+        self.hist = deque(maxlen=_HIST_WINDOW)
         self.fallbacks = 0
-
-    def _newton_guess(self, v):
-        b = 0.5 * (self.blo + self.bhi)
-        g = 0.5 * (self.glo + self.ghi)
-        z = _phi(b, g)
-        u = np.exp2(v) - 1.0
-        np.clip(u, 1e-18, 1.0 - 1e-16, out=u)
-        for _ in range(8):
-            fu = _cdf_mid(u, b, g, z)
-            dens = 1.0 / ((1.0 + b * u) * (1.0 + g * u) * z)
-            u -= (fu - v - TWO_NEG53 * 0.5) / dens
-            np.clip(u, 1e-18, 1.0 - 1e-16, out=u)
-        return u
 
     def step(self) -> np.ndarray:
         """Sample the next digit of every stream."""
         n = len(self.streams)
         v = (_words(self.seed, _DOM_VBITS, self.streams.view(np.uint64),
                     self.level) >> U64(11)).astype(np.float64) * TWO_NEG53
-        u = self._newton_guess(v)
+        # aim at the middle of V's 2^-53 interval from the midpoint state
+        u = _inverse_cdf(v + TWO_NEG53 * 0.5, 0.5 * (self.blo + self.bhi),
+                         0.5 * (self.glo + self.ghi))
         with np.errstate(divide="ignore", over="ignore"):
             d = np.floor(1.0 / u).astype(np.int64)
         np.clip(d, 1, 1 << 50, out=d)
@@ -292,8 +297,9 @@ class BulkDigitStream:
             blo, bhi = self.blo[idx], self.bhi[idx]
             glo, ghi = self.glo[idx], self.ghi[idx]
             vv = v[idx]
-            f_lo_in, f_hi_in = _cdf_bounds(1.0 / (dd + 1.0), blo, bhi, glo, ghi)
-            f_lo_out, f_hi_out = _cdf_bounds(1.0 / dd, blo, bhi, glo, ghi)
+            # rows F(1/(d+1)) and F(1/d) share one evaluation of the normaliser
+            (f_lo_in, f_lo_out), (f_hi_in, f_hi_out) = _cdf_bounds(
+                1.0 / np.stack([dd + 1.0, dd]), blo, bhi, glo, ghi)
             ok = (vv >= f_hi_in) & (vv + TWO_NEG53 <= f_lo_out)
             move_dn = vv >= f_hi_out                # V > F(1/d): digit < d
             move_up = vv + TWO_NEG53 <= f_lo_in     # V <= F(1/(d+1)): digit > d
@@ -316,13 +322,14 @@ class BulkDigitStream:
 
     def _fallback(self, j: int) -> int:
         self.fallbacks += 1
-        w = min(self.level, _HIST_WINDOW)
-        # most recent first
-        rev = [int(self.hist[j, (self.level - 1 - k) % _HIST_WINDOW]) for k in range(w)]
         return _exact_digit(
-            self.seed, int(self.streams[j]), self.level, rev,
+            self.seed, int(self.streams[j]), self.level, self._history(j),
             full_history=self.level <= _HIST_WINDOW,
         )
+
+    def _history(self, j: int) -> list:
+        """Stream j's last min(level, _HIST_WINDOW) digits, most recent first."""
+        return [int(row[j]) for row in reversed(self.hist)]
 
     def _advance(self, digits: np.ndarray) -> None:
         d = digits.astype(np.float64)
@@ -334,7 +341,7 @@ class BulkDigitStream:
         new_ghi = np.nextafter(1.0 / np.nextafter(d + self.glo, -np.inf), np.inf)
         self.blo, self.bhi = new_blo, new_bhi
         self.glo, self.ghi = new_glo, new_ghi
-        self.hist[:, self.level % _HIST_WINDOW] = digits
+        self.hist.append(digits.copy())  # the caller owns the returned row
         self.level += 1
 
 
@@ -346,6 +353,7 @@ def sample_digit_matrix(
     start: str = "gauss",
 ) -> np.ndarray:
     """Digits a_1..a_depth for a block of streams, shape (n_streams, depth)."""
+    # also bounds the engine's history, n_streams * min(depth, 160) digits
     if n_streams * depth > 80_000_000:
         raise DomainError("digit budget exceeded; sample fewer streams or digits")
     eng = BulkDigitStream(seed, n_streams, stream_offset, start)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ from cfmetric import sampler
 from cfmetric.cfcore import DomainError, cylinder, gauss_digit_law, gauss_measure, word
 from cfmetric.sampler import (
     BulkDigitStream,
+    _cdf_mid,
     _exact_digit,
+    _inverse_cdf,
     _mix,
     _mix_scalar,
     _phi,
@@ -65,6 +68,22 @@ class TestBulkDigitStream:
         assert np.array_equal(a, b)
         assert not np.array_equal(sample_digit_matrix(2024, 1, 60, stream_offset=6), a)
 
+    def test_golden_digits(self):
+        # SHA-256 of the int64 digits; any change to the sampled process,
+        # past the 160-digit history window included, moves these
+        def digest(a):
+            return hashlib.sha256(np.asarray(a, dtype=np.int64).tobytes()).hexdigest()
+
+        assert digest(sample_digit_matrix(2024, 1000, 8)) == (
+            "a566066d1d189fd13cd11fb151e7fb6f7c32e0e1876d72add578ac761c51b977")
+        assert digest(sample_digit_matrix(2024, 1000, 8, start="lebesgue")) == (
+            "762476c2f51685b57c6f48ab4411a332ba9f02257c0c7ef36e4da3888da3c089")
+        eng = BulkDigitStream(7, 1, stream_offset=3)
+        deep = [int(eng.step()[0]) for _ in range(400)]
+        assert digest(deep) == (
+            "d83038c7a3b9bbc842f9c2161cb6f90f136f1b7ed146609c5dd6815af2e56a3d")
+        assert eng.fallbacks == 0
+
     def test_marginals(self, bulk_sample):
         m = bulk_sample
         n = m.shape[0]
@@ -110,11 +129,7 @@ class TestBulkDigitStream:
         replay = BulkDigitStream(123, 8)
         for level in range(25):
             for j in (0, 3, 7):
-                w = min(replay.level, 160)
-                rev = [
-                    int(replay.hist[j, (replay.level - 1 - k) % 160])
-                    for k in range(w)
-                ]
+                rev = replay._history(j)
                 d = _exact_digit(123, j, level, rev, full_history=replay.level <= 160)
                 assert d == int(taken[level][j])
             replay.step()
@@ -141,7 +156,8 @@ class TestBulkDigitStream:
             eng.step()
         assert eng.fallbacks == 0
         # float bounds that decide nothing send every digit to the fallback
-        monkeypatch.setattr(sampler, "_cdf_bounds", lambda *args: (0.0, 1.0))
+        monkeypatch.setattr(sampler, "_cdf_bounds",
+                            lambda u, *args: (np.zeros_like(u), np.ones_like(u)))
         for level in range(200, 400):
             assert np.array_equal(eng.step(), taken[level]), level
         assert eng.fallbacks == 800
@@ -164,6 +180,42 @@ class TestBulkDigitStream:
             want = 1.0 / (k * (k + 1))
             se = math.sqrt(want * (1 - want) / 40_000)
             assert abs(float(np.mean(m[:, 0] == k)) - want) <= 4 * se
+
+    def test_inverse_cdf_guess(self):
+        # the closed-form seed of each digit inverts F at the point state
+        rng = np.random.default_rng(5)
+        blo = rng.uniform(0.0, 1.0, 2000)
+        glo = rng.uniform(0.0, 1.0, 2000)
+        b = np.concatenate([blo, glo, [0.0, 1.0, 0.37]])
+        g = np.concatenate([glo, glo, [0.0, 0.0, 0.37]])  # glo, glo: delta == 0
+        w = rng.uniform(0.0, 1.0, b.size) + 2.0**-54
+        u = _inverse_cdf(w, b, g)
+        assert np.max(np.abs(_cdf_mid(u, b, g, _phi(b, g)) - w)) <= 1e-12
+        # at the Gauss start F(u) = log2(1 + u); 2^w - 1 in floats cancels
+        # for small w, so the reference is mpmath's
+        from mpmath import mp, mpf
+
+        w = np.concatenate([w[:200], [2.0**-54, 1e-9, 1.0 - 2.0**-53]])
+        u = _inverse_cdf(w, np.ones_like(w), np.zeros_like(w))
+        with mp.workdps(40):
+            want = [float(mp.power(2, mpf(x)) - 1) for x in w.tolist()]
+        assert np.allclose(u, want, rtol=1e-15, atol=0.0)
+
+    def test_history_memory(self):
+        # the history holds one row per level so far, not a full 160-level
+        # window (128 MB at 1e5 streams)
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            eng = BulkDigitStream(1, 100_000)
+            for _ in range(4):
+                eng.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, peak
+        assert len(eng.hist) == 4
 
     def test_budget_guard(self):
         with pytest.raises(DomainError, match="digit budget"):
