@@ -293,10 +293,13 @@ class BulkDigitStream:
             idx = np.nonzero(undecided)[0]
             if idx.size == 0:
                 break
-            dd = d[idx].astype(np.float64)
-            blo, bhi = self.blo[idx], self.bhi[idx]
-            glo, ghi = self.glo[idx], self.ghi[idx]
-            vv = v[idx]
+            # while every stream is undecided (the first pass), read the
+            # state arrays whole instead of copying them by index
+            sel = slice(None) if idx.size == n else idx
+            dd = d[sel].astype(np.float64)
+            blo, bhi = self.blo[sel], self.bhi[sel]
+            glo, ghi = self.glo[sel], self.ghi[sel]
+            vv = v[sel]
             # rows F(1/(d+1)) and F(1/d) share one evaluation of the normaliser
             (f_lo_in, f_lo_out), (f_hi_in, f_hi_out) = _cdf_bounds(
                 1.0 / np.stack([dd + 1.0, dd]), blo, bhi, glo, ghi)

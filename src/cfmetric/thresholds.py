@@ -2,7 +2,11 @@
 growth exponents that drive the dimension dispatcher.
 
 Built-in families are evaluated in log space so that doubly exponential
-thresholds never materialize; tables carry explicit values.
+thresholds never materialize; tables carry explicit values.  The envelope,
+the series sums and the growth exponents work on ln psi(1..N) as one float64
+array: a table's values are converted once per call and taken through np.log,
+and the closed forms fill the array from log_value(n).  Every minimising
+index reported is the first one, so a tie goes to the smallest n.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .cfcore import DomainError
 
@@ -116,8 +122,8 @@ class ThresholdFn:
                 return ("eventually", n0)
             return ("unknown", None)
         if self.kind == "table":
-            vals = self.values
-            if all(a <= b for a, b in zip(vals, vals[1:])):
+            vals = np.fromiter(self.values, np.float64, len(self.values))
+            if np.all(vals[:-1] <= vals[1:]):
                 return ("nondecreasing", None)
             return ("unknown", None)
         return ("unknown", None)
@@ -166,8 +172,12 @@ def table(values: Sequence[float]) -> ThresholdFn:
     vals = tuple(float(v) for v in values)
     if not vals:
         raise DomainError("table must be nonempty")
-    if any(v <= 0 for v in vals):
-        raise DomainError("psi must be positive")
+    # 0 < v < inf is False for nan, so nan is caught with the rest
+    bad = next((i for i, v in enumerate(vals) if not 0 < v < INF), None)
+    if bad is not None:
+        raise DomainError(
+            f"psi must be positive and finite; values[{bad}] = {vals[bad]!r}"
+        )
     return ThresholdFn("table", values=vals)
 
 
@@ -217,44 +227,54 @@ class EnvelopeTable:
         return len(self.log_values)
 
 
-def envelope(psi: ThresholdFn, horizon: int) -> EnvelopeTable:
+def _log_psi(psi: ThresholdFn, n_max: int) -> np.ndarray:
+    """ln psi(1..n_max) as a float64 array.
+
+    A table is one np.log over its first n_max values and a scaled table adds
+    n ln delta to its inner array; the closed forms are filled from
+    psi.log_value(n), so they keep its values bit for bit.
+    """
+    if psi.kind == "table":
+        return np.log(np.fromiter(psi.values, np.float64, n_max))
+    if psi.kind == "scaled_geometric":
+        (delta,) = psi.params
+        return np.arange(1, n_max + 1) * math.log(delta) + _log_psi(psi.inner, n_max)
+    return np.fromiter(
+        (psi.log_value(n) for n in range(1, n_max + 1)), np.float64, n_max
+    )
+
+
+def _suffix_min(logs: np.ndarray) -> np.ndarray:
+    return np.minimum.accumulate(logs[::-1])[::-1]
+
+
+def _envelope_logs(psi: ThresholdFn, horizon: int) -> tuple[np.ndarray, bool, str]:
+    """The envelope as (ln psi~(1..horizon) array, exact, note)."""
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
     if psi.domain_limit is not None and horizon > psi.domain_limit:
         raise DomainError(
             f"horizon {horizon} exceeds table domain {psi.domain_limit}"
         )
+    if horizon == psi.domain_limit:
+        # the table is the whole domain, so its suffix minimum is psi~ exactly
+        return _suffix_min(_log_psi(psi, horizon)), True, ""
     hint, aux = psi.monotone_hint
-    logs = [psi.log_value(n) for n in range(1, horizon + 1)]
-    if hint == "nondecreasing":
-        return EnvelopeTable(tuple(logs), True)
     if hint == "limit":
-        return EnvelopeTable((aux,) * horizon, True, "psi decreases; envelope is its tail infimum")
+        return np.full(horizon, aux), True, "psi decreases; envelope is its tail infimum"
     if hint == "eventually":
-        n0 = aux
-        # beyond n0 psi is nondecreasing, so every suffix min is attained by n0
-        ext = [psi.log_value(n) for n in range(horizon + 1, n0 + 1)]
-        suffix = INF
-        out = [0.0] * horizon
-        for n in range(max(horizon, n0), 0, -1):
-            v = logs[n - 1] if n <= horizon else ext[n - horizon - 1]
-            suffix = min(suffix, v)
-            if n <= horizon:
-                out[n - 1] = suffix
-        return EnvelopeTable(tuple(out), True)
+        # beyond aux psi is nondecreasing, so every suffix min is attained by aux
+        return _suffix_min(_log_psi(psi, max(horizon, aux)))[:horizon], True, ""
+    logs = _log_psi(psi, horizon)
+    if hint == "nondecreasing":
+        return logs, True, ""
     # unknown: suffix minimum over the horizon only, an upper bound for psi~
-    if psi.domain_limit == horizon:
-        # the table is the whole domain, so this suffix minimum is exact
-        exact, note = True, ""
-    else:
-        exact, note = False, "envelope is upper bound only (unknown monotonicity)"
-    out = []
-    suffix = INF
-    for v in reversed(logs):
-        suffix = min(suffix, v)
-        out.append(suffix)
-    out.reverse()
-    return EnvelopeTable(tuple(out), exact, note)
+    return _suffix_min(logs), False, "envelope is upper bound only (unknown monotonicity)"
+
+
+def envelope(psi: ThresholdFn, horizon: int) -> EnvelopeTable:
+    logs, exact, note = _envelope_logs(psi, horizon)
+    return EnvelopeTable(tuple(logs.tolist()), exact, note)
 
 
 # ---------------------------------------------------------------------------
@@ -273,22 +293,20 @@ class SeriesVerdict:
         raise TypeError("compare SeriesVerdict.verdict explicitly")
 
 
-def _partial_sums(r: int, log_psi: Sequence[float]) -> tuple[list, tuple]:
+def _partial_sums(r: int, log_psi: np.ndarray) -> tuple[np.ndarray, tuple]:
     """ln of the terms n^{r-1} psi(n)^{-r} for n = 1..N given ln psi(1..N),
     and the partial sums (n, sum) at n = 8, 32, 128, ... and N."""
     n_max = len(log_psi)
-    terms = []
-    samples = []
-    total = 0.0
+    terms = (r - 1) * np.log(np.arange(1, n_max + 1)) - r * log_psi
+    # a term whose log reaches 700 counts as inf (nan too, as it fails the test)
+    totals = np.cumsum(np.exp(np.where(terms < 700, terms, INF)))
+    marks = []
     mark = 8
-    for n, lv in enumerate(log_psi, 1):
-        lt = (r - 1) * math.log(n) - r * lv
-        terms.append(lt)
-        total += math.exp(lt) if lt < 700 else INF
-        if n == mark or n == n_max:
-            samples.append((n, total))
-            mark *= 4
-    return terms, tuple(samples)
+    while mark < n_max:
+        marks.append(mark)
+        mark *= 4
+    marks.append(n_max)
+    return terms, tuple((n, float(totals[n - 1])) for n in marks)
 
 
 def series_classify(r: int, psi: ThresholdFn, horizon: int = 4096) -> SeriesVerdict:
@@ -297,7 +315,7 @@ def series_classify(r: int, psi: ThresholdFn, horizon: int = 4096) -> SeriesVerd
         raise DomainError("r must be >= 1")
 
     def analytic(kind: str) -> SeriesVerdict:
-        _, sums = _partial_sums(r, [psi.log_value(n) for n in range(1, 513)])
+        _, sums = _partial_sums(r, _log_psi(psi, 512))
         return SeriesVerdict(kind, "analytic", sums, 512)
 
     k = psi.kind
@@ -330,19 +348,19 @@ def series_classify(r: int, psi: ThresholdFn, horizon: int = 4096) -> SeriesVerd
             return series_classify(r, inner, horizon)
         # scaled table: fall through to numeric
     # numeric path (tables and anything without a closed form)
-    env = envelope(psi, min(horizon, psi.domain_limit or horizon))
-    n_max = len(env)
-    terms, sums = _partial_sums(r, env.log_values)
+    logs, _, _ = _envelope_logs(psi, min(horizon, psi.domain_limit or horizon))
+    n_max = len(logs)
+    terms, sums = _partial_sums(r, logs)
     verdict = "undetermined"
     if n_max >= 64:
         # slope of log-term against log n over the last half
-        xs = [math.log(n) for n in range(n_max // 2, n_max + 1)]
-        ys = [terms[n - 1] for n in range(n_max // 2, n_max + 1)]
-        xbar = sum(xs) / len(xs)
-        ybar = sum(ys) / len(ys)
-        denom = sum((x - xbar) ** 2 for x in xs)
+        lo = n_max // 2
+        xs = np.log(np.arange(lo, n_max + 1))
+        ys = terms[lo - 1:]
+        xs = xs - xs.mean()
+        denom = xs @ xs
         if denom > 0:
-            slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / denom
+            slope = xs @ (ys - ys.mean()) / denom
             if slope < -1.2:
                 verdict = "convergent"
             elif slope > -0.9:
@@ -419,7 +437,13 @@ class GrowthExponents:
 
 def growth_exponents(psi: ThresholdFn, horizon: int = 4096) -> GrowthExponents:
     """Exact exponents for built-in kinds, finite-horizon liminf estimate for
-    tables (reported with the minimizing index, no extrapolation)."""
+    tables (reported with the minimizing index, no extrapolation).
+
+    A table's estimate is read off its envelope as one float64 array: log_B
+    is the minimum of ln psi~(n) / n and log_b that of ln ln psi~(n) / n over
+    the n where ln psi~(n) > 0 (the others are skipped and flagged).  A tie
+    goes to the first minimising index.
+    """
     k = psi.kind
     if k == "poly_log":
         alpha, c = psi.params
@@ -447,24 +471,19 @@ def growth_exponents(psi: ThresholdFn, horizon: int = 4096) -> GrowthExponents:
     # table: numeric liminf over the horizon
     if horizon < 10:
         raise DomainError("horizon must be >= 10")
-    env = envelope(psi, min(horizon, psi.domain_limit or horizon))
-    flags = [] if env.exact else [env.note]
-    best_B, arg_B = INF, None
-    best_b, arg_b = INF, None
-    skipped = False
-    for n in range(1, len(env) + 1):
-        lv = env.log_values[n - 1]
-        q = lv / n
-        if q < best_B:
-            best_B, arg_B = q, n
-        if lv <= 0:
-            skipped = True
-            continue
-        q2 = math.log(lv) / n
-        if q2 < best_b:
-            best_b, arg_b = q2, n
-    if skipped:
+    logs, exact, note = _envelope_logs(psi, min(horizon, psi.domain_limit or horizon))
+    flags = [] if exact else [note]
+    n = np.arange(1, len(logs) + 1)
+    q = logs / n
+    i = int(np.argmin(q))  # the first minimum
+    best_B, arg_B = float(q[i]), i + 1
+    pos = np.flatnonzero(logs > 0)
+    if pos.size < len(logs):
         flags.append("log log undefined at some points; skipped")
-    if arg_b is None:
-        best_b = -INF
+    if pos.size:
+        q2 = np.log(logs[pos]) / n[pos]
+        i = int(np.argmin(q2))
+        best_b, arg_b = float(q2[i]), int(pos[i]) + 1
+    else:
+        best_b, arg_b = -INF, None
     return GrowthExponents(best_B, best_b, False, tuple(flags), arg_B, arg_b)

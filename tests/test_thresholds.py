@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfmetric.cfcore import DomainError
+from cfmetric.pressure import dimension_dispatch
 from cfmetric.thresholds import (
     DyadicReport,
     double_exp,
@@ -16,6 +18,135 @@ from cfmetric.thresholds import (
     series_classify,
     table,
 )
+
+INF = math.inf
+
+
+# -- reference: the per-n loops the array path replaced -----------------------
+
+
+def _ref_hint(psi):
+    """monotone_hint with a table's check as a scan over its tuple."""
+    if psi.kind == "table":
+        vals = psi.values
+        if all(a <= b for a, b in zip(vals, vals[1:])):
+            return ("nondecreasing", None)
+        return ("unknown", None)
+    if psi.kind == "scaled_geometric" and psi.inner.kind == "table":
+        if psi.params[0] >= 1 and _ref_hint(psi.inner)[0] == "nondecreasing":
+            return ("nondecreasing", None)
+        return ("unknown", None)
+    return psi.monotone_hint
+
+
+def _ref_envelope(psi, horizon):
+    """(log_values, exact, note) by one log_value call and one min per n."""
+    hint, aux = _ref_hint(psi)
+    logs = [psi.log_value(n) for n in range(1, horizon + 1)]
+    if hint == "nondecreasing":
+        return tuple(logs), True, ""
+    if hint == "limit":
+        return (aux,) * horizon, True, "psi decreases; envelope is its tail infimum"
+    if hint == "eventually":
+        n0 = aux
+        ext = [psi.log_value(n) for n in range(horizon + 1, n0 + 1)]
+        suffix = INF
+        out = [0.0] * horizon
+        for n in range(max(horizon, n0), 0, -1):
+            v = logs[n - 1] if n <= horizon else ext[n - horizon - 1]
+            suffix = min(suffix, v)
+            if n <= horizon:
+                out[n - 1] = suffix
+        return tuple(out), True, ""
+    if psi.domain_limit == horizon:
+        exact, note = True, ""
+    else:
+        exact, note = False, "envelope is upper bound only (unknown monotonicity)"
+    out = []
+    suffix = INF
+    for v in reversed(logs):
+        suffix = min(suffix, v)
+        out.append(suffix)
+    out.reverse()
+    return tuple(out), exact, note
+
+
+def _ref_table_growth(psi, horizon):
+    """(log_B, log_b, flags, argmin_B, argmin_b) of a table by a strict-< scan."""
+    logs, exact, note = _ref_envelope(psi, min(horizon, psi.domain_limit))
+    flags = [] if exact else [note]
+    best_B, arg_B = INF, None
+    best_b, arg_b = INF, None
+    skipped = False
+    for n in range(1, len(logs) + 1):
+        lv = logs[n - 1]
+        q = lv / n
+        if q < best_B:
+            best_B, arg_B = q, n
+        if lv <= 0:
+            skipped = True
+            continue
+        q2 = math.log(lv) / n
+        if q2 < best_b:
+            best_b, arg_b = q2, n
+    if skipped:
+        flags.append("log log undefined at some points; skipped")
+    if arg_b is None:
+        best_b = -INF
+    return best_B, best_b, tuple(flags), arg_B, arg_b
+
+
+def _ref_numeric_series(r, psi, horizon):
+    """(verdict, partial_sums, horizon) of the numeric series path."""
+    logs, _, _ = _ref_envelope(psi, min(horizon, psi.domain_limit))
+    n_max = len(logs)
+    terms, samples = [], []
+    total = 0.0
+    mark = 8
+    for n, lv in enumerate(logs, 1):
+        lt = (r - 1) * math.log(n) - r * lv
+        terms.append(lt)
+        total += math.exp(lt) if lt < 700 else INF
+        if n == mark or n == n_max:
+            samples.append((n, total))
+            mark *= 4
+    verdict = "undetermined"
+    if n_max >= 64:
+        xs = [math.log(n) for n in range(n_max // 2, n_max + 1)]
+        ys = [terms[n - 1] for n in range(n_max // 2, n_max + 1)]
+        xbar = sum(xs) / len(xs)
+        ybar = sum(ys) / len(ys)
+        denom = sum((x - xbar) ** 2 for x in xs)
+        if denom > 0:
+            slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / denom
+            if slope < -1.2:
+                verdict = "convergent"
+            elif slope > -0.9:
+                verdict = "divergent"
+    return verdict, tuple(samples), n_max
+
+
+def _close(a, b, rel, scale=0.0):
+    """a == b to rel, relative to max(|b|, scale)."""
+    return a == b or abs(a - b) <= rel * max(abs(b), scale)
+
+
+@st.composite
+def _tables(draw):
+    """A table psi(n) = exp(walk) whose log steps include exact ties (0),
+    dips (< 0) and rises, starting low enough that some values lie in (0, 1];
+    optionally scaled by delta^n with delta on either side of 1."""
+    start = draw(st.floats(-4.0, 4.0))
+    steps = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), min_size=0, max_size=299,
+    ))
+    logs = [start]
+    for step in steps:
+        logs.append(logs[-1] + step)
+    psi = table([math.exp(v) for v in logs])
+    if draw(st.booleans()):
+        psi = scaled_geometric(draw(st.sampled_from([0.3, 0.9, 1.0, 1.1, 2.5])), psi)
+    return psi
 
 
 class TestEnvelope:
@@ -64,6 +195,53 @@ class TestEnvelope:
         env = envelope(psi, 4)
         assert not env.exact
         assert "upper bound" in env.note
+
+    @pytest.mark.parametrize("psi", [
+        poly_log(1, 0), poly_log(2, -1), poly_log(0.5, -2), poly_log(-1, 0),
+        geometric(0.5), geometric(1.3), double_exp(2.0, 1.5),
+        scaled_geometric(1.5, poly_log(1, -1)), scaled_geometric(0.7, poly_log(2, 1)),
+        scaled_geometric(1.2, double_exp(3.0, 1.1)),
+    ], ids=lambda psi: psi.describe())
+    def test_closed_forms_equal_reference(self, psi):
+        # closed forms are filled from log_value, so nothing may move
+        env = envelope(psi, 200)
+        assert (env.log_values, env.exact, env.note) == _ref_envelope(psi, 200)
+
+    @settings(max_examples=150, deadline=None)
+    @given(psi=_tables(), data=st.data())
+    def test_array_path_matches_reference(self, psi, data):
+        n_tab = psi.domain_limit
+        inner = psi.inner if psi.kind == "scaled_geometric" else psi
+        # ln psi(n) = n ln delta + ln v_n: a last-bit change of ln v_n is
+        # relative to the larger of the two terms, not to their sum
+        ln_delta = math.log(psi.params[0]) if psi is not inner else 0.0
+        scale = n_tab * abs(ln_delta) + max(abs(math.log(v)) for v in inner.values)
+
+        horizon = data.draw(st.integers(1, n_tab), label="horizon")
+        env = envelope(psi, horizon)
+        want, exact, note = _ref_envelope(psi, horizon)
+        assert (env.exact, env.note) == (exact, note)
+        assert len(env.log_values) == horizon
+        for a, b in zip(env.log_values, want):
+            assert _close(a, b, 1e-15, scale if psi is not inner else 0.0)
+
+        # the table branch; a scaled table only adds ln delta to its result
+        horizon = data.draw(st.integers(10, n_tab + 10), label="growth horizon")
+        g = growth_exponents(inner, horizon)
+        log_B, log_b, flags, arg_B, arg_b = _ref_table_growth(inner, horizon)
+        assert (g.flags, g.argmin_B, g.argmin_b) == (flags, arg_B, arg_b)
+        assert _close(g.log_B, log_B, 1e-15)
+        # ln ln psi~ has an absolute error of an ulp of 1 where ln psi~ is near 1
+        assert _close(g.log_b, log_b, 1e-15, 1.0 / (arg_b or 1))
+
+        r = data.draw(st.integers(1, 4), label="r")
+        horizon = data.draw(st.integers(1, n_tab + 10), label="series horizon")
+        v = series_classify(r, psi, horizon)
+        verdict, sums, n_max = _ref_numeric_series(r, psi, horizon)
+        assert (v.verdict, v.method, v.horizon) == (verdict, "numeric", n_max)
+        assert [n for n, _ in v.partial_sums] == [n for n, _ in sums]
+        for (_, a), (_, b) in zip(v.partial_sums, sums):
+            assert _close(a, b, 1e-12)
 
 
 class TestSeriesClassify:
@@ -188,9 +366,40 @@ class TestGrowthExponents:
         assert g.log_B == pytest.approx(math.log(2), rel=1e-6)
         assert g.argmin_B is not None
 
+    def test_table_tie_goes_to_first_index(self):
+        # ln 4 / 2 == ln 2 / 1 exactly, and ln 1 / n == 0 at n = 3 and 4
+        g = growth_exponents(table([2.0, 4.0] + [1e300] * 8), horizon=10)
+        assert (g.log_B, g.argmin_B) == (math.log(2.0), 1)
+        g = growth_exponents(table([0.5, 0.5, 1.0, 1.0] + [8.0] * 6), horizon=10)
+        assert g.argmin_B == 1 and g.log_B == math.log(0.5)
+
     def test_table_skips_low_values(self):
         g = growth_exponents(table([0.5, 0.9, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0]), horizon=11)
         assert any("skipped" in f for f in g.flags)
+
+
+class TestTableValues:
+    @pytest.mark.parametrize("values,bad", [
+        ([math.nan] * 20, 0),
+        ([1.0, 2.0, math.inf, 3.0], 2),
+        ([1.0, 2.0, 3.0, -math.inf, math.nan], 3),
+        ([1.0, 0.0], 1),
+        ([5.0, 6.0, -1.0], 2),
+    ])
+    def test_non_finite_or_non_positive_rejected(self, values, bad):
+        with pytest.raises(DomainError, match=rf"values\[{bad}\]"):
+            table(values)
+
+    def test_nan_table_never_reaches_dispatch(self):
+        # nan used to pass (nan <= 0 is False) and dispatch answered 1.0
+        with pytest.raises(DomainError, match="positive and finite"):
+            dimension_dispatch(2, table([math.nan] * 20))
+
+    def test_table_file_with_nan_rejected(self, tmp_path):
+        f = tmp_path / "psi.txt"
+        f.write_text("1.0\n2.0\nnan\n")
+        with pytest.raises(DomainError, match=r"values\[2\]"):
+            parse_psi(f"table:{f}")
 
 
 class TestParse:
