@@ -214,8 +214,10 @@ class TestEnvelope:
         inner = psi.inner if psi.kind == "scaled_geometric" else psi
         # ln psi(n) = n ln delta + ln v_n: a last-bit change of ln v_n is
         # relative to the larger of the two terms, not to their sum
-        ln_delta = math.log(psi.params[0]) if psi is not inner else 0.0
-        scale = n_tab * abs(ln_delta) + max(abs(math.log(v)) for v in inner.values)
+        scale = 0.0
+        if psi is not inner:
+            ln_delta = math.log(psi.params[0])
+            scale = n_tab * abs(ln_delta) + max(abs(math.log(v)) for v in inner.values)
 
         horizon = data.draw(st.integers(1, n_tab), label="horizon")
         env = envelope(psi, horizon)
@@ -223,7 +225,7 @@ class TestEnvelope:
         assert (env.exact, env.note) == (exact, note)
         assert len(env.log_values) == horizon
         for a, b in zip(env.log_values, want):
-            assert _close(a, b, 1e-15, scale if psi is not inner else 0.0)
+            assert _close(a, b, 1e-15, scale)
 
         # the table branch; a scaled table only adds ln delta to its result
         horizon = data.draw(st.integers(10, n_tab + 10), label="growth horizon")
@@ -367,11 +369,15 @@ class TestGrowthExponents:
         assert g.argmin_B is not None
 
     def test_table_tie_goes_to_first_index(self):
-        # ln 4 / 2 == ln 2 / 1 exactly, and ln 1 / n == 0 at n = 3 and 4
+        # ln 4 / 2 == ln 2 / 1 exactly
         g = growth_exponents(table([2.0, 4.0] + [1e300] * 8), horizon=10)
         assert (g.log_B, g.argmin_B) == (math.log(2.0), 1)
-        g = growth_exponents(table([0.5, 0.5, 1.0, 1.0] + [8.0] * 6), horizon=10)
-        assert g.argmin_B == 1 and g.log_B == math.log(0.5)
+        # ln 1 / n == 0 at every n
+        g = growth_exponents(table([1.0] * 10), horizon=10)
+        assert (g.log_B, g.argmin_B, g.argmin_b) == (0.0, 1, None)
+        # ln ln e / n == 0 at every n, while ln e / n falls to its last n
+        g = growth_exponents(table([math.e] * 10), horizon=10)
+        assert (g.log_b, g.argmin_b, g.argmin_B) == (0.0, 1, 10)
 
     def test_table_skips_low_values(self):
         g = growth_exponents(table([0.5, 0.9, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0]), horizon=11)
