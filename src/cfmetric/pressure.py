@@ -40,6 +40,7 @@ CURVE_CAP = 2048
 CURVE_NODES = 33
 S_FLOOR = 0.5 + 2.5e-4
 S_CEIL = 1.02
+_MAX_ITER = 10_000
 LN4 = math.log(4.0)
 
 
@@ -199,14 +200,13 @@ def pressure_eigen(
     grid_size: int = DEFAULT_GRID,
     cap: int = DEFAULT_CAP,
     tol: float = 1e-10,
-    max_iter: int = 10_000,
 ) -> PressureEstimate:
     """P(s) as the log leading eigenvalue, by power iteration on the positive
     cone with a nodewise Collatz-Wielandt bracket."""
     if s <= 0.5:
         raise DomainError("pressure is defined only for s > 1/2 here")
     nodes, bw, M = _operator_matrix(float(s), grid_size, cap)
-    return _power_iterate(s, nodes, bw, M, cap, tol, max_iter)
+    return _power_iterate(s, nodes, bw, M, cap, tol)
 
 
 def _power_iterate(
@@ -216,14 +216,13 @@ def _power_iterate(
     M: np.ndarray,
     cap: int,
     tol: float = 1e-10,
-    max_iter: int = 10_000,
 ) -> PressureEstimate:
     """Power iteration of pressure_eigen on the collocation matrix M of L_s."""
     grid_size = len(nodes)
     f = np.ones(grid_size)
     spread_prev = math.inf
     value = bracket = None
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         g_lo, g_hi = _step(s, nodes, bw, M, cap, f, f)
         g = 0.5 * (g_lo + g_hi)
         if np.any(g <= 0):
@@ -242,7 +241,7 @@ def _power_iterate(
             )
         spread_prev = spread
     raise RuntimeError(
-        f"power iteration did not stabilize in {max_iter} steps "
+        f"power iteration did not stabilize in {_MAX_ITER} steps "
         f"(s={s}, last spread={spread_prev:.3e})"
     )
 
@@ -319,23 +318,18 @@ def pressure_cylinder(
 
 class PressureCurve:
     """P(s) tabulated at Chebyshev nodes in tau = ln(s - 1/2), where the
-    blow-up at s = 1/2 flattens out; evaluated by barycentric interpolation."""
+    blow-up at s = 1/2 flattens out; evaluated by barycentric interpolation.
+    The domain is [S_FLOOR, S_CEIL] with CURVE_NODES nodes."""
 
-    def __init__(
-        self,
-        grid_size: int = DEFAULT_GRID,
-        cap: int = CURVE_CAP,
-        n_nodes: int = CURVE_NODES,
-        s_floor: float = S_FLOOR,
-        s_ceil: float = S_CEIL,
-    ):
-        t_lo, t_hi = math.log(s_floor - 0.5), math.log(s_ceil - 0.5)
-        x, self.bw = chebyshev_lobatto(n_nodes)
+    s_floor, s_ceil = S_FLOOR, S_CEIL
+
+    def __init__(self, grid_size: int = DEFAULT_GRID, cap: int = CURVE_CAP):
+        t_lo, t_hi = math.log(S_FLOOR - 0.5), math.log(S_CEIL - 0.5)
+        x, self.bw = chebyshev_lobatto(CURVE_NODES)
         self.tau = t_lo + x * (t_hi - t_lo)
         self.s_nodes = 0.5 + np.exp(self.tau)
         self.grid_size = grid_size
         self.cap = cap
-        self.s_floor, self.s_ceil = s_floor, s_ceil
         nodes, bw, mats = _operator_matrices(self.s_nodes, grid_size, cap)
         self.values = np.array(
             [
@@ -364,13 +358,6 @@ def default_curve(grid_size: int = DEFAULT_GRID, cap: int = CURVE_CAP) -> Pressu
 
 
 _cached_curve = functools.lru_cache(maxsize=None)(PressureCurve)
-
-
-def _check_tol(tol: float) -> None:
-    if tol < 5e-6:
-        raise DomainError(
-            f"tol={tol} below the cached curve's accuracy 5e-6; rebuild with a larger grid"
-        )
 
 
 def _root(g, curve: PressureCurve, tol: float) -> tuple[float, tuple]:
@@ -423,7 +410,10 @@ def solve_dimension(
         raise DomainError("r must be >= 1")
     if not 1.0 < B < math.inf:
         raise DomainError("solve_dimension needs 1 < B < inf")
-    _check_tol(tol)
+    if tol < 5e-6:
+        raise DomainError(
+            f"tol={tol} below the cached curve's accuracy 5e-6; rebuild with a larger grid"
+        )
     curve = curve or default_curve()
     ln_b = math.log(B)
 
@@ -443,25 +433,12 @@ def hussain_shulga_exponent(
     """min_i d_i for the window construction with every base equal to B.
 
     d_i is the root of P(s) - s ln(beta_i) + (1-s) ln(beta_{i-1}) with
-    beta_i = B^{i+1}; an independent reduction that must agree with
-    solve_dimension, the minimum sitting at i = r-1.
+    beta_i = B^{i+1}.  That is P(s) - (s + (2s-1) i) ln B, so d_i is
+    solve_dimension with r = i + 1, and the minimum sits at i = r-1.
     """
     if r < 1:
         raise DomainError("r must be >= 1")
-    if not 1.0 < B < math.inf:
-        raise DomainError("hussain_shulga_exponent needs 1 < B < inf")
-    _check_tol(tol)
-    curve = curve or default_curve()
-    ln_b = math.log(B)
-    roots = []
-    for i in range(r):
-        ln_beta_i = (i + 1) * ln_b
-        ln_beta_prev = i * ln_b
-
-        def g(s, a=ln_beta_i, b=ln_beta_prev):
-            return curve.eval(s) - s * a + (1.0 - s) * b
-
-        roots.append(_root(g, curve, tol)[0])
+    roots = [solve_dimension(i + 1, B, tol, curve).value for i in range(r)]
     best = min(range(r), key=lambda i: roots[i])
     return DimensionResult(
         "finite-B",

@@ -2,15 +2,23 @@
 growth exponents that drive the dimension dispatcher.
 
 Built-in families are evaluated in log space so that doubly exponential
-thresholds never materialize; tables carry explicit values.  The envelope,
-the series sums and the growth exponents work on ln psi(1..N) as one float64
-array: a table's values are converted once per call and taken through np.log,
-and the closed forms fill the array from log_value(n).  Every minimising
-index reported is the first one, so a tie goes to the smallest n.
+thresholds never materialize; tables carry explicit values.  poly_log,
+geometric and a scaled_geometric of either share one normal form,
+psi(n) = B^n n^alpha (ln n)^c with the scale multiplied into B: the monotone
+hint, the analytic series verdict and the growth exponents are read off
+(B, alpha, c) alone.  double_exp, scaled or not, has one rule of its own.
+
+The envelope, the series sums, the dyadic blocks and the growth exponents
+work on ln psi(1..N) as one float64 array: np.log of a table's array (built
+once per table), plus n ln delta for a scaled table, which so takes the table
+branch on delta^n psi(n) itself; the closed forms fill it from log_value(n).
+Every minimising index reported is the first one, so a tie goes to the
+smallest n.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -21,15 +29,6 @@ import numpy as np
 from .cfcore import DomainError
 
 INF = math.inf
-
-
-def _logsumexp(values):
-    m = max(values, default=-INF)
-    if m == -INF:
-        return -INF
-    if m == INF:
-        return INF
-    return m + math.log(sum(math.exp(v - m) for v in values))
 
 
 @dataclass(frozen=True)
@@ -95,38 +94,42 @@ class ThresholdFn:
 
     @property
     def monotone_hint(self) -> tuple:
-        if self.kind == "poly_log":
-            alpha, c = self.params
-            if alpha > 0:
-                if c >= 0:
-                    return ("nondecreasing", None)
-                return ("eventually", max(2, math.ceil(math.exp(-c / alpha))))
-            if alpha == 0:
-                if c >= 0:
-                    return ("nondecreasing", None)
+        form = _exp_poly_log(self)
+        if form is not None:
+            B, alpha, c = form
+            if _collapses(B, alpha, c):
                 return ("limit", -INF)
-            return ("limit", -INF)
-        if self.kind == "geometric":
-            (B,) = self.params
-            return ("nondecreasing", None) if B >= 1 else ("limit", -INF)
+            if alpha >= 0 and c >= 0:
+                return ("nondecreasing", None)
+            if B > 1:
+                # ln psi(n+1) - ln psi(n) >= ln B - (|alpha| + 1.5 |c|) / n
+                n0 = math.ceil((abs(alpha) + 1.5 * abs(c) + 1) / math.log(B)) + 2
+                return ("eventually", n0)
+            # B = 1 and alpha > 0 > c: psi rises once ln n >= -c / alpha, and
+            # past e^709 that n is not even a float
+            t = -c / alpha
+            if t >= 709:
+                return ("unknown", None)
+            return ("eventually", max(2, math.ceil(math.exp(t))))
         if self.kind == "double_exp":
             return ("nondecreasing", None)
         if self.kind == "scaled_geometric":
-            (delta,) = self.params
-            hint = self.inner.monotone_hint
-            if delta >= 1 and hint[0] == "nondecreasing":
+            if self.params[0] >= 1 and self.inner.monotone_hint[0] == "nondecreasing":
                 return ("nondecreasing", None)
-            if delta > 1 and self.inner.kind == "poly_log":
-                alpha, c = self.inner.params
-                n0 = math.ceil((abs(alpha) + 1.5 * abs(c) + 1) / math.log(delta)) + 2
-                return ("eventually", n0)
             return ("unknown", None)
         if self.kind == "table":
-            vals = np.fromiter(self.values, np.float64, len(self.values))
+            vals = self._array
             if np.all(vals[:-1] <= vals[1:]):
                 return ("nondecreasing", None)
             return ("unknown", None)
         return ("unknown", None)
+
+    @functools.cached_property
+    def _array(self) -> np.ndarray:
+        """A table's values as a read-only float64 array, built once."""
+        vals = np.array(self.values, dtype=np.float64)
+        vals.flags.writeable = False
+        return vals
 
     def describe(self) -> str:
         if self.kind == "poly_log":
@@ -140,32 +143,40 @@ class ThresholdFn:
         return f"table[{len(self.values)}]"
 
 
+def _param(family: str, name: str, value: float, lo: float = -INF) -> float:
+    """value as a float, or a DomainError naming it unless lo < value < inf."""
+    value = float(value)
+    if not lo < value < INF:  # nan fails too
+        raise DomainError(f"{family} needs {lo:g} < {name} < inf; got {name} = {value!r}")
+    return value
+
+
 def poly_log(alpha: float, c: float) -> ThresholdFn:
     """psi(n) = n^alpha (log n)^c, the polynomial/logarithmic family."""
-    return ThresholdFn("poly_log", (float(alpha), float(c)))
+    params = (_param("poly_log", "alpha", alpha), _param("poly_log", "c", c))
+    return ThresholdFn("poly_log", params)
 
 
 def geometric(B: float) -> ThresholdFn:
     """psi(n) = B^n."""
-    if B <= 0:
-        raise DomainError("geometric base must be positive")
-    return ThresholdFn("geometric", (float(B),))
+    return ThresholdFn("geometric", (_param("geometric", "B", B, 0.0),))
 
 
 def scaled_geometric(delta: float, inner: ThresholdFn) -> ThresholdFn:
     """psi(n) = delta^n * inner(n)."""
-    if delta <= 0:
-        raise DomainError("scale must be positive")
+    delta = _param("scaled_geometric", "delta", delta, 0.0)
     if inner.kind == "scaled_geometric":
         return scaled_geometric(delta * inner.params[0], inner.inner)
-    return ThresholdFn("scaled_geometric", (float(delta),), inner=inner)
+    if inner.kind == "geometric":
+        # the normal form folds delta into B, so the product must be a base too
+        _param("scaled_geometric", "delta * B", delta * inner.params[0], 0.0)
+    return ThresholdFn("scaled_geometric", (delta,), inner=inner)
 
 
 def double_exp(c: float, b: float) -> ThresholdFn:
     """psi(n) = c^(b^n); needs c > 1 and b > 1."""
-    if c <= 1 or b <= 1:
-        raise DomainError("double_exp needs c > 1 and b > 1")
-    return ThresholdFn("double_exp", (float(c), float(b)))
+    params = (_param("double_exp", "c", c, 1.0), _param("double_exp", "b", b, 1.0))
+    return ThresholdFn("double_exp", params)
 
 
 def table(values: Sequence[float]) -> ThresholdFn:
@@ -211,6 +222,35 @@ def parse_psi(spec: str) -> ThresholdFn:
 
 
 # ---------------------------------------------------------------------------
+# the normal form psi(n) = B^n n^alpha (ln n)^c
+# ---------------------------------------------------------------------------
+
+
+def _exp_poly_log(psi: ThresholdFn) -> Optional[tuple]:
+    """(B, alpha, c) of a poly_log, a geometric or a scaled one of them;
+    None for any other psi.  The scale delta is multiplied into B."""
+    delta = 1.0
+    if psi.kind == "scaled_geometric":
+        delta, psi = psi.params[0], psi.inner
+    if psi.kind == "poly_log":
+        return (delta, *psi.params)
+    if psi.kind == "geometric":
+        return (delta * psi.params[0], 0.0, 0.0)
+    return None
+
+
+def _double_exp_b(psi: ThresholdFn) -> Optional[float]:
+    """b of a double_exp c^(b^n), scaled or not (delta^n leaves b alone)."""
+    core = psi.inner or psi
+    return core.params[1] if core.kind == "double_exp" else None
+
+
+def _collapses(B: float, alpha: float, c: float) -> bool:
+    """Whether B^n n^alpha (ln n)^c tends to 0, so that its envelope is 0."""
+    return B < 1 or (B == 1 and (alpha < 0 or (alpha == 0 and c < 0)))
+
+
+# ---------------------------------------------------------------------------
 # monotone envelope
 # ---------------------------------------------------------------------------
 
@@ -235,7 +275,7 @@ def _log_psi(psi: ThresholdFn, n_max: int) -> np.ndarray:
     psi.log_value(n), so they keep its values bit for bit.
     """
     if psi.kind == "table":
-        return np.log(np.fromiter(psi.values, np.float64, n_max))
+        return np.log(psi._array[:n_max])
     if psi.kind == "scaled_geometric":
         (delta,) = psi.params
         return np.arange(1, n_max + 1) * math.log(delta) + _log_psi(psi.inner, n_max)
@@ -293,11 +333,16 @@ class SeriesVerdict:
         raise TypeError("compare SeriesVerdict.verdict explicitly")
 
 
+def _log_terms(r: int, log_psi: np.ndarray) -> np.ndarray:
+    """ln of the terms n^{r-1} psi(n)^{-r} for n = 1..N given ln psi(1..N)."""
+    return (r - 1) * np.log(np.arange(1, len(log_psi) + 1)) - r * log_psi
+
+
 def _partial_sums(r: int, log_psi: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """ln of the terms n^{r-1} psi(n)^{-r} for n = 1..N given ln psi(1..N),
-    and the partial sums (n, sum) at n = 8, 32, 128, ... and N."""
+    """The log terms of ln psi(1..N) and the partial sums (n, sum) at
+    n = 8, 32, 128, ... and N."""
     n_max = len(log_psi)
-    terms = (r - 1) * np.log(np.arange(1, n_max + 1)) - r * log_psi
+    terms = _log_terms(r, log_psi)
     # a term whose log reaches 700 counts as inf (nan too, as it fails the test)
     totals = np.cumsum(np.exp(np.where(terms < 700, terms, INF)))
     marks = []
@@ -310,44 +355,23 @@ def _partial_sums(r: int, log_psi: np.ndarray) -> tuple[np.ndarray, tuple]:
 
 
 def series_classify(r: int, psi: ThresholdFn, horizon: int = 4096) -> SeriesVerdict:
-    """Convergence of sum n^{r-1} psi~(n)^{-r} (integral test on the built-ins)."""
+    """Convergence of sum n^{r-1} psi~(n)^{-r}.
+
+    The normal form and double_exp are decided by the integral test; tables,
+    scaled or not, by the slope of the log terms over the last half.
+    """
     if r < 1:
         raise DomainError("r must be >= 1")
-
-    def analytic(kind: str) -> SeriesVerdict:
+    form = _exp_poly_log(psi)
+    if form is not None or _double_exp_b(psi) is not None:
+        if form is None:
+            verdict = "convergent"  # double_exp, scaled or not
+        else:
+            B, alpha, c = form
+            converges = B > 1 or alpha > 1 or (alpha == 1 and c > 1.0 / r)
+            verdict = "convergent" if converges and not _collapses(*form) else "divergent"
         _, sums = _partial_sums(r, _log_psi(psi, 512))
-        return SeriesVerdict(kind, "analytic", sums, 512)
-
-    k = psi.kind
-    if k == "poly_log":
-        alpha, c = psi.params
-        if alpha < 0 or (alpha == 0 and c < 0):
-            return analytic("divergent")  # envelope collapses to 0
-        if alpha > 1:
-            return analytic("convergent")
-        if alpha < 1:
-            return analytic("divergent")
-        return analytic("convergent" if c > 1.0 / r else "divergent")
-    if k == "geometric":
-        (B,) = psi.params
-        return analytic("convergent" if B > 1 else "divergent")
-    if k == "double_exp":
-        return analytic("convergent")
-    if k == "scaled_geometric":
-        (delta,) = psi.params
-        inner = psi.inner
-        if inner.kind == "geometric":
-            return series_classify(r, geometric(delta * inner.params[0]), horizon)
-        if inner.kind == "double_exp":
-            return analytic("convergent")
-        if inner.kind == "poly_log":
-            if delta > 1:
-                return analytic("convergent")
-            if delta < 1:
-                return analytic("divergent")
-            return series_classify(r, inner, horizon)
-        # scaled table: fall through to numeric
-    # numeric path (tables and anything without a closed form)
+        return SeriesVerdict(verdict, "analytic", sums, 512)
     logs, _, _ = _envelope_logs(psi, min(horizon, psi.domain_limit or horizon))
     n_max = len(logs)
     terms, sums = _partial_sums(r, logs)
@@ -396,27 +420,21 @@ def dyadic_equivalence_check(r: int, psi: ThresholdFn, J: int) -> DyadicReport:
     if psi.domain_limit is not None and 2 ** (J + 1) - 1 > psi.domain_limit:
         raise DomainError("table too short for requested J")
 
-    def block_log_sum(j):
-        terms = [
-            (r - 1) * math.log(n) - r * psi.log_value(n)
-            for n in range(2**j, 2 ** (j + 1))
-        ]
-        return _logsumexp(terms)
-
+    logs = _log_psi(psi, 2 ** (J + 1) - 1)
+    # S_j sums the terms at indices 2^j - 1 .. 2^{j+1} - 2
+    blocks = np.logaddexp.reduceat(_log_terms(r, logs), 2 ** np.arange(J + 1) - 1)
     rows = []
     worst = 0.0
     lower_ok = upper_ok = True
-    prev = block_log_sum(0)
     for j in range(1, J + 1):
-        cur = block_log_sum(j)
-        log_mid = r * ((j + 1) * math.log(2.0) - psi.log_value(2**j))
+        prev, cur = float(blocks[j - 1]), float(blocks[j])
+        log_mid = r * ((j + 1) * math.log(2.0) - float(logs[2**j - 1]))
         slack_lower = log_mid - cur          # >= 0 required
         slack_upper = log_mid - prev         # <= ln(2^{2r}) required
         lower_ok &= slack_lower >= -1e-9
         upper_ok &= slack_upper <= 2 * r * math.log(2.0) + 1e-9
         worst = max(worst, math.exp(min(slack_upper, 700.0)))
         rows.append((j, cur, log_mid, slack_lower, slack_upper))
-        prev = cur
     return DyadicReport(tuple(rows), worst, 4.0**r, lower_ok, upper_ok)
 
 
@@ -436,39 +454,26 @@ class GrowthExponents:
 
 
 def growth_exponents(psi: ThresholdFn, horizon: int = 4096) -> GrowthExponents:
-    """Exact exponents for built-in kinds, finite-horizon liminf estimate for
-    tables (reported with the minimizing index, no extrapolation).
+    """Exact exponents for the closed forms, finite-horizon liminf estimate
+    for tables (reported with the minimizing index, no extrapolation).
 
-    A table's estimate is read off its envelope as one float64 array: log_B
-    is the minimum of ln psi~(n) / n and log_b that of ln ln psi~(n) / n over
-    the n where ln psi~(n) > 0 (the others are skipped and flagged).  A tie
-    goes to the first minimising index.
+    The normal form B^n n^alpha (ln n)^c gives (ln B, 0) for B > 1 and
+    (-inf, -inf) once its envelope collapses to 0, else B = 1 and (0, 0);
+    double_exp, scaled or not, gives (inf, ln b).  A table's estimate, or a
+    scaled table's on delta^n psi(n) itself, is read off its envelope as one
+    float64 array: log_B is the minimum of ln psi~(n) / n and log_b that of
+    ln ln psi~(n) / n over the n where ln psi~(n) > 0 (the others are
+    skipped and flagged).  A tie goes to the first minimising index.
     """
-    k = psi.kind
-    if k == "poly_log":
-        alpha, c = psi.params
-        if alpha < 0 or (alpha == 0 and c < 0):
+    form = _exp_poly_log(psi)
+    if form is not None:
+        if _collapses(*form):
             return GrowthExponents(-INF, -INF, True, ("envelope collapses to 0",))
-        return GrowthExponents(0.0, 0.0, True)
-    if k == "geometric":
-        (B,) = psi.params
-        if B < 1:
-            return GrowthExponents(-INF, -INF, True, ("envelope collapses to 0",))
-        return GrowthExponents(math.log(B), 0.0, True)
-    if k == "double_exp":
-        _, b = psi.params
+        return GrowthExponents(math.log(form[0]), 0.0, True)
+    b = _double_exp_b(psi)
+    if b is not None:
         return GrowthExponents(INF, math.log(b), True)
-    if k == "scaled_geometric":
-        (delta,) = psi.params
-        g = growth_exponents(psi.inner, horizon)
-        log_B = math.log(delta) + g.log_B
-        if log_B == INF:
-            return GrowthExponents(INF, g.log_b, g.exact, g.flags)
-        if log_B < 0 or not g.exact:
-            # envelope eventually collapses, or inner was only an estimate
-            return GrowthExponents(log_B, 0.0, g.exact, g.flags + ("see inner",))
-        return GrowthExponents(log_B, 0.0, g.exact, g.flags)
-    # table: numeric liminf over the horizon
+    # tables: numeric liminf over the horizon
     if horizon < 10:
         raise DomainError("horizon must be >= 10")
     logs, exact, note = _envelope_logs(psi, min(horizon, psi.domain_limit or horizon))

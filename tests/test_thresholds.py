@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfmetric.cfcore import DomainError
-from cfmetric.pressure import dimension_dispatch
+from cfmetric.pressure import default_curve, dimension_dispatch
 from cfmetric.thresholds import (
     DyadicReport,
     double_exp,
@@ -190,6 +190,12 @@ class TestEnvelope:
             for a, b in zip(env1.log_values, env2.log_values)
         )
 
+    def test_far_turning_point_is_unknown(self):
+        # n^0.001 / ln n falls until ln n = 1000, a point no float reaches
+        psi = poly_log(1e-3, -1)
+        assert psi.monotone_hint == ("unknown", None)
+        assert not envelope(psi, 50).exact
+
     def test_unknown_monotonicity_flag(self):
         psi = scaled_geometric(0.5, table([1, 2, 3, 4, 5, 6, 7, 8]))
         env = envelope(psi, 4)
@@ -227,10 +233,10 @@ class TestEnvelope:
         for a, b in zip(env.log_values, want):
             assert _close(a, b, 1e-15, scale)
 
-        # the table branch; a scaled table only adds ln delta to its result
+        # the table branch, on delta^n psi(n) itself for a scaled table
         horizon = data.draw(st.integers(10, n_tab + 10), label="growth horizon")
-        g = growth_exponents(inner, horizon)
-        log_B, log_b, flags, arg_B, arg_b = _ref_table_growth(inner, horizon)
+        g = growth_exponents(psi, horizon)
+        log_B, log_b, flags, arg_B, arg_b = _ref_table_growth(psi, horizon)
         assert (g.flags, g.argmin_B, g.argmin_b) == (flags, arg_B, arg_b)
         assert _close(g.log_B, log_B, 1e-15)
         # ln ln psi~ has an absolute error of an ulp of 1 where ln psi~ is near 1
@@ -384,6 +390,70 @@ class TestGrowthExponents:
         assert any("skipped" in f for f in g.flags)
 
 
+def _dispatch(r, psi):
+    """(value, regime, flags) of dimension_dispatch, or the refusal's text."""
+    try:
+        res = dimension_dispatch(r, psi, curve=default_curve())
+    except DomainError as exc:
+        return str(exc)
+    return res.value, res.regime, res.flags
+
+
+@st.composite
+def _normal_forms(draw):
+    """(B, alpha, c) of B^n n^alpha (ln n)^c with B exactly 1, within 1e-6 of
+    it or in [0.5, 2], and alpha, c in [-3, 3] with 0 drawn often."""
+    B = draw(st.one_of(
+        st.just(1.0),
+        st.floats(-1e-6, 1e-6).map(lambda e: 1.0 + e),
+        st.floats(0.5, 2.0),
+    ))
+    coef = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+    return B, draw(coef), draw(coef)
+
+
+class TestNormalForm:
+    @pytest.mark.parametrize("psi", [
+        scaled_geometric(2, poly_log(-1, 0)),
+        scaled_geometric(2, poly_log(0, -1)),
+        scaled_geometric(4, geometric(0.5)),
+    ], ids=lambda psi: psi.describe())
+    def test_scaled_collapsing_inner_is_geometric(self, psi):
+        # 2^n / n, 2^n / ln n and 4^n / 2^n all have B = 2
+        assert _dispatch(1, psi)[:2] == _dispatch(1, geometric(2.0))[:2]
+
+    def test_scale_folds_to_base_one(self):
+        # 0.1 * 10.0 == 1.0, so this is the constant 1 and not a B close to 1
+        psi = scaled_geometric(0.1, geometric(10.0))
+        assert _dispatch(2, psi)[1] == _dispatch(2, geometric(1.0))[1] == "B=1"
+
+    def test_scaled_table_takes_table_branch(self):
+        # 2^n / n as a scaled table: a finite-B estimate, not the inner's own
+        psi = scaled_geometric(2.0, table([1.0 / n for n in range(1, 4097)]))
+        g = growth_exponents(psi)
+        assert not g.exact and 0.0 < g.log_B <= math.log(2.0)
+        assert _dispatch(1, psi)[1] == "finite-B"
+
+    @settings(max_examples=150, deadline=None)
+    @given(form=_normal_forms(), delta=st.floats(0.25, 4.0), r=st.integers(1, 4))
+    def test_one_normal_form(self, form, delta, r):
+        B, alpha, c = form
+        a, b = scaled_geometric(delta, geometric(B)), geometric(delta * B)
+        assert growth_exponents(a) == growth_exponents(b)
+        assert a.monotone_hint == b.monotone_hint
+        assert series_classify(r, a).verdict == series_classify(r, b).verdict
+        assert _dispatch(r, a) == _dispatch(r, b)
+
+        psi = scaled_geometric(B, poly_log(alpha, c))
+        g = growth_exponents(psi)
+        verdict = series_classify(r, psi).verdict
+        if g.log_B > 0:
+            assert verdict == "convergent"
+        if "envelope collapses to 0" in g.flags:
+            assert verdict == "divergent"
+            assert psi.monotone_hint == ("limit", -INF)
+
+
 class TestTableValues:
     @pytest.mark.parametrize("values,bad", [
         ([math.nan] * 20, 0),
@@ -406,6 +476,23 @@ class TestTableValues:
         f.write_text("1.0\n2.0\nnan\n")
         with pytest.raises(DomainError, match=r"values\[2\]"):
             parse_psi(f"table:{f}")
+
+
+class TestClosedFormParams:
+    @pytest.mark.parametrize("spec,name", [
+        ("poly_log(nan, 0)", "alpha"),
+        ("poly_log(1, -inf)", "c"),
+        ("geometric(inf)", "B"),
+        ("geometric(0)", "B"),
+        ("double_exp(nan, nan)", "c"),
+        ("double_exp(2, inf)", "b"),
+        ("scaled_geometric(nan, poly_log(1, 0))", "delta"),
+        ("scaled_geometric(1e300, geometric(1e300))", r"delta \* B"),
+        ("scaled_geometric(1e-300, geometric(1e-300))", r"delta \* B"),
+    ])
+    def test_non_finite_or_out_of_range_rejected(self, spec, name):
+        with pytest.raises(DomainError, match=rf"; got {name} = "):
+            parse_psi(spec)
 
 
 class TestParse:
