@@ -13,15 +13,29 @@ uniform bits).  BulkDigitStream(seed, 1, stream_offset=j) is
 the scalar stream j; the exact enclosure of its point after n digits is
 cfcore.cylinder(word(*digits)).
 
+sample_digit_matrix cuts its streams into equal contiguous blocks of at most
+_BLOCK streams, so that one engine's float64 temporaries stay in the CPU
+cache.  Each block is its own BulkDigitStream, which runs every level and
+writes the block's rows of the result.  The blocks run on a thread pool with
+one worker per available CPU, but at most one per _MIN_BLOCK streams; numpy
+releases the interpreter lock inside its array loops.  The exact fallback
+computes in an mpmath context private to its thread, so threads that overlap
+never change each other's working precision.
+
 sample_iid_gauss_kuzmin is the deliberate non-exact baseline: i.i.d. digits
 with the Gauss-Kuzmin marginal, without the dependence between positions.
 
 Randomness comes from a splitmix64 counter generator keyed by
-(seed, stream, level, round), so results are independent of worker count.
+(seed, stream, level, round), and streams share no state.  So stream j gets
+the same digits whatever block it falls in and however many blocks and
+workers a call uses.
 """
 
 from __future__ import annotations
 
+import numbers
+import os
+import threading
 from collections import deque
 from fractions import Fraction
 from typing import Optional
@@ -126,6 +140,22 @@ def _inverse_cdf(w, b, g):
 # exact scalar fallback
 # ---------------------------------------------------------------------------
 
+_local = threading.local()
+
+
+def _mp_context():
+    """This thread's own mpmath context.
+
+    mpmath.mp is one context for the whole process: its workdps sets and then
+    restores a shared precision, so a thread that overlaps another inside it
+    computes at whatever precision was set last."""
+    ctx = getattr(_local, "mp", None)
+    if ctx is None:
+        from mpmath import MPContext
+
+        ctx = _local.mp = MPContext()
+    return ctx
+
 
 def _window_state_bounds(rev_digits, full_history):
     """Enclosure of beta = [0; a_k..a_1+1] and gamma = [0; a_k..a_1] from the
@@ -162,7 +192,8 @@ def _exact_digit(
 ) -> int:
     """Draw one digit exactly: rigorous mpmath CDF enclosures against a lazily
     refined dyadic uniform.  Used when the float fast path cannot separate."""
-    from mpmath import mp, mpf
+    mp = _mp_context()
+    mpf = mp.mpf
 
     v_num = _word_scalar(seed, _DOM_VBITS, stream, level) >> 11
     v_bits = 53
@@ -348,6 +379,32 @@ class BulkDigitStream:
         self.level += 1
 
 
+# Most streams per engine.  A block's float64 temporaries then take at most
+# 256 KB each, so the few that one array expression keeps live stay in a 2 MB
+# L2 cache; at 1e5 streams they take 800 KB each.
+_BLOCK = 32_768
+_MIN_BLOCK = 8_192  # fewest streams per worker thread
+_MAX_DIGITS = 80_000_000
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _check_shape(n_streams, depth) -> None:
+    """The argument rules that both samplers share."""
+    for name, value, least in (("n_streams", n_streams, 1), ("depth", depth, 0)):
+        if not isinstance(value, numbers.Integral) or value < least:
+            raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    # also bounds the engine's history, n_streams * min(depth, 160) digits
+    if int(n_streams) * int(depth) > _MAX_DIGITS:
+        raise DomainError(f"digit budget exceeded: n_streams * depth is over "
+                          f"{_MAX_DIGITS:.0e}; sample fewer streams or digits")
+
+
 def sample_digit_matrix(
     seed: int,
     n_streams: int,
@@ -355,14 +412,38 @@ def sample_digit_matrix(
     stream_offset: int = 0,
     start: str = "gauss",
 ) -> np.ndarray:
-    """Digits a_1..a_depth for a block of streams, shape (n_streams, depth)."""
-    # also bounds the engine's history, n_streams * min(depth, 160) digits
-    if n_streams * depth > 80_000_000:
-        raise DomainError("digit budget exceeded; sample fewer streams or digits")
-    eng = BulkDigitStream(seed, n_streams, stream_offset, start)
+    """Digits a_1..a_depth for a block of streams, shape (n_streams, depth).
+
+    Row j is stream stream_offset + j.  The rows are cut into equal contiguous
+    blocks of at most _BLOCK streams, each sampled by its own BulkDigitStream.
+    The blocks run on min(CPUs, n_streams // _MIN_BLOCK) threads, at least one,
+    and their count is the smallest multiple of the thread count that keeps
+    them that small.  A digit the float bounds cannot settle goes to
+    _exact_digit, which works in its thread's own mpmath context.  Each
+    uniform is keyed by (seed, stream, level, round) and no state is shared
+    between streams, so the digits are the same for any split and any number
+    of threads."""
+    _check_shape(n_streams, depth)
+    workers = max(1, min(_cpus(), n_streams // _MIN_BLOCK))
+    n_blocks = workers * -(-n_streams // (_BLOCK * workers))
+    bounds = [n_streams * i // n_blocks for i in range(n_blocks + 1)]
     out = np.empty((n_streams, depth), dtype=np.int64)
-    for k in range(depth):
-        out[:, k] = eng.step()
+
+    def run(lo: int, hi: int) -> None:
+        eng = BulkDigitStream(seed, hi - lo, stream_offset + lo, start)
+        for k in range(depth):
+            out[lo:hi, k] = eng.step()
+
+    if workers == 1:
+        for lo, hi in zip(bounds, bounds[1:]):
+            run(lo, hi)
+    else:
+        # imported on first use, not with the package: about 10 ms of import
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            # reading every result re-raises the first block's error
+            list(pool.map(run, bounds, bounds[1:]))
     return out
 
 
@@ -370,6 +451,7 @@ def sample_iid_gauss_kuzmin(seed: int, n_streams: int, depth: int,
                             stream_offset: int = 0) -> np.ndarray:
     """i.i.d. digits with the Gauss-Kuzmin marginal (speed-over-exactness
     mode; the digit process loses its cross-position dependence)."""
+    _check_shape(n_streams, depth)
     streams = np.arange(stream_offset, stream_offset + n_streams, dtype=np.int64)
     out = np.empty((n_streams, depth), dtype=np.int64)
     for k in range(depth):

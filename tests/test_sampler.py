@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -220,6 +222,130 @@ class TestBulkDigitStream:
     def test_budget_guard(self):
         with pytest.raises(DomainError, match="digit budget"):
             sample_digit_matrix(1, 10**6, 10**4)
+
+    def test_exact_digit_keeps_off_the_global_mpmath_context(self, monkeypatch):
+        # mpmath.mp's precision is shared by every thread; the fallback must
+        # compute in a context of its own
+        import mpmath
+
+        eng = BulkDigitStream(123, 4)
+        for _ in range(30):
+            eng.step()
+        cases = [(j, eng._history(j)) for j in range(4)]
+        want = eng.step().tolist()
+
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"mpmath.mp.{name} used")
+
+        monkeypatch.setattr(mpmath, "mp", Untouchable())
+        got = []
+        # a fresh thread builds its context while mpmath.mp is unusable
+        worker = threading.Thread(target=lambda: got.extend(
+            _exact_digit(123, j, 30, rev, full_history=True) for j, rev in cases))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert got == want
+
+
+def _digest(a):
+    return hashlib.sha256(np.asarray(a, dtype=np.int64).tobytes()).hexdigest()
+
+
+class TestBlocks:
+    """sample_digit_matrix's split into stream blocks and worker threads."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_golden_digits_multi_block(self, monkeypatch, workers):
+        # 70 000 streams make 3 blocks on one worker and 4 on two; the digests
+        # are those of one engine over all the streams
+        monkeypatch.setattr(sampler, "_cpus", lambda: workers)
+        assert _digest(sample_digit_matrix(2024, 70_000, 3)) == (
+            "eff5c8d8e69c14fef9a902d7d72d911a413b5a7f2df7372135cc65f05bcfc8f2")
+        assert _digest(sample_digit_matrix(2024, 70_000, 3, start="lebesgue")) == (
+            "a18b9ca144f43d02aa543926d8434433a900aa88a15d83cd9a091b332fe145da")
+
+    @pytest.mark.parametrize("workers, n_blocks", [(1, 7), (2, 8), (3, 9)])
+    def test_blocks_match_scalar_streams(self, monkeypatch, workers, n_blocks):
+        made = []
+
+        class Recorded(BulkDigitStream):
+            def __init__(self, seed, n_streams, stream_offset=0, start="gauss"):
+                made.append((stream_offset, n_streams))
+                super().__init__(seed, n_streams, stream_offset, start)
+
+        monkeypatch.setattr(sampler, "BulkDigitStream", Recorded)
+        monkeypatch.setattr(sampler, "_BLOCK", 16)
+        monkeypatch.setattr(sampler, "_MIN_BLOCK", 4)
+        monkeypatch.setattr(sampler, "_cpus", lambda: workers)
+        m = sample_digit_matrix(77, 100, 6, stream_offset=1000)
+        # the fewest blocks of at most 16 streams, in a multiple of the
+        # worker count, contiguous and of equal size within one stream
+        made.sort()
+        assert len(made) == n_blocks
+        assert [off for off, _ in made] == [1000 + 100 * i // n_blocks for i in range(n_blocks)]
+        assert {n for _, n in made} <= {100 // n_blocks, -(-100 // n_blocks)}
+        for j in range(100):
+            eng = BulkDigitStream(77, 1, stream_offset=1000 + j)
+            assert [int(eng.step()[0]) for _ in range(6)] == m[j].tolist(), j
+
+    def test_threaded_fallback_matches_serial(self, monkeypatch):
+        want = sample_digit_matrix(5, 48, 3)
+        monkeypatch.setattr(sampler, "_BLOCK", 8)
+        monkeypatch.setattr(sampler, "_MIN_BLOCK", 4)
+        monkeypatch.setattr(sampler, "_cpus", lambda: 3)
+        # float bounds that decide nothing send every digit to the fallback
+        monkeypatch.setattr(sampler, "_cdf_bounds",
+                            lambda u, *args: (np.zeros_like(u), np.ones_like(u)))
+        calls = []
+        exact = sampler._exact_digit
+
+        def counted(*args, **kw):
+            calls.append(threading.get_ident())
+            return exact(*args, **kw)
+
+        monkeypatch.setattr(sampler, "_exact_digit", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads inside mpmath
+        try:
+            got = sample_digit_matrix(5, 48, 3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 48 * 3
+        assert len(set(calls)) > 1
+        assert np.array_equal(got, want)
+
+    def test_block_error_reaches_caller(self, monkeypatch):
+        class Failing(BulkDigitStream):
+            def step(self):
+                if self.streams[0] == 50:
+                    raise RuntimeError("block at stream 50 failed")
+                return super().step()
+
+        monkeypatch.setattr(sampler, "BulkDigitStream", Failing)
+        monkeypatch.setattr(sampler, "_BLOCK", 25)
+        monkeypatch.setattr(sampler, "_MIN_BLOCK", 4)
+        monkeypatch.setattr(sampler, "_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match="stream 50"):
+            sample_digit_matrix(3, 100, 2)
+
+
+@pytest.mark.parametrize("sample", [sample_digit_matrix, sample_iid_gauss_kuzmin])
+@pytest.mark.parametrize("n_streams, depth, message", [
+    (0, 3, "n_streams"),
+    (-1, 3, "n_streams"),
+    (2.0, 3, "n_streams"),
+    (2, -1, "depth"),
+    (2, 1.5, "depth"),
+    (10**6, 10**4, "digit budget"),
+])
+def test_samplers_share_shape_rules(sample, n_streams, depth, message):
+    with pytest.raises(DomainError, match=message):
+        sample(1, n_streams, depth)
+    # the edges that are allowed: no digits, numpy integers
+    assert sample(1, 3, 0).shape == (3, 0)
+    assert sample(1, np.int64(2), np.int64(1)).shape == (2, 1)
 
 
 class TestIidMode:
