@@ -434,16 +434,12 @@ def sample_digit_matrix(
         for k in range(depth):
             out[lo:hi, k] = eng.step()
 
-    if workers == 1:
-        for lo, hi in zip(bounds, bounds[1:]):
-            run(lo, hi)
-    else:
-        # imported on first use, not with the package: about 10 ms of import
-        from concurrent.futures import ThreadPoolExecutor
+    # imported on first use, not with the package: about 10 ms of import
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(workers) as pool:
-            # reading every result re-raises the first block's error
-            list(pool.map(run, bounds, bounds[1:]))
+    with ThreadPoolExecutor(workers) as pool:
+        # reading every result re-raises the first block's error
+        list(pool.map(run, bounds, bounds[1:]))
     return out
 
 
