@@ -1,8 +1,8 @@
 """cfmetric: continued-fraction metric theory at desk scale.
 
-Exact digit arithmetic, Gauss-measure sampling and event oracles, the
-series criterion for runs of large partial quotients, and a transfer-operator
-pressure engine for the associated Hausdorff dimension numbers.
+Exact digit arithmetic, Gauss-measure sampling, the series criterion for
+runs of large partial quotients, and a transfer-operator pressure engine for
+the associated Hausdorff dimension numbers.
 """
 
 from .cfcore import (

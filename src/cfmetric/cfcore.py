@@ -8,6 +8,7 @@ log-magnitude shadows used by the pressure engine.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,15 +48,18 @@ class DomainError(ValueError):
 class DigitWord:
     """A finite block of partial quotients a_1..a_n (all >= 1).
 
-    The empty word stands for the whole interval [0, 1).
+    The empty word stands for the whole interval [0, 1).  Any integral digit
+    is accepted (numpy's included) and stored as a Python int, so that the
+    continuants never overflow a fixed width.
     """
 
     digits: tuple[int, ...]
 
     def __post_init__(self):
         for a in self.digits:
-            if not isinstance(a, int) or isinstance(a, bool) or a < 1:
+            if not isinstance(a, numbers.Integral) or isinstance(a, bool) or a < 1:
                 raise DomainError(f"digit {a!r} is not a positive integer")
+        object.__setattr__(self, "digits", tuple(map(int, self.digits)))
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -77,10 +81,8 @@ class DigitWord:
 
     def evaluate(self) -> Fraction:
         """Exact value of the finite continued fraction [a_1, ..., a_n]."""
-        value = Fraction(0)
-        for a in reversed(self.digits):
-            value = Fraction(1, 1) / (a + value)
-        return value
+        _, _, p, q = continuant_tail(self.digits)
+        return Fraction(p, q)
 
 
 def word(*digits: int) -> DigitWord:
@@ -103,22 +105,26 @@ class ConvergentPair:
         return Fraction(self.p, self.q)
 
 
-def continuant_tail(word: DigitWord | Sequence[int]) -> tuple[int, int, int, int]:
-    """(p_{n-1}, q_{n-1}, p_n, q_n) for the word, seeds p0=0, q0=1, p_{-1}=1, q_{-1}=0."""
+def _continuants(word: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
+    """(p_{k-1}, q_{k-1}, p_k, q_k) for k = 1..n by p_k = a_k p_{k-1} + p_{k-2},
+    from the seeds p_{-1} = 1, q_{-1} = 0, p_0 = 0, q_0 = 1."""
     p_prev, q_prev, p, q = 1, 0, 0, 1
     for a in word:
         p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
-    return p_prev, q_prev, p, q
+        yield p_prev, q_prev, p, q
+
+
+def continuant_tail(word: DigitWord | Sequence[int]) -> tuple[int, int, int, int]:
+    """(p_{n-1}, q_{n-1}, p_n, q_n) for the word; the seeds (1, 0, 0, 1) if empty."""
+    tail = (1, 0, 0, 1)
+    for tail in _continuants(word):
+        pass
+    return tail
 
 
 def convergents(w: DigitWord) -> list[ConvergentPair]:
     """All convergents (p_k, q_k), k = 1..n, via the standard recursion."""
-    out: list[ConvergentPair] = []
-    p_prev, q_prev, p, q = 1, 0, 0, 1
-    for a in w:
-        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
-        out.append(ConvergentPair.from_pq(p, q))
-    return out
+    return [ConvergentPair.from_pq(p, q) for _, _, p, q in _continuants(w)]
 
 
 def denominator(w: DigitWord | Sequence[int]) -> int:
@@ -320,7 +326,14 @@ def gauss_digit_law(k: int) -> float:
 
 
 def gauss_digit_tail(t: float) -> float:
-    """Gauss measure of {a_1 >= t}, i.e. of (0, 1/ceil(t)]."""
+    """Gauss measure of {a_1 >= t}, i.e. of (0, 1/ceil(t)].
+
+    t = inf (the value of a threshold that overflows) gives 0.0: no digit
+    reaches it."""
+    if t != t:
+        raise DomainError("threshold t is nan")
     if t < 1:
         raise DomainError("threshold must be >= 1")
+    if t == math.inf:
+        return 0.0
     return math.log2(1.0 + 1.0 / math.ceil(t))

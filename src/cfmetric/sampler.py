@@ -8,10 +8,11 @@ where beta = (p+q)'/(p+q) and gamma = q'/q both update as z -> 1/(a+z).  Each
 digit is drawn by inverting the conditional CDF against a 53-bit uniform: the
 closed-form inverse at the midpoint state only seeds the digit, every decision
 is verified against rigorous float interval bounds, and the rare ambiguous
-case is settled exactly by _exact_digit (window continuants + mpmath + more
-uniform bits).  BulkDigitStream(seed, 1, stream_offset=j) is
-the scalar stream j; the exact enclosure of its point after n digits is
-cfcore.cylinder(word(*digits)).
+case is settled exactly by _exact_digit: the window's exact state from one
+continuant recursion, then one ladder of rounds that each read more bits of
+the uniform and raise the mpmath precision.  BulkDigitStream(seed, 1,
+stream_offset=j) is the scalar stream j; the exact enclosure of its point
+after n digits is cfcore.cylinder(word(*digits)).
 
 sample_digit_matrix cuts its streams into equal contiguous blocks of at most
 _BLOCK streams, so that one engine's float64 temporaries stay in the CPU
@@ -19,8 +20,8 @@ cache.  Each block is its own BulkDigitStream, which runs every level and
 writes the block's rows of the result.  The blocks run on a thread pool with
 one worker per available CPU, but at most one per _MIN_BLOCK streams; numpy
 releases the interpreter lock inside its array loops.  The exact fallback
-computes in an mpmath context private to its thread, so threads that overlap
-never change each other's working precision.
+makes a new mpmath context on every call, so threads that overlap never change
+each other's working precision.
 
 sample_iid_gauss_kuzmin is the deliberate non-exact baseline: i.i.d. digits
 with the Gauss-Kuzmin marginal, without the dependence between positions.
@@ -35,10 +36,8 @@ from __future__ import annotations
 
 import numbers
 import os
-import threading
 from collections import deque
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -140,46 +139,64 @@ def _inverse_cdf(w, b, g):
 # exact scalar fallback
 # ---------------------------------------------------------------------------
 
-_local = threading.local()
-
-
-def _mp_context():
-    """This thread's own mpmath context.
-
-    mpmath.mp is one context for the whole process: its workdps sets and then
-    restores a shared precision, so a thread that overlaps another inside it
-    computes at whatever precision was set last."""
-    ctx = getattr(_local, "mp", None)
-    if ctx is None:
-        from mpmath import MPContext
-
-        ctx = _local.mp = MPContext()
-    return ctx
+# (decimal digits, bits of V) of each precision round of _exact_digit: V
+# grows by 64-bit words to about as many bits as the working precision holds
+_ROUNDS = ((40, 53), (80, 245), (160, 501), (320, 1077), (400, 1333))
 
 
 def _window_state_bounds(rev_digits, full_history):
     """Enclosure of beta = [0; a_k..a_1+1] and gamma = [0; a_k..a_1] from the
     most-recent-first digit window.
 
-    With the full history both are exact; a truncated window pins both inside
-    the closed cylinder of the reversed word, width <= 1/q_w^2.
+    [0; a_k..a_1] = p/q and [0; a_k..a_1 + 1] = [0; a_k..a_1, 1] =
+    (p + p')/(q + q') are the two ends of the cylinder of the reversed word.
+    With the full history they are gamma and beta exactly; a truncated window
+    pins both inside that closed cylinder, width <= 1/q_w^2.
     """
-    if not rev_digits:
-        one = Fraction(1)
-        zero = Fraction(0)
-        return one, one, zero, zero
     p_prev, q_prev, p, q = continuant_tail(rev_digits)
+    gamma = Fraction(p, q)
+    beta = Fraction(p + p_prev, q + q_prev)
     if full_history:
-        gamma = Fraction(p, q)
-        # same digits but innermost a_1 bumped to a_1 + 1
-        _, _, bp, bq = continuant_tail(rev_digits[:-1] + [rev_digits[-1] + 1])
-        beta = Fraction(bp, bq)
         return beta, beta, gamma, gamma
-    lo = Fraction(p, q)
-    hi = Fraction(p + p_prev, q + q_prev)
-    if lo > hi:
-        lo, hi = hi, lo
+    lo, hi = sorted((gamma, beta))
     return lo, hi, lo, hi
+
+
+def _search_digit(mp, state, v_num: int, v_bits: int):
+    """The digit that V in [v_num, v_num + 1] / 2^v_bits selects, from CDF
+    enclosures at mp's precision; None if a comparison is undecided."""
+    mpf = mp.mpf
+    eps = mpf(10) ** (8 - mp.dps)  # dominates the rounding of every step
+    blo, bhi, glo, ghi = (mpf(x.numerator) / mpf(x.denominator) for x in state)
+    v_lo, v_hi = (mpf(v) / mpf(2) ** v_bits for v in (v_num, v_num + 1))
+
+    def phi(p, q):
+        return 1 / (1 + p) if p == q else mp.log1p((p - q) / (1 + q)) / (p - q)
+
+    z_lo = phi(bhi, ghi) * (1 - eps)
+    z_hi = phi(blo, glo) * (1 + eps)
+
+    def below(m: int):
+        """True if V < F(1/m); False if V > F(1/m); None if undecided."""
+        u = 1 / mpf(m)
+        if v_lo >= u * phi(blo * u, glo * u) * (1 + eps) / z_lo:
+            return False
+        if v_hi <= u * phi(bhi * u, ghi * u) * (1 - eps) / z_hi:
+            return True
+        return None
+
+    # doubling to bracket the digit, then bisection
+    hi = 2
+    while verdict := below(hi):
+        hi *= 2
+        if hi > 1 << 200:
+            raise RuntimeError("runaway digit search")
+    lo = hi // 2  # V <= F(1/lo) held (or lo == 1, where F(1) = 1 > V)
+    while verdict is not None and hi - lo > 1:
+        mid = (lo + hi) // 2
+        verdict = below(mid)
+        lo, hi = (mid, hi) if verdict else (lo, mid)
+    return None if verdict is None else lo
 
 
 def _exact_digit(
@@ -191,83 +208,30 @@ def _exact_digit(
     bit_budget: int = PER_DIGIT_BIT_BUDGET,
 ) -> int:
     """Draw one digit exactly: rigorous mpmath CDF enclosures against a lazily
-    refined dyadic uniform.  Used when the float fast path cannot separate."""
-    mp = _mp_context()
-    mpf = mp.mpf
+    refined dyadic uniform.  Used when the float fast path cannot separate.
 
-    v_num = _word_scalar(seed, _DOM_VBITS, stream, level) >> 11
-    v_bits = 53
-    rnd = 0
-    window = min(len(rev_digits), 48)
-    dps = 40
+    Each round of _ROUNDS extends V by 64-bit words (extra word k hashes
+    (seed, stream, level, k)) and searches again at a higher precision.  A comparison gives a verdict
+    only when its bounds separate V from F(1/m), so the digit does not depend
+    on the round that decides it."""
+    from mpmath import MPContext  # a context per call: threads never share it
 
-    def state():
-        full = full_history and window >= len(rev_digits)
-        return _window_state_bounds(rev_digits[:window], full)
-
-    blo, bhi, glo, ghi = state()
-
-    def f_bounds(u: Fraction):
-        with mp.workdps(dps):
-            eps = mpf(10) ** (8 - dps)
-            uu = mpf(u.numerator) / mpf(u.denominator)
-
-            def phi(p, q):
-                if p == q:
-                    return 1 / (1 + p)
-                return mp.log1p((p - q) / (1 + q)) / (p - q)
-
-            def mpr(fr):
-                return mpf(fr.numerator) / mpf(fr.denominator)
-
-            z_lo = phi(mpr(bhi), mpr(ghi)) * (1 - eps)
-            z_hi = phi(mpr(blo), mpr(glo)) * (1 + eps)
-            n_lo = uu * phi(mpr(bhi) * uu, mpr(ghi) * uu) * (1 - eps)
-            n_hi = uu * phi(mpr(blo) * uu, mpr(glo) * uu) * (1 + eps)
-            return n_lo / z_hi, n_hi / z_lo
-
-    def compare(u: Fraction) -> Optional[bool]:
-        """True if V < F(u); False if V > F(u); None if undecided."""
-        nonlocal v_num, v_bits, rnd, window, dps, blo, bhi, glo, ghi
-        while True:
-            f_lo, f_hi = f_bounds(u)
-            with mp.workdps(dps):
-                v_lo = mpf(v_num) / mpf(2) ** v_bits
-                v_hi = mpf(v_num + 1) / mpf(2) ** v_bits
-                if v_lo >= f_hi:
-                    return False
-                if v_hi <= f_lo:
-                    return True
-            if v_bits + 64 <= bit_budget:
-                rnd += 1
-                extra = _word_scalar(seed, _DOM_VBITS, stream, level, rnd)
-                v_num = (v_num << 64) | extra
-                v_bits += 64
-                continue
-            if window < len(rev_digits) or dps < 400:
-                window = min(len(rev_digits), window * 2 or 1)
-                dps = min(400, dps * 2)
-                blo, bhi, glo, ghi = state()
-                continue
-            raise RuntimeError(
-                f"digit undecidable within {bit_budget}-bit budget "
-                f"(stream {stream}, level {level})"
-            )
-
-    # doubling to bracket the digit, then bisection
-    hi = 2
-    while compare(Fraction(1, hi)):
-        hi *= 2
-        if hi > 1 << 200:
-            raise RuntimeError("runaway digit search")
-    lo = hi // 2  # V <= F(1/lo) held (or lo == 1, where F(1) = 1 > V)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if compare(Fraction(1, mid)):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    mp = MPContext()
+    state = _window_state_bounds(rev_digits, full_history)
+    v_num, v_bits, rnd = _word_scalar(seed, _DOM_VBITS, stream, level) >> 11, 53, 0
+    for dps, bits in _ROUNDS:
+        if bits > bit_budget:
+            break
+        while v_bits < bits:
+            rnd += 1
+            v_num = (v_num << 64) | _word_scalar(seed, _DOM_VBITS, stream, level, rnd)
+            v_bits += 64
+        mp.dps = dps
+        digit = _search_digit(mp, state, v_num, v_bits)
+        if digit is not None:
+            return digit
+    raise RuntimeError(f"digit undecidable within {bit_budget}-bit budget "
+                       f"(stream {stream}, level {level})")
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +383,7 @@ def sample_digit_matrix(
     The blocks run on min(CPUs, n_streams // _MIN_BLOCK) threads, at least one,
     and their count is the smallest multiple of the thread count that keeps
     them that small.  A digit the float bounds cannot settle goes to
-    _exact_digit, which works in its thread's own mpmath context.  Each
+    _exact_digit, which works in an mpmath context of its own.  Each
     uniform is keyed by (seed, stream, level, round) and no state is shared
     between streams, so the digits are the same for any split and any number
     of threads."""

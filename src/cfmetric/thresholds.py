@@ -288,6 +288,10 @@ def _suffix_min(logs: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(logs[::-1])[::-1]
 
 
+# most values of psi the envelope reads to reach a turning point (32 MB)
+_TURN_SCAN_CAP = 1 << 22
+
+
 def _envelope_logs(psi: ThresholdFn, horizon: int) -> tuple[np.ndarray, bool, str]:
     """The envelope as (ln psi~(1..horizon) array, exact, note)."""
     if horizon < 1:
@@ -303,6 +307,9 @@ def _envelope_logs(psi: ThresholdFn, horizon: int) -> tuple[np.ndarray, bool, st
     if hint == "limit":
         return np.full(horizon, aux), True, "psi decreases; envelope is its tail infimum"
     if hint == "eventually":
+        if aux > max(horizon, _TURN_SCAN_CAP):
+            raise DomainError(f"psi turns upward only at n0 = {aux}, past the cap of "
+                              f"{_TURN_SCAN_CAP} values on the envelope's scan")
         # beyond aux psi is nondecreasing, so every suffix min is attained by aux
         return _suffix_min(_log_psi(psi, max(horizon, aux)))[:horizon], True, ""
     logs = _log_psi(psi, horizon)

@@ -2,7 +2,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfmetric.cfcore import (
     DigitWord,
@@ -16,12 +18,29 @@ from cfmetric.cfcore import (
     expand_real,
     evaluate,
     gauss_digit_law,
+    gauss_digit_tail,
     gauss_measure,
     ln_big,
     ln_fraction,
     ln_gauss_measure,
     remove_digit_ratio,
     word,
+)
+from cfmetric.sampler import _window_state_bounds
+
+
+def _ref_evaluate(digits):
+    """[a_1, ..., a_n] by the reverse fold 1/(a + value), the test-only
+    reference for the continuant recursion."""
+    value = Fraction(0)
+    for a in reversed(digits):
+        value = Fraction(1, 1) / (a + value)
+    return value
+
+
+# words of up to 30 digits, small or up to 10^12, possibly empty
+_digit_lists = st.lists(
+    st.one_of(st.integers(1, 4), st.integers(1, 10**12)), max_size=30
 )
 
 
@@ -95,6 +114,48 @@ class TestExpandReal:
             p = rng.randint(0, q - 1)
             got = expand_real(Fraction(p, q), 60).word
             assert got == expand_rational(p, q)
+
+
+class TestAgainstReverseFold:
+    @settings(max_examples=200, deadline=None)
+    @given(digits=_digit_lists, end_in_one=st.booleans())
+    def test_evaluate_and_convergents(self, digits, end_in_one):
+        digits = digits + [1] * end_in_one
+        w = DigitWord(tuple(digits))
+        assert evaluate(w) == _ref_evaluate(digits)
+        conv = convergents(w)
+        assert len(conv) == len(digits)
+        for k, c in enumerate(conv, 1):
+            assert Fraction(c.p, c.q) == _ref_evaluate(digits[:k])
+
+    @settings(max_examples=200, deadline=None)
+    @given(rev=_digit_lists, end_in_one=st.booleans())
+    def test_window_state_bounds(self, rev, end_in_one):
+        rev = rev + [1] * end_in_one
+        if rev:
+            beta = _ref_evaluate(rev[:-1] + [rev[-1] + 1])
+            gamma = _ref_evaluate(rev)
+        else:
+            beta, gamma = Fraction(1), Fraction(0)  # the Gauss start
+        assert _window_state_bounds(rev, True) == (beta, beta, gamma, gamma)
+        # the w most recent digits enclose both ends of the full history's state
+        for w in range(len(rev)):
+            blo, bhi, glo, ghi = _window_state_bounds(rev[:w], False)
+            assert blo <= beta <= bhi and glo <= gamma <= ghi
+
+
+class TestDigitWord:
+    def test_numpy_digits_are_stored_as_ints(self):
+        w = word(np.int64(2**62), np.int64(2**62))
+        assert all(type(a) is int for a in w.digits)
+        # int64 continuants would overflow: q_2 = 2^124 + 1
+        assert w.evaluate() == Fraction(2**62, 2**124 + 1)
+        assert w == word(2**62, 2**62)
+
+    @pytest.mark.parametrize("bad", [True, False, 0, -3, np.int64(0), 2.0, "1"])
+    def test_refused(self, bad):
+        with pytest.raises(DomainError, match="not a positive integer"):
+            word(1, bad)
 
 
 class TestConvergents:
@@ -271,6 +332,17 @@ class TestGaussMeasure:
             math.log(gauss_measure(c.left, c.right)), rel=1e-14
         )
         assert ln_gauss_measure(Fraction(1, 2), Fraction(1, 2)) == -math.inf
+
+    @pytest.mark.parametrize("t, want", [
+        (1, 1.0), (2.5, math.log2(4 / 3)), (math.inf, 0.0),
+        (math.nan, "nan"), (0.5, ">= 1"), (-math.inf, ">= 1"),
+    ])
+    def test_digit_tail_edges(self, t, want):
+        if isinstance(want, str):
+            with pytest.raises(DomainError, match=want):
+                gauss_digit_tail(t)
+        else:
+            assert gauss_digit_tail(t) == want
 
     def test_additivity_over_digit_partition(self):
         total = sum(gauss_digit_law(k) for k in range(1, 2000))

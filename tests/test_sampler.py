@@ -175,6 +175,42 @@ class TestBulkDigitStream:
         with pytest.raises(RuntimeError, match="budget"):
             _exact_digit(1, 0, 0, [], True, bit_budget=53)
 
+    def test_escalation_settles_a_straddling_uniform(self, monkeypatch):
+        # the 53-bit V of test_bit_budget_diagnostic straddles F(1/2) =
+        # log2(1.5); the default budget lets later rounds read more words
+        from mpmath import mp
+
+        with mp.workdps(40):
+            v_num = int(mp.floor(mp.log(1.5, 2) * 2**53))
+        drawn = []
+
+        def word_scalar(*args):
+            drawn.append(args)
+            return v_num << 11
+
+        monkeypatch.setattr(sampler, "_word_scalar", word_scalar)
+        got = _exact_digit(1, 0, 0, [], True)
+        assert len(drawn) > 1
+        # the same V to 53 + 64 * 20 bits, compared at 200 digits: digit 2
+        # if V < F(1/2), else 1
+        bits = 53 + 64 * 20
+        v = v_num
+        for _ in range(20):
+            v = (v << 64) | (v_num << 11)
+        with mp.workdps(200):
+            want = 2 if mp.mpf(v) / mp.mpf(2) ** bits < mp.log(1.5, 2) else 1
+        assert got == want
+
+    def test_digit_word_from_step_rows(self):
+        eng = BulkDigitStream(9, 3)
+        rows = [eng.step() for _ in range(40)]
+        for j in range(3):
+            digits = [row[j] for row in rows]
+            assert isinstance(digits[0], np.int64)
+            w = word(*digits)
+            assert w == word(*(int(a) for a in digits))
+            assert cylinder(w).contains(w.evaluate())
+
     def test_lebesgue_start(self):
         m = sample_digit_matrix(5, 40_000, 1, start="lebesgue")
         # uniform x: P(a_1 = k) = 1/(k(k+1))

@@ -196,6 +196,19 @@ class TestEnvelope:
         assert psi.monotone_hint == ("unknown", None)
         assert not envelope(psi, 50).exact
 
+    def test_turning_point_scan_is_capped(self):
+        # B = 1 + 1e-9 with a falling 1/n turns upward near n0 = 2e9, about
+        # 16 GB of values, so the envelope refuses before it allocates any
+        psi = scaled_geometric(1 + 1e-9, poly_log(-1, 0))
+        assert psi.monotone_hint == ("eventually", 1999999838)
+        with pytest.raises(DomainError, match=r"n0 = 1999999838.*4194304"):
+            envelope(psi, 10)
+        # a turning point below the cap is scanned to, as the per-n reference does
+        psi = scaled_geometric(1 + 1e-4, poly_log(-1, 0))
+        assert psi.monotone_hint == ("eventually", 20003)
+        env = envelope(psi, 10)
+        assert (env.log_values, env.exact, env.note) == _ref_envelope(psi, 10)
+
     def test_unknown_monotonicity_flag(self):
         psi = scaled_geometric(0.5, table([1, 2, 3, 4, 5, 6, 7, 8]))
         env = envelope(psi, 4)
