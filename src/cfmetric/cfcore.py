@@ -329,11 +329,12 @@ def gauss_digit_tail(t: float) -> float:
     """Gauss measure of {a_1 >= t}, i.e. of (0, 1/ceil(t)].
 
     t = inf (the value of a threshold that overflows) gives 0.0: no digit
-    reaches it."""
+    reaches it.  So does an integer t past float range, where 1/t rounds to
+    0.0; the integer division below rounds it without converting t."""
     if t != t:
         raise DomainError("threshold t is nan")
     if t < 1:
         raise DomainError("threshold must be >= 1")
     if t == math.inf:
         return 0.0
-    return math.log2(1.0 + 1.0 / math.ceil(t))
+    return math.log2(1.0 + 1 / math.ceil(t))

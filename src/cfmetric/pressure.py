@@ -10,9 +10,12 @@ for r large digits against a geometric threshold B^n is the root of
 
 The collocation matrix is M = sum_a (a+x_i)^{-2s} C_a over the digits
 a = 1..cap, where the interpolation rows C_a of the points 1/(a+x_i) do not
-depend on s.  One kernel builds the matrices for a vector of s values from a
-single pass over those rows: the cached P(s) curve gets all its nodes from
-one pass, and the single-s callers use the same kernel with one s.
+depend on s.  One kernel builds the matrices for a vector of s values, one
+collocation row at a time: it forms the reciprocals 1/(u - x_j) of a block of
+digits once and contracts them with the weights of every s in one matrix
+product.  The rows are independent and run on one thread per CPU.  The
+cached P(s) curve gets all its nodes from one pass, and the single-s callers
+use the same kernel with one s.
 
 Every application of L_s goes through one enclosure step, _step.  For any f
 between flo and fhi it writes f = mid +- rad in midpoint-radius form, so the
@@ -31,6 +34,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._threads import cpus as _cpus, thread_map
 from .cfcore import DomainError
 from .thresholds import ThresholdFn, growth_exponents
 
@@ -99,47 +103,81 @@ class OperatorGrid:
         return cls(x, np.asarray([fn(t) for t in x], dtype=float), cap)
 
 
-# digits per block of interpolation rows: (grid, 128, grid) doubles, 16 MB at grid 128
-_DIGIT_CHUNK = 128
+# digits per block of a row's reciprocals: at grid 128 a (grid, 2048) block
+# of float64 is 2 MB, and with the weights about 2.5 MB per worker thread
+_DIGIT_BLOCK = 2048
 
 
 def _operator_matrices(
     s_values, grid_size: int, cap: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collocation matrices M[k] of L_s for every s in s_values, digits 1..cap.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes, and the collocation matrices M[k] of L_s over the digits
+    1..cap for every s in s_values.
 
     M[k][i, j] = sum_a (a + x_i)^{-2 s_k} C[i, a, j], where C[i, a] is the
-    interpolation row of the point 1/(a + x_i).  The rows do not depend on s,
-    so each digit chunk builds them once and contracts them with the weights
-    of every s in one batched matmul (i, S, a) @ (i, a, j).
+    interpolation row of the point u_a = 1/(a + x_i): C[i, a, j] =
+    bw_j K[j, a] / S_a with K[j, a] = 1/(u_a - x_j) and S_a = sum_j bw_j
+    K[j, a].  The rows do not depend on s, so row i of every M[k] is
+    bw * (K @ W), W[a, k] = (a + x_i)^{-2 s_k} / S_a: one GEMM per block of
+    at most _DIGIT_BLOCK digits.  A point on node j has the unit row e_j;
+    its column of K becomes e_j, which makes S_a = bw_j.  Each row runs on
+    one of the CPUs' threads and writes only its own entries, so the
+    matrices are the same for any number of threads.
     """
     s = np.asarray(s_values, dtype=float).reshape(-1)
     nodes, bw = chebyshev_lobatto(grid_size)
-    acc = np.zeros((grid_size, s.size, grid_size))
-    expo = -2.0 * s[None, :, None]
-    for a0 in range(1, cap + 1, _DIGIT_CHUNK):
-        a = np.arange(a0, min(cap, a0 + _DIGIT_CHUNK - 1) + 1, dtype=float)
-        base = nodes[:, None] + a[None, :]
-        rows = _bary_rows(1.0 / base, nodes, bw)
-        acc += np.matmul(base[:, None, :] ** expo, rows)
-    return nodes, bw, np.ascontiguousarray(acc.transpose(1, 0, 2))
+    mats = np.empty((s.size, grid_size, grid_size))
+    expo = -2.0 * s
+
+    def row(i: int) -> None:
+        acc = np.zeros((grid_size, s.size))
+        for a0 in range(1, cap + 1, _DIGIT_BLOCK):
+            base = nodes[i] + np.arange(a0, min(cap + 1, a0 + _DIGIT_BLOCK), dtype=float)
+            u = 1.0 / base
+            # (j, a) layout: the broadcast runs along contiguous digits
+            K = u - nodes[:, None]
+            # errstate is per thread, so it is set here, in the worker
+            with np.errstate(divide="ignore"):
+                np.divide(1.0, K, out=K)
+            # u <= 1 = nodes[-1], so every index is a node
+            j = np.searchsorted(nodes, u)
+            hit = np.flatnonzero(nodes[j] == u)
+            if hit.size:
+                K[:, hit] = 0.0
+                K[j[hit], hit] = 1.0
+            W = base[:, None] ** expo
+            W /= (bw @ K)[:, None]
+            acc += K @ W
+        mats[:, i, :] = (bw[:, None] * acc).T
+
+    thread_map(row, min(_cpus(), grid_size), range(grid_size))
+    return nodes, mats
 
 
 # one matrix per (s, grid, cap) for the single-s callers; 131 KB each at grid 128
 @functools.lru_cache(maxsize=64)
-def _operator_matrix(s: float, grid_size: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    nodes, bw, mats = _operator_matrices([s], grid_size, cap)
-    return nodes, bw, mats[0]
+def _operator_matrix(s: float, grid_size: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes, mats = _operator_matrices([s], grid_size, cap)
+    return nodes, mats[0]
 
 
-def _tail_bounds(s, nodes, bw, flo, fhi, cap):
+# one (7, grid) block per (grid, cap); read-only, as every caller shares it
+@functools.lru_cache(maxsize=64)
+def _tail_rows(grid_size: int, cap: int) -> np.ndarray:
+    """Interpolation rows of seven points spread over [0, 1/(cap+1)]."""
+    nodes, bw = chebyshev_lobatto(grid_size)
+    rows = _bary_rows(np.linspace(0.0, 1.0 / (cap + 1), 7), nodes, bw)
+    rows.flags.writeable = False
+    return rows
+
+
+def _tail_bounds(s, nodes, flo, fhi, cap):
     """Enclosure of sum_{a>cap} (a+x)^{-2s} f(1/(a+x)) at every node.
 
     f is pinned between its min/max over [0, 1/(cap+1)] (sampled through the
     interpolant) and the digit sum between the integral bounds.
     """
-    u = np.linspace(0.0, 1.0 / (cap + 1), 7)
-    rows = _bary_rows(u, nodes, bw)
+    rows = _tail_rows(len(nodes), cap)
     lo_vals = rows @ flo
     hi_vals = rows @ fhi
     fmin = max(lo_vals.min(), 0.0)
@@ -151,7 +189,7 @@ def _tail_bounds(s, nodes, bw, flo, fhi, cap):
     return fmin * integral_lo, fmax * integral_hi
 
 
-def _step(s, nodes, bw, M, cap, flo, fhi, tail=True):
+def _step(s, nodes, M, cap, flo, fhi, tail=True):
     """Enclosure (lo, hi) of L_s f at the nodes for every f with flo <= f <= fhi.
 
     Midpoint-radius form: M @ mid +- |M| @ rad.  When flo == fhi the radius
@@ -160,7 +198,7 @@ def _step(s, nodes, bw, M, cap, flo, fhi, tail=True):
     """
     core = M @ (0.5 * (flo + fhi))
     spread = 0.0 if flo is fhi else np.abs(M) @ (0.5 * (fhi - flo))
-    tlo, thi = _tail_bounds(s, nodes, bw, flo, fhi, cap) if tail else (0.0, 0.0)
+    tlo, thi = _tail_bounds(s, nodes, flo, fhi, cap) if tail else (0.0, 0.0)
     return core - spread + tlo, core + spread + thi
 
 
@@ -186,12 +224,12 @@ def transfer_apply(grid: OperatorGrid, s: float) -> OperatorGrid:
     """One application of L_s with the digit tail enclosed."""
     if s <= 0.5:
         raise DomainError("transfer operator diverges for s <= 1/2")
-    nodes, bw, M = _operator_matrix(float(s), len(grid.nodes), grid.digit_cap)
+    nodes, M = _operator_matrix(float(s), len(grid.nodes), grid.digit_cap)
     if not np.allclose(nodes, grid.nodes):
         raise DomainError("grid nodes must be the Chebyshev-Lobatto grid")
     flo = grid.values if grid.lower is None else grid.lower
     fhi = grid.values if grid.upper is None else grid.upper
-    lo, hi = _step(s, nodes, bw, M, grid.digit_cap, flo, fhi)
+    lo, hi = _step(s, nodes, M, grid.digit_cap, flo, fhi)
     return OperatorGrid(nodes, 0.5 * (lo + hi), grid.digit_cap, lo, hi)
 
 
@@ -205,14 +243,13 @@ def pressure_eigen(
     cone with a nodewise Collatz-Wielandt bracket."""
     if s <= 0.5:
         raise DomainError("pressure is defined only for s > 1/2 here")
-    nodes, bw, M = _operator_matrix(float(s), grid_size, cap)
-    return _power_iterate(s, nodes, bw, M, cap, tol)
+    nodes, M = _operator_matrix(float(s), grid_size, cap)
+    return _power_iterate(s, nodes, M, cap, tol)
 
 
 def _power_iterate(
     s: float,
     nodes: np.ndarray,
-    bw: np.ndarray,
     M: np.ndarray,
     cap: int,
     tol: float = 1e-10,
@@ -223,7 +260,7 @@ def _power_iterate(
     spread_prev = math.inf
     value = bracket = None
     for it in range(_MAX_ITER):
-        g_lo, g_hi = _step(s, nodes, bw, M, cap, f, f)
+        g_lo, g_hi = _step(s, nodes, M, cap, f, f)
         g = 0.5 * (g_lo + g_hi)
         if np.any(g <= 0):
             raise RuntimeError(f"iterate left the positive cone at step {it}")
@@ -282,13 +319,13 @@ def pressure_cylinder(
         raise DomainError("cylinder sums diverge for s <= 1/2")
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    nodes, bw, M = _operator_matrix(float(s), grid_size, cap)
+    nodes, M = _operator_matrix(float(s), grid_size, cap)
     flo = np.ones(grid_size)
     fhi = np.ones(grid_size)
     log_scale = 0.0
     log_sums = []
     for _ in range(depth):
-        flo, fhi = _step(s, nodes, bw, M, cap, flo, fhi, include_tail)
+        flo, fhi = _step(s, nodes, M, cap, flo, fhi, include_tail)
         log_sums.append(
             (log_scale + math.log(flo[0]), log_scale + math.log(fhi[0]))
         )
@@ -330,10 +367,10 @@ class PressureCurve:
         self.s_nodes = 0.5 + np.exp(self.tau)
         self.grid_size = grid_size
         self.cap = cap
-        nodes, bw, mats = _operator_matrices(self.s_nodes, grid_size, cap)
+        nodes, mats = _operator_matrices(self.s_nodes, grid_size, cap)
         self.values = np.array(
             [
-                _power_iterate(float(s), nodes, bw, M, cap).value
+                _power_iterate(float(s), nodes, M, cap).value
                 for s, M in zip(self.s_nodes, mats)
             ]
         )

@@ -35,12 +35,12 @@ workers a call uses.
 from __future__ import annotations
 
 import numbers
-import os
 from collections import deque
 from fractions import Fraction
 
 import numpy as np
 
+from ._threads import cpus as _cpus, thread_map
 from .cfcore import DomainError, continuant_tail
 
 U64 = np.uint64
@@ -351,13 +351,6 @@ _MIN_BLOCK = 8_192  # fewest streams per worker thread
 _MAX_DIGITS = 80_000_000
 
 
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
 def _check_shape(n_streams, depth) -> None:
     """The argument rules that both samplers share."""
     for name, value, least in (("n_streams", n_streams, 1), ("depth", depth, 0)):
@@ -398,12 +391,7 @@ def sample_digit_matrix(
         for k in range(depth):
             out[lo:hi, k] = eng.step()
 
-    # imported on first use, not with the package: about 10 ms of import
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers) as pool:
-        # reading every result re-raises the first block's error
-        list(pool.map(run, bounds, bounds[1:]))
+    thread_map(run, workers, bounds, bounds[1:])
     return out
 
 

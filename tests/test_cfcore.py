@@ -336,6 +336,7 @@ class TestGaussMeasure:
     @pytest.mark.parametrize("t, want", [
         (1, 1.0), (2.5, math.log2(4 / 3)), (math.inf, 0.0),
         (math.nan, "nan"), (0.5, ">= 1"), (-math.inf, ">= 1"),
+        (10**400, 0.0), (2**1100, 0.0),
     ])
     def test_digit_tail_edges(self, t, want):
         if isinstance(want, str):

@@ -1,9 +1,11 @@
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from cfmetric import pressure
 from cfmetric.cfcore import DomainError
 from cfmetric.pressure import (
     CURVE_CAP,
@@ -86,11 +88,50 @@ class TestOperatorKernel:
 
     @pytest.mark.parametrize("cap", [256, 300])
     def test_stacked_build_matches_naive_loop(self, cap):
-        _, _, mats = _operator_matrices(self.S_VALUES, 12, cap)
+        _, mats = _operator_matrices(self.S_VALUES, 12, cap)
         assert mats.shape == (len(self.S_VALUES), 12, 12)
         for s, M in zip(self.S_VALUES, mats):
             want = naive_operator_matrix(s, 12, cap)
             assert float(np.abs(M - want).max()) <= 1e-13
+
+    def test_blocked_rows_with_exact_hits_match_naive_loop(self, monkeypatch):
+        # The nodes meet a point u = 1/(a + x) only at u = 1 (x=0, a=1).
+        # Grid 13's middle node is 0.49999999999999994; snapped to 1/2 it adds
+        # the hits (x=1, a=1) and (x=0, a=2).  Blocks of 7 digits cut 1..40
+        # into five and a partial one.
+        cheb = chebyshev_lobatto
+
+        def snapped(n):
+            x, w = cheb(n)
+            x[n // 2] = 0.5
+            return x, w
+
+        nodes, _ = snapped(13)
+        assert nodes[0] == 0.0 and nodes[-1] == 1.0
+        monkeypatch.setattr(pressure, "chebyshev_lobatto", snapped)
+        monkeypatch.setitem(globals(), "chebyshev_lobatto", snapped)
+        monkeypatch.setattr(pressure, "_DIGIT_BLOCK", 7)
+        _, mats = _operator_matrices(self.S_VALUES, 13, 40)
+        for s, M in zip(self.S_VALUES, mats):
+            want = naive_operator_matrix(s, 13, 40)
+            assert float(np.abs(M - want).max()) <= 1e-13
+
+    def test_matrices_equal_for_any_worker_count(self, monkeypatch):
+        monkeypatch.setattr(pressure, "_DIGIT_BLOCK", 64)
+        got = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(pressure, "_cpus", lambda: workers)
+            got.append(_operator_matrices(self.S_VALUES, 13, 300)[1])
+        assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+
+    def test_exact_hits_raise_no_warning_in_worker_threads(self, monkeypatch):
+        # numpy's error state is per thread, so a pool thread starts from the
+        # default, which warns on 1/0; every warning is made an error here
+        monkeypatch.setattr(pressure, "_cpus", lambda: 2)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            _, mats = _operator_matrices([0.7], 13, 5)
+        assert np.all(np.isfinite(mats))
 
     def test_curve_matches_single_s_eigen(self):
         curve = PressureCurve(32, 2048)
@@ -101,13 +142,13 @@ class TestOperatorKernel:
 class TestStepAndCaches:
     def test_step_matches_clipped_form_and_encloses(self):
         s, cap = 0.7, 64
-        nodes, bw, M = _operator_matrices([s], 12, cap)
+        nodes, M = _operator_matrices([s], 12, cap)
         M = M[0]
         rng = np.random.default_rng(20261018)
         mid = 1.0 + rng.random(12)
         rad = 0.1 * rng.random(12)
         flo, fhi = mid - rad, mid + rad
-        lo, hi = _step(s, nodes, bw, M, cap, flo, fhi, tail=False)
+        lo, hi = _step(s, nodes, M, cap, flo, fhi, tail=False)
         mp, mm = np.clip(M, 0.0, None), np.clip(M, None, 0.0)
         assert float(np.abs(lo - (mp @ flo + mm @ fhi)).max()) <= 1e-13
         assert float(np.abs(hi - (mp @ fhi + mm @ flo)).max()) <= 1e-13
@@ -116,7 +157,7 @@ class TestStepAndCaches:
             g = M @ f
             assert np.all(lo <= g) and np.all(g <= hi)
         # the tail only widens the enclosure
-        tlo, thi = _step(s, nodes, bw, M, cap, flo, fhi)
+        tlo, thi = _step(s, nodes, M, cap, flo, fhi)
         assert np.all(tlo >= lo) and np.all(thi > hi)
 
     def test_matrix_cache_is_bounded_and_counts(self):
