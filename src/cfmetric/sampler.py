@@ -19,9 +19,15 @@ _BLOCK streams, so that one engine's float64 temporaries stay in the CPU
 cache.  Each block is its own BulkDigitStream, which runs every level and
 writes the block's rows of the result.  The blocks run on a thread pool with
 one worker per available CPU, but at most one per _MIN_BLOCK streams; numpy
-releases the interpreter lock inside its array loops.  The exact fallback
-makes a new mpmath context on every call, so threads that overlap never change
-each other's working precision.
+releases the interpreter lock inside its array loops.  An engine makes one
+mpmath context at its first exact fallback and keeps it for the rest; one
+engine runs on one thread, so threads that overlap never change each other's
+working precision.  _exact_digit called on its own makes a context per call.
+
+Each level maps the state interval's ends through z -> 1/(a + z) in float64.
+A reciprocal is computed once and then scaled outward by the relative factor
+1 -/+ 2^-50, which exceeds its rounding errors, so the interval stays a
+rigorous enclosure at one array multiply per end (see _reciprocal).
 
 sample_iid_gauss_kuzmin is the deliberate non-exact baseline: i.i.d. digits
 with the Gauss-Kuzmin marginal, without the dependence between positions.
@@ -139,6 +145,14 @@ def _inverse_cdf(w, b, g):
 # exact scalar fallback
 # ---------------------------------------------------------------------------
 
+
+def _new_context():
+    """A fresh mpmath context, so the precision it is given stays private."""
+    from mpmath import MPContext  # imported on first use: fallbacks are rare
+
+    return MPContext()
+
+
 # (decimal digits, bits of V) of each precision round of _exact_digit: V
 # grows by 64-bit words to about as many bits as the working precision holds
 _ROUNDS = ((40, 53), (80, 245), (160, 501), (320, 1077), (400, 1333))
@@ -206,6 +220,7 @@ def _exact_digit(
     rev_digits: list,
     full_history: bool,
     bit_budget: int = PER_DIGIT_BIT_BUDGET,
+    mp=None,
 ) -> int:
     """Draw one digit exactly: rigorous mpmath CDF enclosures against a lazily
     refined dyadic uniform.  Used when the float fast path cannot separate.
@@ -213,10 +228,10 @@ def _exact_digit(
     Each round of _ROUNDS extends V by 64-bit words (extra word k hashes
     (seed, stream, level, k)) and searches again at a higher precision.  A comparison gives a verdict
     only when its bounds separate V from F(1/m), so the digit does not depend
-    on the round that decides it."""
-    from mpmath import MPContext  # a context per call: threads never share it
-
-    mp = MPContext()
+    on the round that decides it.  mp is an mpmath context that no other
+    thread uses (its precision is set here); None makes a new one."""
+    if mp is None:
+        mp = _new_context()
     state = _window_state_bounds(rev_digits, full_history)
     v_num, v_bits, rnd = _word_scalar(seed, _DOM_VBITS, stream, level) >> 11, 53, 0
     for dps, bits in _ROUNDS:
@@ -269,6 +284,7 @@ class BulkDigitStream:
         # digit rows of the last _HIST_WINDOW levels, oldest first
         self.hist = deque(maxlen=_HIST_WINDOW)
         self.fallbacks = 0
+        self._mp = None  # the exact fallback's mpmath context, made on first use
 
     def step(self) -> np.ndarray:
         """Sample the next digit of every stream."""
@@ -320,9 +336,11 @@ class BulkDigitStream:
 
     def _fallback(self, j: int) -> int:
         self.fallbacks += 1
+        if self._mp is None:
+            self._mp = _new_context()
         return _exact_digit(
             self.seed, int(self.streams[j]), self.level, self._history(j),
-            full_history=self.level <= _HIST_WINDOW,
+            full_history=self.level <= _HIST_WINDOW, mp=self._mp,
         )
 
     def _history(self, j: int) -> list:
@@ -331,16 +349,37 @@ class BulkDigitStream:
 
     def _advance(self, digits: np.ndarray) -> None:
         d = digits.astype(np.float64)
-        # z -> 1/(d+z) is decreasing, so ends swap; outward rounding keeps the
-        # enclosure rigorous
-        new_blo = np.nextafter(1.0 / np.nextafter(d + self.bhi, np.inf), 0.0)
-        new_bhi = np.nextafter(1.0 / np.nextafter(d + self.blo, -np.inf), np.inf)
-        new_glo = np.nextafter(1.0 / np.nextafter(d + self.ghi, np.inf), 0.0)
-        new_ghi = np.nextafter(1.0 / np.nextafter(d + self.glo, -np.inf), np.inf)
+        # z -> 1/(d+z) is decreasing, so the ends swap
+        new_blo = _reciprocal(d, self.bhi, _WIDEN_DOWN)
+        new_bhi = _reciprocal(d, self.blo, _WIDEN_UP)
+        new_glo = _reciprocal(d, self.ghi, _WIDEN_DOWN)
+        new_ghi = _reciprocal(d, self.glo, _WIDEN_UP)
         self.blo, self.bhi = new_blo, new_bhi
         self.glo, self.ghi = new_glo, new_ghi
         self.hist.append(digits.copy())  # the caller owns the returned row
         self.level += 1
+
+
+# Outward factors of _reciprocal.  With u = 2^-53 the unit roundoff, a
+# computed 1/(d + z) carries at most three roundings: the int64 digit's
+# conversion to float (exact below 2^53), the sum and the quotient.  d >= 1 and
+# z >= 0, so every one of them is a relative error of at most u: the sum is at
+# least 1 and the quotient a normal float in [2^-64, 1].  The computed
+# reciprocal therefore lies in [(1 - u)/(1 + u)^2, (1 + u)/(1 - u)^2] times the
+# true one, and scaling it adds one more rounding.  A factor 1 -/+ 8u beats all
+# four, since (1 + u)^2 (1 - 8u) < (1 - u)^2 and (1 - u)^2 (1 + 8u) > (1 + u)^2;
+# so does 1 -/+ 4u while d < 2^53 converts exactly.
+_WIDEN_DOWN = 1.0 - 2.0**-50
+_WIDEN_UP = 1.0 + 2.0**-50
+
+
+def _reciprocal(d: np.ndarray, z: np.ndarray, widen: float) -> np.ndarray:
+    """1/(d + z) scaled outward by `widen`: a rigorous lower bound of the
+    true value for _WIDEN_DOWN, an upper one for _WIDEN_UP."""
+    out = d + z
+    np.divide(1.0, out, out=out)
+    out *= widen
+    return out
 
 
 # Most streams per engine.  A block's float64 temporaries then take at most
@@ -376,7 +415,7 @@ def sample_digit_matrix(
     The blocks run on min(CPUs, n_streams // _MIN_BLOCK) threads, at least one,
     and their count is the smallest multiple of the thread count that keeps
     them that small.  A digit the float bounds cannot settle goes to
-    _exact_digit, which works in an mpmath context of its own.  Each
+    _exact_digit, which works in its block engine's own mpmath context.  Each
     uniform is keyed by (seed, stream, level, round) and no state is shared
     between streams, so the digits are the same for any split and any number
     of threads."""

@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -147,6 +148,48 @@ class TestBulkDigitStream:
             for w in range(1, n):
                 blo, bhi, glo, ghi = _window_state_bounds(rev[:w], False)
                 assert blo <= beta <= bhi and glo <= gamma <= ghi
+
+    @pytest.mark.parametrize("start, b0, g0", [("gauss", 1, 0), ("lebesgue", 0, 0)])
+    def test_state_encloses_exact_state(self, start, b0, g0):
+        # the float intervals hold beta and gamma, carried exactly as
+        # z -> 1/(a + z), at every level past the 160-digit window, and the
+        # outward widening keeps them a few ulps wide
+        n, levels = 48, 400
+        eng = BulkDigitStream(11, n, start=start)
+        beta = [Fraction(b0)] * n
+        gamma = [Fraction(g0)] * n
+        widest = 0.0
+        for _ in range(levels):
+            digits = eng.step().tolist()
+            beta = [1 / (a + b) for a, b in zip(digits, beta)]
+            gamma = [1 / (a + g) for a, g in zip(digits, gamma)]
+            for lo, hi, exact in ((eng.blo, eng.bhi, beta), (eng.glo, eng.ghi, gamma)):
+                for j in range(n):
+                    assert Fraction(lo[j]) <= exact[j] <= Fraction(hi[j]), (eng.level, j)
+                widest = max(widest, float(np.max((hi - lo) / np.spacing(hi))))
+        assert widest <= 32, widest
+
+    def test_fallbacks_share_one_mpmath_context(self, monkeypatch):
+        # an engine builds its fallback context once, not once per digit
+        import mpmath
+
+        want = sample_digit_matrix(7, 4, 200)
+        made = []
+
+        class Counted(mpmath.MPContext):
+            def __init__(self):
+                made.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(mpmath, "MPContext", Counted)
+        # float bounds that decide nothing send every digit to the fallback
+        monkeypatch.setattr(sampler, "_cdf_bounds",
+                            lambda u, *args: (np.zeros_like(u), np.ones_like(u)))
+        eng = BulkDigitStream(7, 4)
+        got = np.column_stack([eng.step() for _ in range(200)])
+        assert eng.fallbacks == 800
+        assert len(made) == 1
+        assert np.array_equal(got, want)
 
     def test_fallback_past_history_window(self, monkeypatch):
         # levels 200..399 lie past the 160-digit window, so the exact
