@@ -65,3 +65,11 @@ def test_parse_output():
     assert gates == "gates: all passed"
     assert figures == {"digest": "19131fc2", "words": "28"}
     assert result == {"correct": True, "attempted": 3}
+
+
+def test_protocol_lists_seeds_in_pair_order():
+    runs = [_run("change", 2, 8, 1, 1), _run("parent", 2, 8, 1, 1),
+            _run("parent", 1, 7, 1, 1), _run("change", 1, 7, 1, 1)]
+    assert bench_pairs.seeds_by_workload(runs) == {"w": [7, 8]}
+    text = bench_pairs.protocol(runs, [])
+    assert "w 2 pairs on seeds 7,8, untraced" in text and "traced:" not in text

@@ -8,7 +8,9 @@ Each side runs from its own `git archive` copy of its commit, so neither
 reads the working tree.  Pair i of a workload runs seed i of its list on both
 sides, the parent first when i is odd and the change first when i is even,
 so that a drift of the host's speed falls on both sides alike.  --traced adds
-pairs of `--trace 1` runs, kept apart from the end-to-end runs.
+pairs of `--trace 1` runs, kept apart from the end-to-end runs.  Given an
+existing output file of the same two commits, the tool adds its new pairs to
+the runs already there.
 
 The output keeps every run's final JSON line (its `attempted` count included),
 gate line and figures, and a summary per workload: median and quartiles of
@@ -19,6 +21,7 @@ better.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import io
 import json
 import os
@@ -140,33 +143,36 @@ def run_pair(trees: dict, workload: str, seed: int, pair: int, seconds: float,
 
 def machine() -> dict:
     cpu = platform.processor() or "unknown"
-    try:
-        for ln in Path("/proc/cpuinfo").read_text().splitlines():
-            if ln.startswith("model name"):
-                cpu = ln.split(":", 1)[1].strip()
-                break
-    except OSError:
-        pass
-    import numpy
-
-    try:
-        import scipy
-        scipy_version = scipy.__version__
-    except ImportError:
-        scipy_version = None
-    # perfbench/run.py pins one BLAS thread
+    info = Path("/proc/cpuinfo")  # Linux only
+    if info.exists():
+        cpu = next((ln.split(":", 1)[1].strip() for ln in info.read_text().splitlines()
+                    if ln.startswith("model name")), cpu)
+    # perfbench/run.py pins one BLAS thread and reports the same versions
     return {"cpu": cpu, "nproc": len(os.sched_getaffinity(0)), "blas_threads": 1,
-            "python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": scipy_version, "os": f"{platform.system()} {platform.release()}"}
+            "python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy"),
+            "scipy": importlib.metadata.version("scipy"),
+            "os": f"{platform.system()} {platform.release()}"}
 
 
-def protocol(plan: dict, traced: dict) -> str:
-    parts = [f"{wl} {len(s)} pairs on seeds {','.join(map(str, s))}" for wl, s in plan.items()]
+def seeds_by_workload(runs: list[dict]) -> dict:
+    """{workload: [seed of pair 1, seed of pair 2, ...]} of a run list."""
+    seeds = {}
+    for r in sorted(runs, key=lambda r: r["pair"]):
+        if r["side"] == "parent":
+            seeds.setdefault(r["workload"], []).append(r["seed"])
+    return seeds
+
+
+def protocol(runs: list[dict], traced_runs: list[dict]) -> str:
+    def listing(runs):
+        return "; ".join(f"{wl} {len(s)} pairs on seeds {','.join(map(str, s))}"
+                         for wl, s in seeds_by_workload(runs).items())
+
     text = ("alternating parent/change pairs (odd pairs parent first), each side run from "
-            "its own git archive copy of its commit; " + "; ".join(parts) + ", untraced")
-    if traced:
-        text += "; traced: " + "; ".join(f"{wl} seeds {','.join(map(str, s))}, one pair each"
-                                         for wl, s in traced.items())
+            "its own git archive copy of its commit; " + listing(runs) + ", untraced")
+    if traced_runs:
+        text += "; traced: " + listing(traced_runs)
     return text
 
 
@@ -174,13 +180,14 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="git revision of the parent")
     p.add_argument("--change", default="HEAD", help="git revision of the change")
-    p.add_argument("--pairs", type=workload_seeds, action="append", required=True,
+    p.add_argument("--pairs", type=workload_seeds, action="append", default=[],
                    metavar="WORKLOAD=SEEDS", help="e.g. sample_bulk=51-55")
     p.add_argument("--traced", type=workload_seeds, action="append", default=[],
                    metavar="WORKLOAD=SEEDS")
     p.add_argument("--seconds", type=float, default=SECONDS)
     p.add_argument("--what", required=True, help="one line on what is compared")
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--out", type=Path, required=True,
+                   help="an existing file of the same two commits gains the new pairs")
     p.add_argument("--scratch", type=Path, help="where the copies go (default: a temp dir)")
     args = p.parse_args(argv)
 
@@ -190,15 +197,19 @@ def main(argv=None) -> int:
     scratch = Path(args.scratch or tempfile.mkdtemp(prefix="bench_pairs_"))
     trees = {side: export(c, scratch / side) for side, c in commits.items()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    plan, traced = dict(args.pairs), dict(args.traced)
-
     runs, traced_runs = [], []
-    for wl, seeds in plan.items():
-        for i, seed in enumerate(seeds, 1):
-            runs += run_pair(trees, wl, seed, i, args.seconds, 0)
-    for wl, seeds in traced.items():
-        for i, seed in enumerate(seeds, 1):
-            traced_runs += run_pair(trees, wl, seed, i, args.seconds, 1)
+    if args.out.exists():
+        old = json.loads(args.out.read_text())
+        if (old["parent_commit"], old["change_commit"]) != (commits["parent"], commits["change"]):
+            raise SystemExit(f"{args.out} compares other commits")
+        runs, traced_runs = old["runs"], old["traced_runs"]
+    for done, plan, trace in ((runs, args.pairs, 0), (traced_runs, args.traced, 1)):
+        for wl, seeds in plan:
+            # new pairs number on from the workload's last one, which keeps
+            # the alternation of the side that runs first
+            last = max((r["pair"] for r in done if r["workload"] == wl), default=0)
+            for i, seed in enumerate(seeds, last + 1):
+                done += run_pair(trees, wl, seed, i, args.seconds, trace)
 
     doc = {
         "what": args.what,
@@ -206,7 +217,7 @@ def main(argv=None) -> int:
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
         "machine": machine(),
-        "protocol": protocol(plan, traced),
+        "protocol": protocol(runs, traced_runs),
         "summary": summarize(runs, spec["end_to_end"]),
         "runs": runs,
         "traced_runs": traced_runs,
