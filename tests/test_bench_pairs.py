@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -58,13 +59,21 @@ def test_seed_list(text, want):
     assert bench_pairs.seed_list(text) == want
 
 
-def test_parse_output():
-    out = ("env {}\n  figure digest = 19131fc2\n  figure words = 28\n"
+def test_parse_output_and_machine():
+    env = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1", "nproc": 2,
+           "blas_threads": 1, "seed": 3, "seconds": 15.0, "commit": "unknown"}
+    out = (f"env {json.dumps(env)}\n  figure digest = 19131fc2\n  figure words = 28\n"
            "gates: all passed\n{\"correct\": true, \"attempted\": 3}\n")
-    gates, figures, result = bench_pairs.parse_output(out)
+    got_env, gates, figures, result = bench_pairs.parse_output(out)
+    assert got_env == env
     assert gates == "gates: all passed"
     assert figures == {"digest": "19131fc2", "words": "28"}
     assert result == {"correct": True, "attempted": 3}
+    # the host block takes run.py's own record of versions and threads
+    host = bench_pairs.machine(env)
+    assert {k: host[k] for k in bench_pairs.MACHINE_FIELDS} == {
+        k: env[k] for k in bench_pairs.MACHINE_FIELDS}
+    assert "seed" not in host and "seconds" not in host and host["cpu"] and host["os"]
 
 
 def test_protocol_lists_seeds_in_pair_order():

@@ -10,6 +10,8 @@ import pytest
 from cfmetric import sampler
 from cfmetric.cfcore import DomainError, cylinder, gauss_digit_law, gauss_measure, word
 from cfmetric.sampler import (
+    _WIDEN_DOWN,
+    _WIDEN_UP,
     BulkDigitStream,
     _cdf_mid,
     _exact_digit,
@@ -17,6 +19,7 @@ from cfmetric.sampler import (
     _mix,
     _mix_scalar,
     _phi,
+    _reciprocal,
     _window_state_bounds,
     sample_digit_matrix,
     sample_iid_gauss_kuzmin,
@@ -168,6 +171,21 @@ class TestBulkDigitStream:
                     assert Fraction(lo[j]) <= exact[j] <= Fraction(hi[j]), (eng.level, j)
                 widest = max(widest, float(np.max((hi - lo) / np.spacing(hi))))
         assert widest <= 32, widest
+
+    def test_reciprocal_brackets_exact_value(self):
+        # digits past 2^53 (exact fallbacks are not clipped) round when they
+        # convert to float, which is the rounding that sets the factor 2^-50;
+        # ends just past 1 come from the widening itself
+        ds = [1, 2**53 + 1, 2**62 + 3, 2**63 - 1]
+        d = np.array(ds, dtype=np.int64).astype(np.float64)  # as _advance converts
+        for z in (0.0, 0.5, 1.0, 1.0 + 2.0**-50):
+            zs = np.full(len(ds), z)
+            lo = _reciprocal(d, zs, _WIDEN_DOWN)
+            hi = _reciprocal(d, zs, _WIDEN_UP)
+            for k, dk in enumerate(ds):
+                exact = 1 / (dk + Fraction(z))
+                assert Fraction(lo[k]) <= exact <= Fraction(hi[k]), (dk, z)
+                assert hi[k] - lo[k] <= 16 * np.spacing(hi[k]), (dk, z)
 
     def test_fallbacks_share_one_mpmath_context(self, monkeypatch):
         # an engine builds its fallback context once, not once per digit

@@ -12,19 +12,19 @@ pairs of `--trace 1` runs, kept apart from the end-to-end runs.  Given an
 existing output file of the same two commits, the tool adds its new pairs to
 the runs already there.
 
-The output keeps every run's final JSON line (its `attempted` count included),
-gate line and figures, and a summary per workload: median and quartiles of
-each end-to-end metric on each side, and in how many pairs the change did
-better.
+Every run takes run.py's own run length.  The output keeps every run's env
+line, final JSON line (its `attempted` count included), gate line and
+figures, and a summary per workload: median and quartiles of each end-to-end
+metric on each side, and in how many pairs the change did better.  The
+machine block and the run length in the command text come from the env
+lines, so they say what run.py used.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.metadata
 import io
 import json
-import os
 import platform
 import statistics
 import subprocess
@@ -34,8 +34,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SECONDS = 15.0
-COMMAND = "python3 perfbench/run.py --workload <w> --seed <s> --seconds {seconds:g} --trace <0|1>"
+COMMAND = "python3 perfbench/run.py --workload <w> --seed <s> --trace <0|1> (runs of {seconds} s)"
+# the env line fields that describe the host rather than the run
+MACHINE_FIELDS = ("nproc", "blas_threads", "python", "numpy", "scipy")
 
 
 def seed_list(text: str) -> list[int]:
@@ -94,16 +95,17 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def parse_output(stdout: str) -> tuple[str, dict, dict]:
-    """(gate line, figures, final JSON object) of one run.py output."""
+def parse_output(stdout: str) -> tuple[dict, str, dict, dict]:
+    """(env, gate line, figures, final JSON object) of one run.py output."""
     lines = stdout.strip().splitlines()
+    env = json.loads(next(ln for ln in lines if ln.startswith("env "))[len("env "):])
     gates = next((ln for ln in lines if ln.startswith("gates:")), "gates: missing")
     figures = {}
     for ln in lines:
         if ln.strip().startswith("figure "):
             key, _, value = ln.strip()[len("figure "):].partition(" = ")
             figures[key] = value
-    return gates, figures, json.loads(lines[-1])
+    return env, gates, figures, json.loads(lines[-1])
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -116,42 +118,39 @@ def export(rev: str, dest: Path) -> Path:
     return dest
 
 
-def run_one(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_one(tree: Path, workload: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", f"{seconds:g}", "--trace", str(trace)]
+           "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if done.returncode not in (0, 1):
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {done.returncode}:\n{done.stderr}")
-    gates, figures, result = parse_output(done.stdout)
-    return {"exit_code": done.returncode, "gates": gates, "figures": figures, "result": result}
+    env, gates, figures, result = parse_output(done.stdout)
+    return {"exit_code": done.returncode, "env": env, "gates": gates, "figures": figures,
+            "result": result}
 
 
-def run_pair(trees: dict, workload: str, seed: int, pair: int, seconds: float,
-             trace: int) -> list[dict]:
+def run_pair(trees: dict, workload: str, seed: int, pair: int, trace: int) -> list[dict]:
     """Both sides of pair `pair` (1-based): parent first when it is odd."""
     order = ("parent", "change") if pair % 2 else ("change", "parent")
     records = []
     for side in order:
         rec = {"side": side, "workload": workload, "seed": seed, "pair": pair,
                "ran_first": order[0]}
-        rec.update(run_one(trees[side], workload, seed, seconds, trace))
+        rec.update(run_one(trees[side], workload, seed, trace))
         print(f"{workload} pair {pair} seed {seed} {side}: {rec['gates']}, "
               f"attempted {rec['result']['attempted']}", file=sys.stderr, flush=True)
         records.append(rec)
     return records
 
 
-def machine() -> dict:
+def machine(env: dict) -> dict:
+    """The host block: CPU model and OS here, the rest from a run's env line."""
     cpu = platform.processor() or "unknown"
     info = Path("/proc/cpuinfo")  # Linux only
     if info.exists():
         cpu = next((ln.split(":", 1)[1].strip() for ln in info.read_text().splitlines()
                     if ln.startswith("model name")), cpu)
-    # perfbench/run.py pins one BLAS thread and reports the same versions
-    return {"cpu": cpu, "nproc": len(os.sched_getaffinity(0)), "blas_threads": 1,
-            "python": platform.python_version(),
-            "numpy": importlib.metadata.version("numpy"),
-            "scipy": importlib.metadata.version("scipy"),
+    return {"cpu": cpu, **{k: env[k] for k in MACHINE_FIELDS},
             "os": f"{platform.system()} {platform.release()}"}
 
 
@@ -184,7 +183,6 @@ def main(argv=None) -> int:
                    metavar="WORKLOAD=SEEDS", help="e.g. sample_bulk=51-55")
     p.add_argument("--traced", type=workload_seeds, action="append", default=[],
                    metavar="WORKLOAD=SEEDS")
-    p.add_argument("--seconds", type=float, default=SECONDS)
     p.add_argument("--what", required=True, help="one line on what is compared")
     p.add_argument("--out", type=Path, required=True,
                    help="an existing file of the same two commits gains the new pairs")
@@ -209,14 +207,18 @@ def main(argv=None) -> int:
             # the alternation of the side that runs first
             last = max((r["pair"] for r in done if r["workload"] == wl), default=0)
             for i, seed in enumerate(seeds, last + 1):
-                done += run_pair(trees, wl, seed, i, args.seconds, trace)
+                done += run_pair(trees, wl, seed, i, trace)
 
+    envs = [r["env"] for r in runs + traced_runs]
+    seconds = {env["seconds"] for env in envs}
+    if len(seconds) != 1:
+        raise SystemExit(f"expected one run length over all runs, got {sorted(seconds)}")
     doc = {
         "what": args.what,
-        "command": COMMAND.format(seconds=args.seconds),
+        "command": COMMAND.format(seconds=f"{seconds.pop():g}"),
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
-        "machine": machine(),
+        "machine": machine(envs[0]),
         "protocol": protocol(runs, traced_runs),
         "summary": summarize(runs, spec["end_to_end"]),
         "runs": runs,
