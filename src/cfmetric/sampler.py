@@ -6,9 +6,10 @@ deterministic in (seed, stream index).  Given the digits so far, the tail
 y = T^k x has conditional density proportional to 1/((1 + beta y)(1 + gamma y))
 where beta = (p+q)'/(p+q) and gamma = q'/q both update as z -> 1/(a+z).  Each
 digit is drawn by inverting the conditional CDF against a 53-bit uniform: the
-closed-form inverse at the midpoint state only seeds the digit, every decision
-is verified against rigorous float interval bounds, and the rare ambiguous
-case is settled exactly by _exact_digit: the window's exact state from one
+closed-form inverse at one corner of the state interval only seeds the digit,
+a digit is accepted only when V lies inside its rigorous float band (an upper
+bound of F(1/(d+1)) and a lower bound of F(1/d)), and the rare ambiguous case
+is settled exactly by _exact_digit: the window's exact state from one
 continuant recursion, then one ladder of rounds that each read more bits of
 the uniform and raise the mpmath precision.  BulkDigitStream(seed, 1,
 stream_offset=j) is the scalar stream j; the exact enclosure of its point
@@ -59,6 +60,7 @@ _M64 = (1 << 64) - 1
 _DOM_VBITS = 0x9D8F0A6B42E1C753
 
 TWO_NEG53 = 2.0**-53
+_LN2 = float(np.log(2.0))
 _SLOP = 1e-13  # relative widening that dominates float rounding in F
 PER_DIGIT_BIT_BUDGET = 4096
 
@@ -115,26 +117,27 @@ def _phi(p, q):
     return np.where(d == 0.0, 1.0 / (1.0 + p), out)
 
 
-def _cdf_bounds(u, blo, bhi, glo, ghi):
-    """Rigorous enclosure of F(u) = u Phi(beta u, gamma u) / Phi(beta, gamma)."""
-    z_lo = _phi(bhi, ghi) * (1.0 - _SLOP)
-    z_hi = _phi(blo, glo) * (1.0 + _SLOP)
-    n_lo = u * _phi(bhi * u, ghi * u) * (1.0 - _SLOP)
-    n_hi = u * _phi(blo * u, glo * u) * (1.0 + _SLOP)
-    return n_lo / z_hi, n_hi / z_lo
+def _digit_band(d, blo, bhi, glo, ghi, z_lo, z_hi):
+    """(top, bottom): a rigorous upper bound of F(1/(d+1)) and a rigorous lower
+    bound of F(1/d), where F(u) = u Phi(beta u, gamma u) / Phi(beta, gamma)
+    for any state in [blo, bhi] x [glo, ghi] and z_lo <= Phi(beta, gamma) <= z_hi.
+
+    A uniform known to lie in [V, V + 2^-53] selects digit d when V >= top
+    and V + 2^-53 <= bottom."""
+    u = 1.0 / (d + 1.0)
+    top = u * _phi(blo * u, glo * u) * (1.0 + _SLOP) / z_lo
+    u = 1.0 / d
+    bottom = u * _phi(bhi * u, ghi * u) * (1.0 - _SLOP) / z_hi
+    return top, bottom
 
 
-def _cdf_mid(u, b, g, z):
-    return u * _phi(b * u, g * u) / z
+def _inverse_cdf(w, b, g, z):
+    """The u with F(u) = w at the point state (b, g), in closed form, given
+    the normaliser z = Phi(b, g).
 
-
-def _inverse_cdf(w, b, g):
-    """The u with F(u) = w at the point state (b, g), in closed form.
-
-    F(u) = w means (1 + b u)/(1 + g u) = E with E = exp(w (b - g) Phi(b, g)),
-    so u = e/(1 - g e) with e = (E - 1)/(b - g), which tends to w Phi(b, g)
-    as b - g -> 0."""
-    z = _phi(b, g)
+    F(u) = w means (1 + b u)/(1 + g u) = E with E = exp(w (b - g) z), so
+    u = e/(1 - g e) with e = (E - 1)/(b - g), which tends to w z as
+    b - g -> 0."""
     d = b - g
     safe = np.where(d == 0.0, 1.0, d)
     e = np.where(d == 0.0, w * z, np.expm1(w * safe * z) / safe)
@@ -291,15 +294,22 @@ class BulkDigitStream:
         n = len(self.streams)
         v = (_words(self.seed, _DOM_VBITS, self.streams.view(np.uint64),
                     self.level) >> U64(11)).astype(np.float64) * TWO_NEG53
-        # aim at the middle of V's 2^-53 interval from the midpoint state
-        u = _inverse_cdf(v + TWO_NEG53 * 0.5, 0.5 * (self.blo + self.bhi),
-                         0.5 * (self.glo + self.ghi))
+        blo, bhi, glo, ghi = self.blo, self.bhi, self.glo, self.ghi
+        # Phi decreases in both arguments, so its values at the two corners of
+        # the state interval enclose the normaliser Phi(beta, gamma)
+        phi_corner = _phi(bhi, ghi)
+        z_lo = phi_corner * (1.0 - _SLOP)
+        z_hi = _phi(blo, glo) * (1.0 + _SLOP)
+        # aim at the middle of V's 2^-53 interval from the (bhi, ghi) corner;
+        # the interval is a few ulps wide, so the guess is almost always right
+        u = _inverse_cdf(v + TWO_NEG53 * 0.5, bhi, ghi, phi_corner)
         with np.errstate(divide="ignore", over="ignore"):
-            d = np.floor(1.0 / u).astype(np.int64)
-        np.clip(d, 1, 1 << 50, out=d)
+            d = np.floor(1.0 / u)
+        np.clip(d, 1.0, 2.0**50, out=d)
 
         digits = np.zeros(n, dtype=np.int64)
         undecided = np.ones(n, dtype=bool)
+        came = np.zeros(n, dtype=np.int8)  # each candidate's last move: +1 up, -1 down
         for _ in range(80):
             idx = np.nonzero(undecided)[0]
             if idx.size == 0:
@@ -307,26 +317,28 @@ class BulkDigitStream:
             # while every stream is undecided (the first pass), read the
             # state arrays whole instead of copying them by index
             sel = slice(None) if idx.size == n else idx
-            dd = d[sel].astype(np.float64)
-            blo, bhi = self.blo[sel], self.bhi[sel]
-            glo, ghi = self.glo[sel], self.ghi[sel]
-            vv = v[sel]
-            # rows F(1/(d+1)) and F(1/d) share one evaluation of the normaliser
-            (f_lo_in, f_lo_out), (f_hi_in, f_hi_out) = _cdf_bounds(
-                1.0 / np.stack([dd + 1.0, dd]), blo, bhi, glo, ghi)
-            ok = (vv >= f_hi_in) & (vv + TWO_NEG53 <= f_lo_out)
-            move_dn = vv >= f_hi_out                # V > F(1/d): digit < d
-            move_up = vv + TWO_NEG53 <= f_lo_in     # V <= F(1/(d+1)): digit > d
-            stuck = ~(ok | move_dn | move_up)
+            dd, vv = d[sel], v[sel]
+            top, bottom = _digit_band(dd, blo[sel], bhi[sel], glo[sel], ghi[sel],
+                                      z_lo[sel], z_hi[sel])
+            fits_top = vv >= top                    # the digit is at most d
+            fits_bottom = vv + TWO_NEG53 <= bottom  # the digit is at least d
+            ok = fits_top & fits_bottom
+            # +1 when only the top test fails, -1 when only the bottom one
+            # does; none back to the candidate it came from (V straddles
+            # their boundary) or below digit 1, so those go to the fallback
+            move = fits_bottom.view(np.int8) - fits_top.view(np.int8)
+            move[(move == -came[sel]) | (dd + move < 1.0)] = 0
+            stuck = ~ok & (move == 0)
             take = idx[ok]
             digits[take] = d[take]
             undecided[take] = False
-            d[idx[move_dn]] -= 1
-            d[idx[move_up]] += 1
-            if np.any(stuck):
-                for j in idx[stuck]:
-                    digits[j] = self._fallback(int(j))
-                    undecided[j] = False
+            moving = move != 0
+            went = idx[moving]
+            d[went] += move[moving]
+            came[went] = move[moving]
+            for j in idx[stuck]:
+                digits[j] = self._fallback(int(j))
+                undecided[j] = False
         else:
             for j in np.nonzero(undecided)[0]:
                 digits[j] = self._fallback(int(j))
@@ -444,8 +456,10 @@ def sample_iid_gauss_kuzmin(seed: int, n_streams: int, depth: int,
     for k in range(depth):
         v = (_words(seed ^ 0x1D, _DOM_VBITS, streams.view(np.uint64), k)
              >> U64(11)).astype(np.float64) * TWO_NEG53
-        x = np.exp2(v) - 1.0
-        np.clip(x, 1e-300, 1.0, out=x)
+        # x = 2^w - 1 at the middle w of V's 2^-53 interval lies in (0, 1]
+        # (w rounds to 1 at the top), so every digit floor(1/x) is an int64
+        # in [1, 2^55)
+        x = np.expm1((v + TWO_NEG53 * 0.5) * _LN2)
         out[:, k] = np.floor(1.0 / x).astype(np.int64)
     return out
 

@@ -12,8 +12,9 @@ from cfmetric.cfcore import DomainError, cylinder, gauss_digit_law, gauss_measur
 from cfmetric.sampler import (
     _WIDEN_DOWN,
     _WIDEN_UP,
+    _SLOP,
     BulkDigitStream,
-    _cdf_mid,
+    _digit_band,
     _exact_digit,
     _inverse_cdf,
     _mix,
@@ -45,6 +46,11 @@ class TestBitSource:
                 else:
                     want = float((mp.log(1 + mpf(p)) - mp.log(1 + mpf(q))) / (mpf(p) - mpf(q)))
             assert got == pytest.approx(want, rel=1e-13)
+
+
+def _cdf_mid(u, b, g, z):
+    """F(u) = u Phi(b u, g u) / z at the point state (b, g), z = Phi(b, g)."""
+    return u * _phi(b * u, g * u) / z
 
 
 @pytest.fixture(scope="module")
@@ -200,9 +206,9 @@ class TestBulkDigitStream:
                 super().__init__()
 
         monkeypatch.setattr(mpmath, "MPContext", Counted)
-        # float bounds that decide nothing send every digit to the fallback
-        monkeypatch.setattr(sampler, "_cdf_bounds",
-                            lambda u, *args: (np.zeros_like(u), np.ones_like(u)))
+        # a band that accepts no digit sends every digit to the fallback
+        monkeypatch.setattr(sampler, "_digit_band",
+                            lambda d, *args: (np.ones_like(d), np.zeros_like(d)))
         eng = BulkDigitStream(7, 4)
         got = np.column_stack([eng.step() for _ in range(200)])
         assert eng.fallbacks == 800
@@ -218,9 +224,9 @@ class TestBulkDigitStream:
         for _ in range(200):
             eng.step()
         assert eng.fallbacks == 0
-        # float bounds that decide nothing send every digit to the fallback
-        monkeypatch.setattr(sampler, "_cdf_bounds",
-                            lambda u, *args: (np.zeros_like(u), np.ones_like(u)))
+        # a band that accepts no digit sends every digit to the fallback
+        monkeypatch.setattr(sampler, "_digit_band",
+                            lambda d, *args: (np.ones_like(d), np.zeros_like(d)))
         for level in range(200, 400):
             assert np.array_equal(eng.step(), taken[level]), level
         assert eng.fallbacks == 800
@@ -288,17 +294,131 @@ class TestBulkDigitStream:
         b = np.concatenate([blo, glo, [0.0, 1.0, 0.37]])
         g = np.concatenate([glo, glo, [0.0, 0.0, 0.37]])  # glo, glo: delta == 0
         w = rng.uniform(0.0, 1.0, b.size) + 2.0**-54
-        u = _inverse_cdf(w, b, g)
+        u = _inverse_cdf(w, b, g, _phi(b, g))
         assert np.max(np.abs(_cdf_mid(u, b, g, _phi(b, g)) - w)) <= 1e-12
         # at the Gauss start F(u) = log2(1 + u); 2^w - 1 in floats cancels
         # for small w, so the reference is mpmath's
         from mpmath import mp, mpf
 
         w = np.concatenate([w[:200], [2.0**-54, 1e-9, 1.0 - 2.0**-53]])
-        u = _inverse_cdf(w, np.ones_like(w), np.zeros_like(w))
+        one, zero = np.ones_like(w), np.zeros_like(w)
+        u = _inverse_cdf(w, one, zero, _phi(one, zero))
         with mp.workdps(40):
             want = [float(mp.power(2, mpf(x)) - 1) for x in w.tolist()]
         assert np.allclose(u, want, rtol=1e-15, atol=0.0)
+
+    def test_digit_band_encloses_exact_cdf(self):
+        # top >= F(1/(d+1)) and bottom <= F(1/d) at the exact state, for
+        # states the engine reaches (both starts; the Lebesgue start keeps
+        # beta == gamma) and one more point state with delta = 0
+        from mpmath import mp, mpf
+
+        states = []
+        for start, b0, g0 in (("gauss", 1, 0), ("lebesgue", 0, 0)):
+            eng = BulkDigitStream(11, 4, start=start)
+            beta, gamma = [Fraction(b0)] * 4, [Fraction(g0)] * 4
+            for level in range(41):
+                if level in (0, 1, 40):
+                    states += [(eng.blo[j], eng.bhi[j], eng.glo[j], eng.ghi[j],
+                                beta[j], gamma[j]) for j in range(4)]
+                digits = eng.step().tolist()
+                beta = [1 / (a + b) for a, b in zip(digits, beta)]
+                gamma = [1 / (a + g) for a, g in zip(digits, gamma)]
+        x = np.float64(0.37)
+        states.append((x, x, x, x, Fraction(x), Fraction(x)))
+
+        ds = [1, 2, 7, 10**3, 10**8, 2**50]
+        with mp.workdps(50):
+            def phi(p, q):
+                return 1 / (1 + p) if p == q else (mp.log1p(p) - mp.log1p(q)) / (p - q)
+
+            def cdf(m, beta, gamma):
+                b, g, u = (mpf(r.numerator) / r.denominator for r in (beta, gamma, Fraction(1, m)))
+                return u * phi(b * u, g * u) / phi(b, g)
+
+            for blo, bhi, glo, ghi, beta, gamma in states:
+                z_lo = _phi(bhi, ghi) * (1.0 - _SLOP)
+                z_hi = _phi(blo, glo) * (1.0 + _SLOP)
+                top, bottom = _digit_band(np.array(ds, dtype=np.float64),
+                                          blo, bhi, glo, ghi, z_lo, z_hi)
+                for k, d in enumerate(ds):
+                    assert mpf(float(top[k])) >= cdf(d + 1, beta, gamma), (beta, gamma, d)
+                    assert mpf(float(bottom[k])) <= cdf(d, beta, gamma), (beta, gamma, d)
+
+    def test_wrong_guesses_move_to_the_same_digits(self, monkeypatch):
+        # guesses off by -3..+3 walk to the digits of test_golden_digits'
+        # samples, (seed, streams, offset, depth, start), without a fallback
+        cases = [(2024, 1000, 0, 8, "gauss"), (2024, 1000, 0, 8, "lebesgue"),
+                 (7, 1, 3, 400, "gauss")]
+
+        def sample(seed, n, offset, depth, start):
+            eng = BulkDigitStream(seed, n, offset, start)
+            return np.column_stack([eng.step() for _ in range(depth)]), eng.fallbacks
+
+        want = [sample(*case)[0] for case in cases]
+        inverse = sampler._inverse_cdf
+        shifts = np.random.default_rng(0)
+
+        def off_by_a_few(w, b, g, z):
+            d = np.floor(1.0 / inverse(w, b, g, z))
+            return 1.0 / (d + shifts.integers(-3, 4, size=d.size) + 0.5)
+
+        monkeypatch.setattr(sampler, "_inverse_cdf", off_by_a_few)
+        for case, digits in zip(cases, want):
+            got, fallbacks = sample(*case)
+            assert np.array_equal(got, digits), case
+            assert fallbacks == 0, case
+
+    @pytest.mark.parametrize("where, bands", [
+        # V's 2^-53 interval holds F(1/2) = log2(1.5) at the Gauss start: the
+        # candidate moves once, then fails the test facing where it came from
+        ("F(1/2)", 2),
+        # V = 1 - 2^-53: the bottom test of digit 1 fails and no digit is lower
+        ("top", 1),
+    ])
+    def test_undecidable_band_goes_to_exact_digit(self, monkeypatch, where, bands):
+        from mpmath import mp
+
+        with mp.workdps(40):
+            v_num = int(mp.floor(mp.log(1.5, 2) * 2**53)) if where == "F(1/2)" else 2**53 - 1
+        monkeypatch.setattr(sampler, "_word_scalar", lambda *args: v_num << 11)
+        monkeypatch.setattr(sampler, "_words", lambda seed, dom, streams, *args:
+                            np.full(streams.size, v_num << 11, dtype=np.uint64))
+        want = _exact_digit(1, 0, 0, [], True)
+        band = sampler._digit_band
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].size)
+            return band(*args)
+
+        monkeypatch.setattr(sampler, "_digit_band", counted)
+        eng = BulkDigitStream(1, 3)
+        assert eng.step().tolist() == [want] * 3
+        assert eng.fallbacks == 3
+        assert len(calls) == bands
+
+    def test_step_evaluates_four_logs_and_one_expm1_per_digit(self, monkeypatch):
+        # each _phi element is one log1p and each _inverse_cdf element one
+        # expm1; a guess that is right needs no second decision pass
+        counts = {"log1p": 0, "expm1": 0}
+        phi, inverse = sampler._phi, sampler._inverse_cdf
+
+        def counted_phi(p, q):
+            counts["log1p"] += np.broadcast(p, q).size
+            return phi(p, q)
+
+        def counted_inverse(w, *args):
+            counts["expm1"] += w.size
+            return inverse(w, *args)
+
+        monkeypatch.setattr(sampler, "_phi", counted_phi)
+        monkeypatch.setattr(sampler, "_inverse_cdf", counted_inverse)
+        eng = BulkDigitStream(3, 500)
+        for _ in range(20):
+            eng.step()
+        assert eng.fallbacks == 0
+        assert counts == {"log1p": 4 * 500 * 20, "expm1": 500 * 20}
 
     def test_history_memory(self):
         # the history holds one row per level so far, not a full 160-level
@@ -392,9 +512,9 @@ class TestBlocks:
         monkeypatch.setattr(sampler, "_BLOCK", 8)
         monkeypatch.setattr(sampler, "_MIN_BLOCK", 4)
         monkeypatch.setattr(sampler, "_cpus", lambda: 3)
-        # float bounds that decide nothing send every digit to the fallback
-        monkeypatch.setattr(sampler, "_cdf_bounds",
-                            lambda u, *args: (np.zeros_like(u), np.ones_like(u)))
+        # a band that accepts no digit sends every digit to the fallback
+        monkeypatch.setattr(sampler, "_digit_band",
+                            lambda d, *args: (np.ones_like(d), np.zeros_like(d)))
         calls = []
         exact = sampler._exact_digit
 
@@ -446,6 +566,15 @@ def test_samplers_share_shape_rules(sample, n_streams, depth, message):
 
 
 class TestIidMode:
+    @pytest.mark.parametrize("word, lo, hi", [(0, 2**54, 2**55), (2**64 - 1, 1, 2)])
+    def test_extreme_uniforms_give_positive_digits(self, monkeypatch, word, lo, hi):
+        # V = 0 once made x = 2^V - 1 = 0 and the digit -2^63
+        monkeypatch.setattr(sampler, "_words", lambda seed, dom, streams, *args:
+                            np.full(streams.size, word, dtype=np.uint64))
+        m = sample_iid_gauss_kuzmin(3, 4, 2)
+        assert m.dtype == np.int64
+        assert np.all((lo <= m) & (m < hi)), m
+
     def test_marginals_and_determinism(self):
         m = sample_iid_gauss_kuzmin(11, 50_000, 2)
         assert np.array_equal(m, sample_iid_gauss_kuzmin(11, 50_000, 2))
