@@ -44,6 +44,22 @@ class DomainError(ValueError):
     """Raised when an operation is called outside its stated domain."""
 
 
+def _require_int(name: str, value, least: int | None = None, most: int | None = None) -> int:
+    """value as an int, or a DomainError that names the limit unless it is an
+    integer (a bool is not) with least <= value <= most.  A `most` needs a
+    `least`."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and (least is None or value >= least) and (most is None or value <= most)):
+        return int(value)
+    if most is not None:
+        limit = f" in [{least}, {most}]"
+    elif least is not None:
+        limit = f" >= {least}"
+    else:
+        limit = ""
+    raise DomainError(f"{name} must be an integer{limit}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DigitWord:
     """A finite block of partial quotients a_1..a_n (all >= 1).

@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from ._threads import cpus as _cpus, thread_map
-from .cfcore import DomainError
+from .cfcore import DomainError, _require_int
 from .thresholds import ThresholdFn, growth_exponents
 
 DEFAULT_GRID = 128
@@ -220,8 +220,19 @@ class PressureEstimate:
             raise RuntimeError("pressure bracket does not contain its value")
 
 
+def _check_operator(grid_size, cap, s=None) -> None:
+    """The argument rules of every L_s built here: a collocation grid of at
+    least two nodes, at least one digit before the tail and, if given, a
+    finite s."""
+    if s is not None and not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s!r}")
+    _require_int("grid_size", grid_size, 2)
+    _require_int("cap", cap, 1)
+
+
 def transfer_apply(grid: OperatorGrid, s: float) -> OperatorGrid:
     """One application of L_s with the digit tail enclosed."""
+    _check_operator(len(grid.nodes), grid.digit_cap, s)
     if s <= 0.5:
         raise DomainError("transfer operator diverges for s <= 1/2")
     nodes, M = _operator_matrix(float(s), len(grid.nodes), grid.digit_cap)
@@ -241,6 +252,7 @@ def pressure_eigen(
 ) -> PressureEstimate:
     """P(s) as the log leading eigenvalue, by power iteration on the positive
     cone with a nodewise Collatz-Wielandt bracket."""
+    _check_operator(grid_size, cap, s)
     if s <= 0.5:
         raise DomainError("pressure is defined only for s > 1/2 here")
     nodes, M = _operator_matrix(float(s), grid_size, cap)
@@ -315,10 +327,10 @@ def pressure_cylinder(
     ratio_refined carries ln(S_n/S_{n-1}), which kills the Theta(1/n) bias of
     the raw value and is what cross-validation against the eigenvalue uses.
     """
+    _check_operator(grid_size, cap, s)
     if s <= 0.5:
         raise DomainError("cylinder sums diverge for s <= 1/2")
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
+    _require_int("depth", depth, 1)
     nodes, M = _operator_matrix(float(s), grid_size, cap)
     flo = np.ones(grid_size)
     fhi = np.ones(grid_size)
@@ -361,6 +373,7 @@ class PressureCurve:
     s_floor, s_ceil = S_FLOOR, S_CEIL
 
     def __init__(self, grid_size: int = DEFAULT_GRID, cap: int = CURVE_CAP):
+        _check_operator(grid_size, cap)
         t_lo, t_hi = math.log(S_FLOOR - 0.5), math.log(S_CEIL - 0.5)
         x, self.bw = chebyshev_lobatto(CURVE_NODES)
         self.tau = t_lo + x * (t_hi - t_lo)
@@ -443,8 +456,7 @@ def solve_dimension(
     g is strictly decreasing on (1/2, 1]: P decreases while the linear term
     increases, so the root is unique.
     """
-    if r < 1:
-        raise DomainError("r must be >= 1")
+    _require_int("r", r, 1)
     if not 1.0 < B < math.inf:
         raise DomainError("solve_dimension needs 1 < B < inf")
     if tol < 5e-6:
@@ -473,8 +485,7 @@ def hussain_shulga_exponent(
     beta_i = B^{i+1}.  That is P(s) - (s + (2s-1) i) ln B, so d_i is
     solve_dimension with r = i + 1, and the minimum sits at i = r-1.
     """
-    if r < 1:
-        raise DomainError("r must be >= 1")
+    _require_int("r", r, 1)
     roots = [solve_dimension(i + 1, B, tol, curve).value for i in range(r)]
     best = min(range(r), key=lambda i: roots[i])
     return DimensionResult(
@@ -496,6 +507,7 @@ def dimension_dispatch(
     gives 1/(1+b), degenerating to 0 when b = inf.  Growth exponents at or
     below 0 (bounded or decaying psi) fall into the full-dimension regime.
     """
+    _require_int("r", r, 1)
     g = growth_exponents(psi)
     flags = g.flags
     if not g.exact:

@@ -25,6 +25,18 @@ mpmath context at its first exact fallback and keeps it for the rest; one
 engine runs on one thread, so threads that overlap never change each other's
 working precision.  _exact_digit called on its own makes a context per call.
 
+The divided difference Phi(p, q) = (ln(1+p) - ln(1+q)) / (p - q) behind F
+and its closed-form inverse have a removable limit at p = q.  _phi and
+_inverse_cdf pay for that limit only when some element reaches it; otherwise
+they compute the plain quotient in place, to the same bits.  No stream
+reaches it on the Gauss start's first levels, where sample_digit_matrix's
+shallow calls run; deeper, the beta and gamma enclosures coincide (in about
+half the streams at level 16 and in all of them from level 32 on), and a
+step takes the guarded path.  The decision loop keeps every candidate digit
+in one float array: an accepted candidate stays where it is, only the streams
+whose candidate moves are indexed again, and the digits are cast once after
+the loop, with the exact fallbacks written over them.
+
 Each level maps the state interval's ends through z -> 1/(a + z) in float64.
 A reciprocal is computed once and then scaled outward by the relative factor
 1 -/+ 2^-50, which exceeds its rounding errors, so the interval stays a
@@ -41,14 +53,13 @@ workers a call uses.
 
 from __future__ import annotations
 
-import numbers
 from collections import deque
 from fractions import Fraction
 
 import numpy as np
 
 from ._threads import cpus as _cpus, thread_map
-from .cfcore import DomainError, continuant_tail
+from .cfcore import DomainError, _require_int, continuant_tail
 
 U64 = np.uint64
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -107,14 +118,25 @@ def _phi(p, q):
     """Divided difference (ln(1+p) - ln(1+q)) / (p - q), stable near p = q.
 
     Decreasing in both arguments, which is what makes interval evaluation a
-    one-liner."""
+    one-liner.  Only an input with some p == q pays for the limit 1/(1 + p):
+    otherwise the quotient is computed in place, with the same operations in
+    the same order, so each value is the same to the bit."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     d = p - q
-    safe = np.where(d == 0.0, 1.0, d)
+    zero = d == 0.0
+    if np.count_nonzero(zero):
+        safe = np.where(zero, 1.0, d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.log1p(safe / (1.0 + q)) / safe
+        return np.where(zero, 1.0 / (1.0 + p), out)
+    out = np.empty_like(d)  # an array even when d is a numpy scalar
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log1p(safe / (1.0 + q)) / safe
-    return np.where(d == 0.0, 1.0 / (1.0 + p), out)
+        np.add(1.0, q, out=out)
+        np.divide(d, out, out=out)
+        np.log1p(out, out=out)
+        out /= d
+    return out
 
 
 def _digit_band(d, blo, bhi, glo, ghi, z_lo, z_hi):
@@ -123,11 +145,19 @@ def _digit_band(d, blo, bhi, glo, ghi, z_lo, z_hi):
     for any state in [blo, bhi] x [glo, ghi] and z_lo <= Phi(beta, gamma) <= z_hi.
 
     A uniform known to lie in [V, V + 2^-53] selects digit d when V >= top
-    and V + 2^-53 <= bottom."""
-    u = 1.0 / (d + 1.0)
-    top = u * _phi(blo * u, glo * u) * (1.0 + _SLOP) / z_lo
-    u = 1.0 / d
-    bottom = u * _phi(bhi * u, ghi * u) * (1.0 - _SLOP) / z_hi
+    and V + 2^-53 <= bottom.  Each bound is u * Phi * (1 +/- _SLOP) / z,
+    evaluated in place in that order."""
+    u = d + 1.0
+    np.divide(1.0, u, out=u)
+    top = _phi(blo * u, glo * u)
+    top *= u
+    top *= 1.0 + _SLOP
+    top /= z_lo
+    np.divide(1.0, d, out=u)
+    bottom = _phi(bhi * u, ghi * u)
+    bottom *= u
+    bottom *= 1.0 - _SLOP
+    bottom /= z_hi
     return top, bottom
 
 
@@ -137,11 +167,22 @@ def _inverse_cdf(w, b, g, z):
 
     F(u) = w means (1 + b u)/(1 + g u) = E with E = exp(w (b - g) z), so
     u = e/(1 - g e) with e = (E - 1)/(b - g), which tends to w z as
-    b - g -> 0."""
+    b - g -> 0.  As in _phi, only an input with some b == g pays for that
+    limit; w, b, g and z share one shape (or are scalars)."""
     d = b - g
-    safe = np.where(d == 0.0, 1.0, d)
-    e = np.where(d == 0.0, w * z, np.expm1(w * safe * z) / safe)
-    return e / (1.0 - g * e)
+    zero = d == 0.0
+    if np.count_nonzero(zero):
+        safe = np.where(zero, 1.0, d)
+        e = np.where(zero, w * z, np.expm1(w * safe * z) / safe)
+        return e / (1.0 - g * e)
+    e = np.asarray(w * d)  # an array even for scalar arguments
+    e *= z
+    np.expm1(e, out=e)
+    e /= d
+    t = np.asarray(g * e)
+    np.subtract(1.0, t, out=t)
+    e /= t
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +309,9 @@ class BulkDigitStream:
 
     def __init__(self, seed: int, n_streams: int, stream_offset: int = 0,
                  start: str = "gauss"):
-        if n_streams < 1:
-            raise DomainError("need at least one stream")
-        self.seed = int(seed)
-        self.streams = np.arange(stream_offset, stream_offset + n_streams, dtype=np.int64)
+        self.seed = _require_int("seed", seed)
+        n, offset = _stream_range(n_streams, stream_offset)
+        self.streams = np.arange(n, dtype=np.int64) + offset
         self.level = 0
         if start == "gauss":
             b0, g0 = 1.0, 0.0
@@ -279,7 +319,6 @@ class BulkDigitStream:
             b0, g0 = 0.0, 0.0
         else:
             raise DomainError("start must be 'gauss' or 'lebesgue'")
-        n = n_streams
         self.blo = np.full(n, b0)
         self.bhi = np.full(n, b0)
         self.glo = np.full(n, g0)
@@ -293,56 +332,60 @@ class BulkDigitStream:
         """Sample the next digit of every stream."""
         n = len(self.streams)
         v = (_words(self.seed, _DOM_VBITS, self.streams.view(np.uint64),
-                    self.level) >> U64(11)).astype(np.float64) * TWO_NEG53
+                    self.level) >> U64(11)).astype(np.float64)
+        v *= TWO_NEG53
         blo, bhi, glo, ghi = self.blo, self.bhi, self.glo, self.ghi
         # Phi decreases in both arguments, so its values at the two corners of
-        # the state interval enclose the normaliser Phi(beta, gamma)
+        # the state interval enclose the normaliser Phi(beta, gamma).  _phi and
+        # _inverse_cdf pay for the limit p = q only when some stream reaches
+        # it: never on the Gauss start's first levels, almost always once the
+        # beta and gamma enclosures coincide some 20 levels deep
         phi_corner = _phi(bhi, ghi)
         z_lo = phi_corner * (1.0 - _SLOP)
-        z_hi = _phi(blo, glo) * (1.0 + _SLOP)
+        z_hi = _phi(blo, glo)
+        z_hi *= 1.0 + _SLOP
         # aim at the middle of V's 2^-53 interval from the (bhi, ghi) corner;
         # the interval is a few ulps wide, so the guess is almost always right
-        u = _inverse_cdf(v + TWO_NEG53 * 0.5, bhi, ghi, phi_corner)
+        d = _inverse_cdf(v + TWO_NEG53 * 0.5, bhi, ghi, phi_corner)
         with np.errstate(divide="ignore", over="ignore"):
-            d = np.floor(1.0 / u)
+            np.divide(1.0, d, out=d)
+        np.floor(d, out=d)
         np.clip(d, 1.0, 2.0**50, out=d)
 
-        digits = np.zeros(n, dtype=np.int64)
-        undecided = np.ones(n, dtype=bool)
-        came = np.zeros(n, dtype=np.int8)  # each candidate's last move: +1 up, -1 down
+        # Every candidate lives in d.  An accepted one stays where it is; only
+        # the streams whose candidate moves are indexed again, and the streams
+        # that no candidate can settle are collected for the exact fallback.
+        live = np.arange(n)  # streams whose candidate is not accepted yet
+        came = np.zeros(n, dtype=np.int8)  # each live candidate's last move: +1 up, -1 down
+        stuck = []
         for _ in range(80):
-            idx = np.nonzero(undecided)[0]
-            if idx.size == 0:
+            if live.size == 0:
                 break
-            # while every stream is undecided (the first pass), read the
-            # state arrays whole instead of copying them by index
-            sel = slice(None) if idx.size == n else idx
+            # while every stream is live (the first pass), read the arrays
+            # whole instead of copying them by index
+            sel = slice(None) if live.size == n else live
             dd, vv = d[sel], v[sel]
             top, bottom = _digit_band(dd, blo[sel], bhi[sel], glo[sel], ghi[sel],
                                       z_lo[sel], z_hi[sel])
             fits_top = vv >= top                    # the digit is at most d
             fits_bottom = vv + TWO_NEG53 <= bottom  # the digit is at least d
-            ok = fits_top & fits_bottom
+            rest = np.nonzero(~(fits_top & fits_bottom))[0]  # positions in live
             # +1 when only the top test fails, -1 when only the bottom one
             # does; none back to the candidate it came from (V straddles
             # their boundary) or below digit 1, so those go to the fallback
-            move = fits_bottom.view(np.int8) - fits_top.view(np.int8)
-            move[(move == -came[sel]) | (dd + move < 1.0)] = 0
-            stuck = ~ok & (move == 0)
-            take = idx[ok]
-            digits[take] = d[take]
-            undecided[take] = False
+            move = fits_bottom[rest].view(np.int8) - fits_top[rest].view(np.int8)
+            move[(move == -came[rest]) | (dd[rest] + move < 1.0)] = 0
             moving = move != 0
-            went = idx[moving]
-            d[went] += move[moving]
-            came[went] = move[moving]
-            for j in idx[stuck]:
-                digits[j] = self._fallback(int(j))
-                undecided[j] = False
+            stuck.append(live[rest[~moving]])
+            live = live[rest[moving]]
+            came = move[moving]
+            d[live] += came
         else:
-            for j in np.nonzero(undecided)[0]:
-                digits[j] = self._fallback(int(j))
+            stuck.append(live)
 
+        digits = d.astype(np.int64)
+        for j in np.concatenate(stuck):
+            digits[j] = self._fallback(int(j))
         self._advance(digits)
         return digits
 
@@ -402,15 +445,32 @@ _MIN_BLOCK = 8_192  # fewest streams per worker thread
 _MAX_DIGITS = 80_000_000
 
 
-def _check_shape(n_streams, depth) -> None:
-    """The argument rules that both samplers share."""
-    for name, value, least in (("n_streams", n_streams, 1), ("depth", depth, 0)):
-        if not isinstance(value, numbers.Integral) or value < least:
-            raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _stream_range(n_streams, stream_offset) -> tuple[int, int]:
+    """(n_streams, stream_offset) as ints, or a DomainError naming the limit
+    that one of them breaks: every stream index, stream_offset + j for
+    j < n_streams, is an int64."""
+    n = _require_int("n_streams", n_streams, 1)
+    offset = _require_int("stream_offset", stream_offset, _INT64_MIN, _INT64_MAX)
+    if offset + n - 1 > _INT64_MAX:
+        raise DomainError(f"stream indices must fit in int64: stream_offset + n_streams - 1 "
+                          f"= {offset + n - 1} is over 2^63 - 1")
+    return n, offset
+
+
+def _check_shape(seed, n_streams, depth, stream_offset) -> tuple[int, int, int]:
+    """The argument rules that both samplers share; returns the seed,
+    n_streams and stream_offset as ints."""
+    seed = _require_int("seed", seed)
+    n, offset = _stream_range(n_streams, stream_offset)
+    depth = _require_int("depth", depth, 0)
     # also bounds the engine's history, n_streams * min(depth, 160) digits
-    if int(n_streams) * int(depth) > _MAX_DIGITS:
+    if n * depth > _MAX_DIGITS:
         raise DomainError(f"digit budget exceeded: n_streams * depth is over "
                           f"{_MAX_DIGITS:.0e}; sample fewer streams or digits")
+    return seed, n, offset
 
 
 def sample_digit_matrix(
@@ -431,7 +491,7 @@ def sample_digit_matrix(
     uniform is keyed by (seed, stream, level, round) and no state is shared
     between streams, so the digits are the same for any split and any number
     of threads."""
-    _check_shape(n_streams, depth)
+    seed, n_streams, stream_offset = _check_shape(seed, n_streams, depth, stream_offset)
     workers = max(1, min(_cpus(), n_streams // _MIN_BLOCK))
     n_blocks = workers * -(-n_streams // (_BLOCK * workers))
     bounds = [n_streams * i // n_blocks for i in range(n_blocks + 1)]
@@ -450,8 +510,8 @@ def sample_iid_gauss_kuzmin(seed: int, n_streams: int, depth: int,
                             stream_offset: int = 0) -> np.ndarray:
     """i.i.d. digits with the Gauss-Kuzmin marginal (speed-over-exactness
     mode; the digit process loses its cross-position dependence)."""
-    _check_shape(n_streams, depth)
-    streams = np.arange(stream_offset, stream_offset + n_streams, dtype=np.int64)
+    seed, n_streams, stream_offset = _check_shape(seed, n_streams, depth, stream_offset)
+    streams = np.arange(n_streams, dtype=np.int64) + stream_offset
     out = np.empty((n_streams, depth), dtype=np.int64)
     for k in range(depth):
         v = (_words(seed ^ 0x1D, _DOM_VBITS, streams.view(np.uint64), k)

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cfcore import DomainError
+from .cfcore import DomainError, _require_int
 
 INF = math.inf
 
@@ -367,8 +367,7 @@ def series_classify(r: int, psi: ThresholdFn, horizon: int = 4096) -> SeriesVerd
     The normal form and double_exp are decided by the integral test; tables,
     scaled or not, by the slope of the log terms over the last half.
     """
-    if r < 1:
-        raise DomainError("r must be >= 1")
+    _require_int("r", r, 1)
     form = _exp_poly_log(psi)
     if form is not None or _double_exp_b(psi) is not None:
         if form is None:

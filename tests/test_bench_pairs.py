@@ -9,8 +9,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "op_p50_us", "better": "lower"},
-           {"name": "work_per_s", "better": "higher"}]
+METRICS = [{"name": "op_p50_us", "better": "lower", "bound": 0.25},
+           {"name": "work_per_s", "better": "higher", "bound": 0.1}]
 
 
 def _run(side, pair, seed, p50, rate, attempted=100, exit_code=0, digest="ab"):
@@ -51,6 +51,31 @@ def test_summary_flags_and_unpaired_runs():
     # a workload without a digest figure gets no digest verdict
     runs = [_run("parent", 1, 7, 10, 5, digest=None), _run("change", 1, 7, 9, 6, digest=None)]
     assert "same_digest_every_seed" not in bench_pairs.summarize(runs, METRICS)["w"]
+
+
+def test_summary_bound_headroom():
+    runs = []
+    # medians: op_p50_us 100 -> 104 (4% worse, bound 25%); work_per_s
+    # 10 -> 9.4 (6% worse, over half of its 10% bound)
+    for i, (pp, cp, pr, cr) in enumerate([(90, 95, 9, 8.5), (100, 104, 10, 9.4),
+                                          (110, 108, 11, 9.9)], 1):
+        runs += [_run("parent", i, 70 + i, pp, pr), _run("change", i, 70 + i, cp, cr)]
+    s = bench_pairs.summarize(runs, METRICS)["w"]
+    assert s["op_p50_us"]["worse_by"] == pytest.approx(0.04)
+    assert s["op_p50_us"]["bound"] == 0.25
+    assert s["work_per_s"]["worse_by"] == pytest.approx(0.06)
+    assert s["work_per_s"]["bound"] == 0.1
+    assert s["near_bound"] == ["work_per_s"]
+    # a better change reads negative; a parent median of 0 has no fraction
+    runs = [_run("parent", 1, 7, 10, 5), _run("change", 1, 7, 8, 6)]
+    s = bench_pairs.summarize(runs, METRICS)["w"]
+    assert s["op_p50_us"]["worse_by"] == pytest.approx(-0.2)
+    assert s["work_per_s"]["worse_by"] == pytest.approx(-0.2)
+    assert s["near_bound"] == []
+    assert bench_pairs.worse_by(0.0, 0.0, "higher") == 0.0
+    assert bench_pairs.worse_by(0.0, 0.5, "higher") is None
+    runs = [_run("parent", 1, 7, 10, 0.0), _run("change", 1, 7, 10, 0.5)]
+    assert bench_pairs.summarize(runs, METRICS)["w"]["near_bound"] == ["work_per_s"]
 
 
 @pytest.mark.parametrize("text, want", [("51-55", [51, 52, 53, 54, 55]),

@@ -25,7 +25,9 @@ from cfmetric.pressure import (
     transfer_apply,
 )
 from cfmetric.pressure import _operator_matrices, _operator_matrix, _step
-from cfmetric.thresholds import double_exp, geometric, poly_log, scaled_geometric, table
+from cfmetric.thresholds import (
+    double_exp, geometric, poly_log, scaled_geometric, series_classify, table,
+)
 
 PI2_6 = math.pi**2 / 6.0
 
@@ -360,3 +362,56 @@ class TestGridBasics:
             OperatorGrid(np.array([0.5, 0.2]), np.array([1.0, 1.0]))
         with pytest.raises(DomainError):
             OperatorGrid(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+
+
+class TestArgumentRules:
+    """Bad arguments raise a DomainError that names the limit, before any work."""
+
+    @pytest.mark.parametrize("r", [0, -1, 1.5, 2.0, True, np.float64(2.0)])
+    @pytest.mark.parametrize("call", [
+        lambda r: dimension_dispatch(r, poly_log(1, 0)),     # would be B = 1
+        lambda r: dimension_dispatch(r, double_exp(2, 2)),   # would be B = inf
+        lambda r: dimension_dispatch(r, geometric(2.0)),
+        lambda r: solve_dimension(r, 2.0),
+        lambda r: hussain_shulga_exponent(r, 2.0),
+        lambda r: series_classify(r, poly_log(1, 0)),
+    ])
+    def test_r_is_an_integer_at_least_one(self, call, r):
+        with pytest.raises(DomainError, match="r must be an integer >= 1, got "):
+            call(r)
+
+    def test_numpy_integer_r(self, curve):
+        assert dimension_dispatch(np.int64(2), poly_log(1, 0)).value == 1.0
+        assert solve_dimension(np.int64(2), 2.0, curve=curve).value == \
+            solve_dimension(2, 2.0, curve=curve).value
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: pressure_eigen(math.nan, 8, 10), "s must be finite, got nan"),
+        (lambda: pressure_eigen(math.inf, 8, 10), "s must be finite, got inf"),
+        (lambda: pressure_eigen(0.8, 1, 10), "grid_size must be an integer >= 2, got 1"),
+        (lambda: pressure_eigen(0.8, 8.0, 10), "grid_size must be an integer >= 2, got 8.0"),
+        (lambda: pressure_eigen(0.8, 128, 0), "cap must be an integer >= 1, got 0"),
+        (lambda: pressure_cylinder(0.8, 2, 0, 8), "cap must be an integer >= 1, got 0"),
+        (lambda: pressure_cylinder(math.inf, 2, 10, 8), "s must be finite, got inf"),
+        (lambda: pressure_cylinder(0.8, 2, 10, 1), "grid_size must be an integer >= 2"),
+        (lambda: pressure_cylinder(0.8, 1.5, 10, 8), "depth must be an integer >= 1, got 1.5"),
+        (lambda: transfer_apply(OperatorGrid.ones(8, 0), 0.8), "cap must be an integer >= 1"),
+        (lambda: transfer_apply(OperatorGrid.ones(8, 10), math.nan), "s must be finite"),
+        (lambda: transfer_apply(OperatorGrid(np.array([0.5]), np.array([1.0]), 10), 0.8),
+         "grid_size must be an integer >= 2, got 1"),
+        (lambda: PressureCurve(1, 8), "grid_size must be an integer >= 2, got 1"),
+        (lambda: PressureCurve(8, True), "cap must be an integer >= 1, got True"),
+    ])
+    def test_operator_arguments_refused_at_once(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
+
+    def test_smallest_operator_still_brackets(self):
+        # grid 2 and one digit are allowed: the bracket is wide, but it holds
+        # P(1) = 0
+        est = pressure_eigen(1.0, 2, 1)
+        assert est.bracket[0] <= 0.0 <= est.bracket[1]
+        assert not est.params["converged"]
+        applied = transfer_apply(OperatorGrid.ones(2, 1), 1.0)
+        assert np.all(applied.lower <= applied.upper)
+        assert PressureCurve(2, 1).values.shape == (33,)

@@ -48,6 +48,87 @@ class TestBitSource:
             assert got == pytest.approx(want, rel=1e-13)
 
 
+def _mp_phi(mp, p, q):
+    """Phi(p, q) at mp's precision, at the exact values of the floats p, q."""
+    p, q = mp.mpf(float(p)), mp.mpf(float(q))
+    return 1 / (1 + p) if p == q else (mp.log1p(p) - mp.log1p(q)) / (p - q)
+
+
+def _mp_inverse_cdf(mp, w, b, g, z):
+    """The closed form of _inverse_cdf at mp's precision, at the exact floats."""
+    w, b, g, z = (mp.mpf(float(x)) for x in (w, b, g, z))
+    e = w * z if b == g else mp.expm1(w * (b - g) * z) / (b - g)
+    return e / (1 - g * e)
+
+
+class TestPhiGuard:
+    """_phi and _inverse_cdf take the p = q limit only when an element needs
+    it; both sides must give the same values."""
+
+    @staticmethod
+    def _pairs(mix: bool):
+        rng = np.random.default_rng(17)
+        p = rng.uniform(0.0, 1.0, 400)
+        q = rng.uniform(0.0, 1.0, 400)
+        # near-equal but distinct pairs, where the quotient cancels most
+        q[:40] = p[:40] * (1.0 + rng.uniform(-1e-12, 1e-12, 40))
+        q[:40] = np.where(q[:40] == p[:40], np.nextafter(p[:40], 2.0), q[:40])
+        if mix:
+            q[40::7] = p[40::7]
+        return p, q
+
+    @pytest.mark.parametrize("mix", [False, True])
+    def test_phi_against_mpmath(self, mix):
+        from mpmath import mp
+
+        p, q = self._pairs(mix)
+        assert np.any(p == q) == mix
+        got = _phi(p, q)
+        with mp.workdps(50):
+            want = [_mp_phi(mp, a, b) for a, b in zip(p.tolist(), q.tolist())]
+        rel = [abs((mp.mpf(float(x)) - y) / y) for x, y in zip(got.tolist(), want)]
+        assert max(rel) <= 1e-13
+        distinct = p != q
+        # the plain quotient, to the bit, wherever p != q: on an input that
+        # has no p == q, and on the rest of a mixed one
+        d = p[distinct] - q[distinct]
+        assert np.array_equal(got[distinct], np.log1p(d / (1.0 + q[distinct])) / d)
+        assert np.array_equal(got[~distinct], 1.0 / (1.0 + p[~distinct]))
+
+    @pytest.mark.parametrize("mix", [False, True])
+    def test_inverse_cdf_against_mpmath(self, mix):
+        from mpmath import mp
+
+        b, g = self._pairs(mix)
+        w = np.random.default_rng(18).uniform(0.0, 1.0, b.size) + 2.0**-54
+        z = _phi(b, g)
+        got = _inverse_cdf(w, b, g, z)
+        with mp.workdps(50):
+            want = [_mp_inverse_cdf(mp, *x) for x in zip(w, b, g, z)]
+        rel = [abs((mp.mpf(float(x)) - y) / y) for x, y in zip(got.tolist(), want)]
+        assert max(rel) <= 1e-13
+        # the mixed input's distinct elements take the unguarded values
+        distinct = b != g
+        assert np.array_equal(got[distinct], _inverse_cdf(w[distinct], b[distinct],
+                                                          g[distinct], z[distinct]))
+
+    @pytest.mark.parametrize("p, q", [(0.3, 0.3), (0.5, 0.5 + 1e-14), (1.0, 0.0), (0.9, 0.2),
+                                      (0.0, 0.0)])
+    @pytest.mark.parametrize("wrap", [float, np.float64, np.asarray])
+    def test_scalar_inputs(self, p, q, wrap):
+        from mpmath import mp
+
+        got = _phi(wrap(p), wrap(q))
+        assert np.shape(got) == ()
+        w = 0.625
+        u = _inverse_cdf(wrap(w), wrap(p), wrap(q), wrap(float(got)))
+        assert np.shape(u) == ()
+        with mp.workdps(50):
+            assert abs(float(got) / _mp_phi(mp, p, q) - 1) <= 1e-13
+            want = _mp_inverse_cdf(mp, w, p, q, float(got))
+            assert abs(float(u) / want - 1) <= 1e-13
+
+
 def _cdf_mid(u, b, g, z):
     """F(u) = u Phi(b u, g u) / z at the point state (b, g), z = Phi(b, g)."""
     return u * _phi(b * u, g * u) / z
@@ -563,6 +644,60 @@ def test_samplers_share_shape_rules(sample, n_streams, depth, message):
     # the edges that are allowed: no digits, numpy integers
     assert sample(1, 3, 0).shape == (3, 0)
     assert sample(1, np.int64(2), np.int64(1)).shape == (2, 1)
+
+
+def _engine_row(seed, n_streams, stream_offset=0):
+    return BulkDigitStream(seed, n_streams, stream_offset).step()
+
+
+def _matrix(seed, n_streams, stream_offset=0):
+    return sample_digit_matrix(seed, n_streams, 2, stream_offset=stream_offset)
+
+
+def _iid(seed, n_streams, stream_offset=0):
+    return sample_iid_gauss_kuzmin(seed, n_streams, 2, stream_offset=stream_offset)
+
+
+@pytest.mark.parametrize("sample", [_engine_row, _matrix, _iid])
+@pytest.mark.parametrize("seed, n_streams, offset, message", [
+    (1.5, 2, 0, "seed must be an integer, got 1.5"),
+    (True, 2, 0, "seed must be an integer, got True"),
+    (1, 2.5, 0, r"n_streams must be an integer >= 1, got 2.5"),
+    (1, True, 0, r"n_streams must be an integer >= 1, got True"),
+    (1, 2, 1.5, r"stream_offset must be an integer in \[-9223372036854775808, "
+                r"9223372036854775807\], got 1.5"),
+    (1, 2, False, "stream_offset must be an integer"),
+    (1, 2, 2**63, "stream_offset must be an integer in"),
+    (1, 2, -2**63 - 1, "stream_offset must be an integer in"),
+    (1, 2, 2**63 - 1, r"stream indices must fit in int64: .* = 9223372036854775808 is over"),
+])
+def test_sampler_arguments_name_their_limit(sample, seed, n_streams, offset, message):
+    with pytest.raises(DomainError, match=message):
+        sample(seed, n_streams, offset)
+
+
+@pytest.mark.parametrize("sample", [_engine_row, _matrix, _iid])
+def test_streams_at_the_ends_of_int64(sample):
+    # the first and the last int64 stream index are streams like any other;
+    # -2^63 hashes as 2^63, its uint64 view
+    for offset in (2**63 - 1, -2**63, 2**62):
+        a = sample(5, 1, offset)
+        assert a.dtype == np.int64 and np.all(a >= 1)
+        assert np.array_equal(a, sample(np.int64(5), np.int64(1), np.int64(offset)))
+    top = sample_digit_matrix(5, 1, 3, stream_offset=2**63 - 1)
+    eng = BulkDigitStream(5, 1, 2**63 - 1)
+    assert top[0].tolist() == [int(eng.step()[0]) for _ in range(3)]
+
+
+def test_engine_checks_its_arguments_once(monkeypatch):
+    calls = []
+    check = sampler._require_int
+    monkeypatch.setattr(sampler, "_require_int", lambda *a: calls.append(a[0]) or check(*a))
+    eng = BulkDigitStream(3, 4, 10)
+    assert sorted(calls) == ["n_streams", "seed", "stream_offset"]
+    for _ in range(5):
+        eng.step()
+    assert len(calls) == 3
 
 
 class TestIidMode:

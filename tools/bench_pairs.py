@@ -15,7 +15,8 @@ the runs already there.
 Every run takes run.py's own run length.  The output keeps every run's env
 line, final JSON line (its `attempted` count included), gate line and
 figures, and a summary per workload: median and quartiles of each end-to-end
-metric on each side, and in how many pairs the change did better.  The
+metric on each side, in how many pairs the change did better, and how much
+of the metric's bound from BENCHMARK.json the change of the median uses.  The
 machine block and the run length in the command text come from the env
 lines, so they say what run.py used.
 """
@@ -62,12 +63,25 @@ def quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def worse_by(parent: float, change: float, better: str) -> float | None:
+    """How much worse `change` is than `parent`, as a fraction of |parent|:
+    positive when worse, negative when better; None when parent is 0 and
+    change is not, since no fraction of 0 measures that."""
+    worse = change - parent if better == "lower" else parent - change
+    if parent == 0:
+        return None if worse else 0.0
+    return worse / abs(parent)
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per-workload summary of end-to-end runs.
 
     `runs` are the records that run_pair makes; `metrics` is BENCHMARK.json's
-    end_to_end list (name and better).  A pair counts as a change win on a
-    metric when the change's value is strictly better than the parent's."""
+    end_to_end list (name, better and bound).  A pair counts as a change win
+    on a metric when the change's value is strictly better than the parent's.
+    Each metric also gets `worse_by`, the change of the median toward worse as
+    a fraction of the parent's median, next to its `bound`; `near_bound`
+    lists the metrics whose worse_by is over half their bound, or None."""
     out = {}
     for wl in sorted({r["workload"] for r in runs}):
         mine = [r for r in runs if r["workload"] == wl]
@@ -82,9 +96,15 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                      for side in ("parent", "change")}
             wins = sum((c < p) if lower else (c > p)
                        for p, c in zip(value["parent"], value["change"]))
-            summary[name] = {"better": m["better"],
-                             **{side: quartiles(v) for side, v in value.items()},
-                             "change_wins": wins}
+            stats = {side: quartiles(v) for side, v in value.items()}
+            summary[name] = {"better": m["better"], **stats, "change_wins": wins,
+                             "worse_by": worse_by(stats["parent"]["median"],
+                                                  stats["change"]["median"], m["better"]),
+                             "bound": m["bound"]}
+        summary["near_bound"] = [
+            m["name"] for m in metrics
+            if summary[m["name"]]["worse_by"] is None
+            or summary[m["name"]]["worse_by"] > m["bound"] / 2]
         summary["attempted"] = {side: quartiles([p[side]["result"]["attempted"] for p in pairs])
                                 for side in ("parent", "change")}
         digests = {(r["seed"], r["figures"].get("digest")) for r in mine}
