@@ -48,7 +48,9 @@ def _require_int(name: str, value, least: int | None = None, most: int | None = 
     """value as an int, or a DomainError that names the limit unless it is an
     integer (a bool is not) with least <= value <= most.  A `most` needs a
     `least`."""
-    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # type() is int first: the abstract-class check costs a dimension query
+    # about 1 us per call
+    if ((type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool))
             and (least is None or value >= least) and (most is None or value <= most)):
         return int(value)
     if most is not None:

@@ -678,15 +678,20 @@ def test_sampler_arguments_name_their_limit(sample, seed, n_streams, offset, mes
 
 @pytest.mark.parametrize("sample", [_engine_row, _matrix, _iid])
 def test_streams_at_the_ends_of_int64(sample):
-    # the first and the last int64 stream index are streams like any other;
-    # -2^63 hashes as 2^63, its uint64 view
-    for offset in (2**63 - 1, -2**63, 2**62):
+    # the first and the last int64 stream index are streams like any other
+    for offset in (2**63 - 1, -2**63):
         a = sample(5, 1, offset)
         assert a.dtype == np.int64 and np.all(a >= 1)
         assert np.array_equal(a, sample(np.int64(5), np.int64(1), np.int64(offset)))
-    top = sample_digit_matrix(5, 1, 3, stream_offset=2**63 - 1)
-    eng = BulkDigitStream(5, 1, 2**63 - 1)
-    assert top[0].tolist() == [int(eng.step()[0]) for _ in range(3)]
+
+
+@pytest.mark.parametrize("stream", [2**63 - 1, -2**63])
+def test_end_streams_agree_with_exact_digit(stream):
+    # the exact fallback hashes a stream by its uint64 view, as the engine does
+    eng = BulkDigitStream(5, 1, stream)
+    rows = [int(eng.step()[0]) for _ in range(3)]
+    assert sample_digit_matrix(5, 1, 3, stream_offset=stream)[0].tolist() == rows
+    assert _exact_digit(5, stream, 0, [], True) == rows[0]
 
 
 def test_engine_checks_its_arguments_once(monkeypatch):
