@@ -10,18 +10,14 @@ from .cfcore import (
     DigitWord,
     ConvergentPair,
     DomainError,
-    FLOAT_RELIABLE_DEPTH,
     convergents,
     cylinder,
     expand_rational,
-    expand_real,
     evaluate,
     gauss_digit_law,
     gauss_digit_tail,
     gauss_measure,
-    lebesgue_measure,
     ln_gauss_measure,
-    remove_digit_ratio,
     word,
 )
 
@@ -30,18 +26,14 @@ __all__ = [
     "DigitWord",
     "ConvergentPair",
     "DomainError",
-    "FLOAT_RELIABLE_DEPTH",
     "convergents",
     "cylinder",
     "expand_rational",
-    "expand_real",
     "evaluate",
     "gauss_digit_law",
     "gauss_digit_tail",
     "gauss_measure",
-    "lebesgue_measure",
     "ln_gauss_measure",
-    "remove_digit_ratio",
     "word",
 ]
 

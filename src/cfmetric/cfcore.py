@@ -1,8 +1,10 @@
 """Exact continued-fraction arithmetic.
 
-Digit words, convergents, cylinder intervals and the Gauss measure, all in
-exact integer / rational arithmetic.  Floating point only appears in the
-log-magnitude shadows used by the pressure engine.
+Digit words, convergents and cylinder intervals in exact integer / rational
+arithmetic.  The results that are floats are computed from exact inputs: the
+Gauss measure of an interval and its logarithm, the Gauss-Kuzmin digit law
+and tail, and the logarithms ln_big, ln_fraction and ConvergentPair.log_q of
+big integers and rationals.
 """
 
 from __future__ import annotations
@@ -12,14 +14,9 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 LOG2 = math.log(2.0)
-
-# A double carries 53 mantissa bits; each continued-fraction digit of a
-# generic point consumes ~2.4 of them (Levy growth of q_n), so digits past
-# this depth are not pinned down by the input float.
-FLOAT_RELIABLE_DEPTH = int(53 / 2.4)  # 22
 
 RationalLike = Union[int, Fraction]
 
@@ -88,15 +85,6 @@ class DigitWord:
     def __getitem__(self, k: int) -> int:
         return self.digits[k]
 
-    def concat(self, other: "DigitWord") -> "DigitWord":
-        return DigitWord(self.digits + other.digits)
-
-    def drop(self, k: int) -> "DigitWord":
-        """Word with the k-th digit removed (1-based)."""
-        if not 1 <= k <= len(self.digits):
-            raise DomainError(f"index {k} out of range 1..{len(self.digits)}")
-        return DigitWord(self.digits[: k - 1] + self.digits[k:])
-
     def evaluate(self) -> Fraction:
         """Exact value of the finite continued fraction [a_1, ..., a_n]."""
         _, _, p, q = continuant_tail(self.digits)
@@ -118,9 +106,6 @@ class ConvergentPair:
     @classmethod
     def from_pq(cls, p: int, q: int) -> "ConvergentPair":
         return cls(p, q, ln_big(q))
-
-    def value(self) -> Fraction:
-        return Fraction(self.p, self.q)
 
 
 def _continuants(word: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
@@ -167,38 +152,6 @@ def expand_rational(p: int, q: int) -> DigitWord:
     return DigitWord(tuple(digits))
 
 
-class Expansion(NamedTuple):
-    word: DigitWord
-    truncated: bool
-    reliable_depth: int
-
-
-def expand_real(x: Union[float, Fraction], depth: int) -> Expansion:
-    """First `depth` digits of x in [0, 1).
-
-    Floats are expanded exactly as the binary rationals they are, but the
-    output is capped at FLOAT_RELIABLE_DEPTH: past that point the digits of
-    the float no longer say anything about the underlying real, and the
-    `truncated` flag is set instead of emitting garbage.  Fraction inputs are
-    expanded exactly to any depth.
-    """
-    if depth < 0:
-        raise DomainError("depth must be >= 0")
-    if isinstance(x, Fraction):
-        exact = expand_rational(x.numerator, x.denominator)
-        if len(exact) > depth:
-            return Expansion(DigitWord(exact.digits[:depth]), True, depth)
-        return Expansion(exact, False, depth)
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"{x} is not in [0, 1)")
-    frac = Fraction(x)
-    exact = expand_rational(frac.numerator, frac.denominator)
-    horizon = min(depth, FLOAT_RELIABLE_DEPTH)
-    if len(exact) <= horizon:
-        return Expansion(exact, False, FLOAT_RELIABLE_DEPTH)
-    return Expansion(DigitWord(exact.digits[:horizon]), True, FLOAT_RELIABLE_DEPTH)
-
-
 def evaluate(w: DigitWord) -> Fraction:
     return w.evaluate()
 
@@ -226,18 +179,6 @@ class Cylinder:
             return self.closed_right
         return True
 
-    def overlaps(self, other: "Cylinder") -> bool:
-        lo = max(self.left, other.left)
-        hi = min(self.right, other.right)
-        if lo > hi:
-            return False
-        if lo < hi:
-            return True
-        # single shared point: both must include it
-        a = self.closed_left if lo == self.left else self.closed_right
-        b = other.closed_left if lo == other.left else other.closed_right
-        return a and b
-
 
 def cylinder(w: DigitWord) -> Cylinder:
     """Exact cylinder interval for a nonempty word.
@@ -255,35 +196,6 @@ def cylinder(w: DigitWord) -> Cylinder:
     if n % 2 == 0:
         return Cylinder(w, end_a, end_b, True, False)
     return Cylinder(w, end_b, end_a, False, True)
-
-
-class RatioBounds(NamedTuple):
-    ratio: Fraction
-    lower: Fraction
-    upper: Fraction
-
-
-def remove_digit_ratio(w: DigitWord, k: int) -> RatioBounds:
-    """q_n(word) / q_{n-1}(word without digit k), with its proven bracket.
-
-    The ratio lies in [(a_k + 1)/2, a_k + 1].  The upper endpoint is attained
-    exactly when the digit next to position k is 1 and the surviving side
-    collapses (e.g. word (3, 1) with k = 1 gives ratio 4), so the bound is
-    closed here.
-    """
-    if not 1 <= k <= len(w):
-        raise DomainError(f"index {k} out of range 1..{len(w)}")
-    q_full = denominator(w)
-    q_drop = denominator(w.drop(k))
-    ratio = Fraction(q_full, q_drop)
-    a_k = w[k - 1]
-    lower = Fraction(a_k + 1, 2)
-    upper = Fraction(a_k + 1)
-    if not (lower <= ratio <= upper):
-        raise RuntimeError(
-            f"removed-digit ratio {ratio} escaped [{lower}, {upper}] for {w}, k={k}"
-        )
-    return RatioBounds(ratio, lower, upper)
 
 
 def gauss_measure(a: RationalLike | float, b: RationalLike | float) -> float:
@@ -330,29 +242,27 @@ def ln_gauss_measure(a: RationalLike | float, b: RationalLike | float) -> float:
     return ln_fraction(delta) + correction - math.log(LOG2)
 
 
-def lebesgue_measure(a: RationalLike | float, b: RationalLike | float) -> float:
-    if not (0 <= a <= b <= 1):
-        raise DomainError(f"[{a}, {b}] is not a subinterval of [0, 1]")
-    return float(b - a)
-
-
 def gauss_digit_law(k: int) -> float:
-    """Gauss-Kuzmin probability of a single digit equal to k."""
-    if k < 1:
-        raise DomainError("digit must be >= 1")
-    return math.log2(1.0 + 1.0 / (k * (k + 2)))
+    """Gauss-Kuzmin probability of a single digit equal to k.
+
+    log1p of the integer quotient 1/(k(k+2)), which true division rounds
+    once without converting k to a float, so the law keeps its relative
+    accuracy for any k (it is 0.0 only once it underflows)."""
+    k = _require_int("k", k, 1)
+    return math.log1p(1 / (k * (k + 2))) / LOG2
 
 
 def gauss_digit_tail(t: float) -> float:
     """Gauss measure of {a_1 >= t}, i.e. of (0, 1/ceil(t)].
 
     t = inf (the value of a threshold that overflows) gives 0.0: no digit
-    reaches it.  So does an integer t past float range, where 1/t rounds to
-    0.0; the integer division below rounds it without converting t."""
+    reaches it.  Otherwise it is log1p of the integer quotient 1/ceil(t),
+    rounded once without converting ceil(t) to a float, so an integer t past
+    float range gives 0.0 and a large one keeps full relative accuracy."""
     if t != t:
         raise DomainError("threshold t is nan")
     if t < 1:
         raise DomainError("threshold must be >= 1")
     if t == math.inf:
         return 0.0
-    return math.log2(1.0 + 1 / math.ceil(t))
+    return math.log1p(1 / math.ceil(t)) / LOG2

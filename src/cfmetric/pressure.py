@@ -97,11 +97,6 @@ class OperatorGrid:
         x, _ = chebyshev_lobatto(grid_size)
         return cls(x, np.ones(grid_size), cap)
 
-    @classmethod
-    def from_function(cls, fn, grid_size: int = DEFAULT_GRID, cap: int = DEFAULT_CAP):
-        x, _ = chebyshev_lobatto(grid_size)
-        return cls(x, np.asarray([fn(t) for t in x], dtype=float), cap)
-
 
 # digits per block of a row's reciprocals: at grid 128 a (grid, 2048) block
 # of float64 is 2 MB, and with the weights about 2.5 MB per worker thread
@@ -300,6 +295,10 @@ def capped_cylinder_sum(s: float, depth: int, cap: int) -> float:
 
     Independent oracle for the operator route; cost cap^depth, guarded.
     """
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s!r}")
+    _require_int("depth", depth, 0)
+    _require_int("cap", cap, 1)
     if cap**depth > 2_000_000:
         raise DomainError("enumeration budget exceeded; lower cap or depth")
     total = 0.0
@@ -319,7 +318,6 @@ def pressure_cylinder(
     depth: int,
     cap: int = DEFAULT_CAP,
     grid_size: int = DEFAULT_GRID,
-    include_tail: bool = True,
 ) -> PressureEstimate:
     """(1/n) ln of the depth-n cylinder sum, via n-fold operator application
     evaluated at 0, with the quasi-multiplicativity correction (ln 4^s)/n.
@@ -337,7 +335,7 @@ def pressure_cylinder(
     log_scale = 0.0
     log_sums = []
     for _ in range(depth):
-        flo, fhi = _step(s, nodes, M, cap, flo, fhi, include_tail)
+        flo, fhi = _step(s, nodes, M, cap, flo, fhi)
         log_sums.append(
             (log_scale + math.log(flo[0]), log_scale + math.log(fhi[0]))
         )
@@ -354,7 +352,7 @@ def pressure_cylinder(
         refined = 0.5 * (ls_lo + ls_hi) - prev
     return PressureEstimate(
         s, value, bracket, "cylinder",
-        {"depth": depth, "cap": cap, "grid": grid_size, "include_tail": include_tail},
+        {"depth": depth, "cap": cap, "grid": grid_size},
         ratio_refined=refined,
         log_sums=tuple(0.5 * (a + b) for a, b in log_sums),
     )
@@ -459,9 +457,9 @@ def solve_dimension(
     _require_int("r", r, 1)
     if not 1.0 < B < math.inf:
         raise DomainError("solve_dimension needs 1 < B < inf")
-    if tol < 5e-6:
+    if not 5e-6 <= tol < math.inf:  # nan fails too
         raise DomainError(
-            f"tol={tol} below the cached curve's accuracy 5e-6; rebuild with a larger grid"
+            f"tol must be in [5e-6, inf), the cached curve's accuracy; got {tol!r}"
         )
     curve = curve or default_curve()
     ln_b = math.log(B)

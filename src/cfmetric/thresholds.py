@@ -294,8 +294,7 @@ _TURN_SCAN_CAP = 1 << 22
 
 def _envelope_logs(psi: ThresholdFn, horizon: int) -> tuple[np.ndarray, bool, str]:
     """The envelope as (ln psi~(1..horizon) array, exact, note)."""
-    if horizon < 1:
-        raise DomainError("horizon must be >= 1")
+    horizon = _require_int("horizon", horizon, 1)
     if psi.domain_limit is not None and horizon > psi.domain_limit:
         raise DomainError(
             f"horizon {horizon} exceeds table domain {psi.domain_limit}"
@@ -378,6 +377,7 @@ def series_classify(r: int, psi: ThresholdFn, horizon: int = 4096) -> SeriesVerd
             verdict = "convergent" if converges and not _collapses(*form) else "divergent"
         _, sums = _partial_sums(r, _log_psi(psi, 512))
         return SeriesVerdict(verdict, "analytic", sums, 512)
+    horizon = _require_int("horizon", horizon, 1)
     logs, _, _ = _envelope_logs(psi, min(horizon, psi.domain_limit or horizon))
     n_max = len(logs)
     terms, sums = _partial_sums(r, logs)
@@ -418,8 +418,11 @@ def dyadic_equivalence_check(r: int, psi: ThresholdFn, J: int) -> DyadicReport:
         S_j <= (2^{j+1} / psi(2^j))^r <= 2^{2r} S_{j-1},
 
     with S_j the block sum of n^{r-1} psi(n)^{-r} over [2^j, 2^{j+1}).
-    Requires a nondecreasing psi.
+    Requires a nondecreasing psi, and 1 <= J <= 21: the check reads
+    2^{J+1} - 1 values of psi, at most as many as the envelope's scan cap.
     """
+    r = _require_int("r", r, 1)
+    J = _require_int("J", J, 1, 21)
     hint, _ = psi.monotone_hint
     if hint == "limit":
         raise DomainError("dyadic check requires a nondecreasing psi")
@@ -480,8 +483,7 @@ def growth_exponents(psi: ThresholdFn, horizon: int = 4096) -> GrowthExponents:
     if b is not None:
         return GrowthExponents(INF, math.log(b), True)
     # tables: numeric liminf over the horizon
-    if horizon < 10:
-        raise DomainError("horizon must be >= 10")
+    horizon = _require_int("horizon", horizon, 10)
     logs, exact, note = _envelope_logs(psi, min(horizon, psi.domain_limit or horizon))
     flags = [] if exact else [note]
     n = np.arange(1, len(logs) + 1)

@@ -2,20 +2,20 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cfmetric
 from cfmetric.cfcore import (
     DigitWord,
     DomainError,
-    FLOAT_RELIABLE_DEPTH,
     ConvergentPair,
     convergents,
     cylinder,
     denominator,
     expand_rational,
-    expand_real,
     evaluate,
     gauss_digit_law,
     gauss_digit_tail,
@@ -23,7 +23,6 @@ from cfmetric.cfcore import (
     ln_big,
     ln_fraction,
     ln_gauss_measure,
-    remove_digit_ratio,
     word,
 )
 from cfmetric.sampler import _window_state_bounds
@@ -77,43 +76,6 @@ class TestExpandRational:
             # canonical words round-trip through evaluate
             v = evaluate(w)
             assert expand_rational(v.numerator, v.denominator) == w
-
-
-class TestExpandReal:
-    def test_half(self):
-        res = expand_real(0.5, 5)
-        assert res.word.digits == (2,)
-        assert not res.truncated
-
-    def test_golden_ratio_prefix(self):
-        x = (math.sqrt(5) - 1) / 2
-        res = expand_real(x, 6)
-        assert res.word.digits == (1, 1, 1, 1, 1, 1)
-        assert res.truncated  # six digits requested, expansion keeps going
-
-    def test_three_quarters(self):
-        assert expand_real(0.75, 5).word.digits == (1, 3)
-
-    def test_reliability_horizon(self):
-        x = (math.sqrt(5) - 1) / 2
-        res = expand_real(x, 100)
-        assert res.truncated
-        assert len(res.word) == FLOAT_RELIABLE_DEPTH == 22
-        # within the declared horizon the float still tracks the real number
-        assert res.word.digits[:15] == (1,) * 15
-
-    def test_fraction_input_exact(self):
-        res = expand_real(Fraction(355, 1130), 50)
-        assert evaluate(res.word) == Fraction(355, 1130)
-        assert not res.truncated
-
-    def test_agrees_with_expand_rational(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            q = rng.randint(2, 999)
-            p = rng.randint(0, q - 1)
-            got = expand_real(Fraction(p, q), 60).word
-            assert got == expand_rational(p, q)
 
 
 class TestAgainstReverseFold:
@@ -182,7 +144,7 @@ class TestConvergents:
             a = random_word(rng, max_len=8)
             b = random_word(rng, max_len=8)
             qa, qb = denominator(a), denominator(b)
-            qab = denominator(a.concat(b))
+            qab = denominator(DigitWord(a.digits + b.digits))
             assert qa * qb <= qab <= 2 * qa * qb
 
     def test_denominator_growth(self):
@@ -238,13 +200,20 @@ class TestCylinder:
 
     def test_same_depth_disjoint(self):
         rng = random.Random(13)
+        shared = 0
         for _ in range(500):
             n = rng.randint(1, 6)
             w1 = DigitWord(tuple(rng.randint(1, 6) for _ in range(n)))
             w2 = DigitWord(tuple(rng.randint(1, 6) for _ in range(n)))
             if w1 == w2:
                 continue
-            assert not cylinder(w1).overlaps(cylinder(w2))
+            c1, c2 = sorted((cylinder(w1), cylinder(w2)), key=lambda c: c.left)
+            assert c1.right <= c2.left
+            if c1.right == c2.left:
+                # a shared endpoint belongs to at most one of them
+                shared += 1
+                assert not (c1.closed_right and c2.closed_left)
+        assert shared > 0
 
     def test_member_expansion_has_prefix(self):
         rng = random.Random(14)
@@ -252,7 +221,8 @@ class TestCylinder:
             w = random_word(rng, max_len=6, max_digit=5)
             c = cylinder(w)
             x = c.left + (c.right - c.left) * Fraction(rng.randint(1, 99), 100)
-            got = expand_real(x, len(w)).word if isinstance(x, Fraction) else None
+            assert c.contains(x)
+            got = expand_rational(x.numerator, x.denominator)
             assert got.digits[: len(w)] == w.digits
 
     def test_empty_word_rejected(self):
@@ -260,28 +230,30 @@ class TestCylinder:
             cylinder(DigitWord(()))
 
 
+def removed_digit_ratio(w, k):
+    """q_n(w) / q_{n-1}(w without its k-th digit), k 1-based."""
+    return Fraction(denominator(w), denominator(w.digits[: k - 1] + w.digits[k:]))
+
+
 class TestRemoveDigitRatio:
+    """The removed-digit lemma: the ratio lies in [(a_k + 1)/2, a_k + 1]."""
+
     def test_single(self):
-        r = remove_digit_ratio(word(5), 1)
-        assert r.ratio == 5
-        assert r.lower == 3 and r.upper == 6
+        assert removed_digit_ratio(word(5), 1) == 5
 
     def test_two_three(self):
-        r = remove_digit_ratio(word(2, 3), 2)
-        assert r.ratio == Fraction(7, 2)
-        assert r.lower == 2 and r.upper == 4
+        assert removed_digit_ratio(word(2, 3), 2) == Fraction(7, 2)
 
     def test_random_words(self):
-        # the constructor asserts the bracket; just exercise it broadly
         rng = random.Random(0xC0FFEE)
         for _ in range(10_000):
             w = random_word(rng, max_len=12, max_digit=10)
             k = rng.randint(1, len(w))
-            r = remove_digit_ratio(w, k)
-            assert r.lower <= r.ratio <= r.upper
+            a_k = w[k - 1]
+            assert Fraction(a_k + 1, 2) <= removed_digit_ratio(w, k) <= a_k + 1
 
     def test_upper_bound_attained(self):
-        assert remove_digit_ratio(word(3, 1), 1).ratio == 4
+        assert removed_digit_ratio(word(3, 1), 1) == 4
 
 
 class TestGaussMeasure:
@@ -334,7 +306,7 @@ class TestGaussMeasure:
         assert ln_gauss_measure(Fraction(1, 2), Fraction(1, 2)) == -math.inf
 
     @pytest.mark.parametrize("t, want", [
-        (1, 1.0), (2.5, math.log2(4 / 3)), (math.inf, 0.0),
+        (1, 1.0), (2.5, 0.4150374992788438), (math.inf, 0.0),
         (math.nan, "nan"), (0.5, ">= 1"), (-math.inf, ">= 1"),
         (10**400, 0.0), (2**1100, 0.0),
     ])
@@ -349,3 +321,40 @@ class TestGaussMeasure:
         total = sum(gauss_digit_law(k) for k in range(1, 2000))
         total += gauss_measure(0, Fraction(1, 2000))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 29, 10**4, 10**8, 2**60])
+    def test_digit_law_against_mpmath(self, k):
+        with mpmath.workdps(50):
+            want = mpmath.log(1 + mpmath.mpf(1) / (k * (k + 2)), 2)
+            assert abs(gauss_digit_law(k) - want) <= 4e-16 * want
+
+    @pytest.mark.parametrize("t", [2.5, 10**12, 2**53 + 2, 2**60])
+    def test_digit_tail_against_mpmath(self, t):
+        with mpmath.workdps(50):
+            want = mpmath.log(1 + mpmath.mpf(1) / math.ceil(t), 2)
+            assert abs(gauss_digit_tail(t) - want) <= 4e-16 * want
+
+    def test_digit_law_past_float_range(self):
+        # k(k + 2) = 10^400 is no float, and the law underflows to 0.0
+        assert gauss_digit_law(10**200) == 0.0
+
+    @pytest.mark.parametrize("k", [0, -1, 2.5, 3.0, True, np.float64(2.0)])
+    def test_digit_law_refuses_non_digits(self, k):
+        with pytest.raises(DomainError, match="k must be an integer >= 1, got "):
+            gauss_digit_law(k)
+
+    def test_digit_law_numpy_integer(self):
+        assert gauss_digit_law(np.int64(7)) == gauss_digit_law(7)
+
+
+class TestPublicSurface:
+    def test_all_is_the_kept_set(self):
+        assert set(cfmetric.__all__) == {
+            "ConvergentPair", "Cylinder", "DigitWord", "DomainError",
+            "convergents", "cylinder", "evaluate", "expand_rational",
+            "gauss_digit_law", "gauss_digit_tail", "gauss_measure",
+            "ln_gauss_measure", "word",
+        }
+        assert len(cfmetric.__all__) == len(set(cfmetric.__all__))
+        for name in cfmetric.__all__:
+            assert getattr(cfmetric, name) is getattr(cfmetric.cfcore, name)

@@ -37,9 +37,20 @@ def curve():
     return default_curve()
 
 
+def tail_free_sum(s, depth, cap, grid_size=DEFAULT_GRID):
+    """(L_s^depth 1)(0) over the digits 1..cap only: the operator's value of
+    the capped cylinder sum, by the enclosure step without its tail."""
+    nodes, M = _operator_matrix(float(s), grid_size, cap)
+    f = np.ones(grid_size)
+    for _ in range(depth):
+        f, _ = _step(s, nodes, M, cap, f, f, tail=False)
+    return float(f[0])
+
+
 class TestTransferApply:
     def test_telescoping_eigenfunction(self):
-        g = OperatorGrid.from_function(lambda x: 1.0 / (1.0 + x))
+        x, _ = chebyshev_lobatto(DEFAULT_GRID)
+        g = OperatorGrid(x, 1.0 / (1.0 + x))
         out = transfer_apply(g, 1.0)
         f = 1.0 / (1.0 + out.nodes)
         # f lies inside the bracket at every node
@@ -56,9 +67,8 @@ class TestTransferApply:
     def test_triple_apply_matches_enumeration(self):
         # L^3 1 (0) with digits capped at 20 equals the explicit word sum
         s = 0.8
-        grid = OperatorGrid.ones(cap=20)
         expected = capped_cylinder_sum(s, 3, 20)
-        got = math.exp(pressure_cylinder(s, 3, cap=20, include_tail=False).log_sums[-1])
+        got = tail_free_sum(s, 3, 20)
         assert got == pytest.approx(expected, rel=1e-11)
 
     def test_divergence_guard(self):
@@ -221,15 +231,12 @@ class TestPressureCylinder:
         assert abs(s2 - explicit) <= 1e-12
 
     def test_grid_matches_enumeration(self):
-        got = math.exp(pressure_cylinder(1.0, 2, cap=10, include_tail=False).log_sums[-1])
+        got = tail_free_sum(1.0, 2, 10)
         explicit = sum((a * b + 1) ** -2.0 for a in range(1, 11) for b in range(1, 11))
         assert abs(got - explicit) <= 1e-12
 
     def test_value_increases_with_cap(self):
-        vals = [
-            math.exp(pressure_cylinder(0.9, 2, cap=c, include_tail=False).log_sums[-1])
-            for c in (5, 10, 50, 200)
-        ]
+        vals = [tail_free_sum(0.9, 2, c) for c in (5, 10, 50, 200)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("s", [0.6, 0.75, 0.9, 1.0])
@@ -243,6 +250,22 @@ class TestPressureCylinder:
     def test_budget_guard(self):
         with pytest.raises(DomainError):
             capped_cylinder_sum(1.0, 12, 100)
+
+    @pytest.mark.parametrize("s, depth, cap, message", [
+        (1.0, -1, 2, "depth must be an integer >= 0, got -1"),
+        (1.0, 2.5, 2, "depth must be an integer >= 0, got 2.5"),
+        (1.0, True, 2, "depth must be an integer >= 0, got True"),
+        (1.0, 2, 0, "cap must be an integer >= 1, got 0"),
+        (1.0, 2, 2.0, "cap must be an integer >= 1, got 2.0"),
+        (math.nan, 2, 2, "s must be finite, got nan"),
+        (math.inf, 2, 2, "s must be finite, got inf"),
+    ])
+    def test_enumeration_arguments_refused(self, s, depth, cap, message):
+        with pytest.raises(DomainError, match=message):
+            capped_cylinder_sum(s, depth, cap)
+
+    def test_empty_word_sum(self):
+        assert capped_cylinder_sum(0.8, 0, 5) == 1.0
 
 
 class TestSolveDimension:
@@ -287,8 +310,14 @@ class TestSolveDimension:
         assert res.inputs["r"] == 2
 
     def test_tol_guard(self, curve):
-        with pytest.raises(DomainError):
-            solve_dimension(1, 2.0, tol=1e-9, curve=curve)
+        for tol in (1e-9, 4.9e-6, 0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match=r"tol must be in \[5e-6, inf\)"):
+                solve_dimension(2, 2.0, tol=tol, curve=curve)
+
+    def test_tol_at_its_floor_answers(self, curve):
+        fine = solve_dimension(2, 2.0, tol=5e-6, curve=curve)
+        assert len(fine.trace) > len(solve_dimension(2, 2.0, curve=curve).trace)
+        assert fine.value == pytest.approx(0.73354, abs=1e-4)
 
 
 class TestHussainShulga:

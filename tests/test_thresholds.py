@@ -358,6 +358,24 @@ class TestDyadic:
         with pytest.raises(DomainError):
             dyadic_equivalence_check(1, geometric(0.5), 5)
 
+    @pytest.mark.parametrize("r, J, message", [
+        (1.5, 5, "r must be an integer >= 1, got 1.5"),
+        (0, 5, "r must be an integer >= 1, got 0"),
+        (True, 5, "r must be an integer >= 1, got True"),
+        (1, 0, r"J must be an integer in \[1, 21\], got 0"),
+        (1, -1, r"J must be an integer in \[1, 21\], got -1"),
+        (1, 2.5, r"J must be an integer in \[1, 21\], got 2.5"),
+        (1, 22, r"J must be an integer in \[1, 21\], got 22"),
+    ])
+    def test_integer_arguments(self, r, J, message):
+        with pytest.raises(DomainError, match=message):
+            dyadic_equivalence_check(r, poly_log(1, 0), J)
+
+    def test_largest_J_passes_the_bound(self):
+        # J = 21 is allowed, so a short table fails on its length instead
+        with pytest.raises(DomainError, match="table too short"):
+            dyadic_equivalence_check(1, table([float(n) for n in range(1, 101)]), 21)
+
 
 class TestGrowthExponents:
     def test_geometric(self):
@@ -528,3 +546,29 @@ class TestParse:
     def test_bad_spec(self):
         with pytest.raises(DomainError):
             parse_psi("powerlaw(2)")
+
+
+class TestHorizonArguments:
+    """A horizon is an integer (a bool is not), refused with a DomainError
+    that names its limit."""
+
+    TBL = table([float(n) for n in range(1, 201)])
+
+    @pytest.mark.parametrize("horizon", [3.5, True, 0, -2])
+    def test_envelope(self, horizon):
+        with pytest.raises(DomainError, match=rf"horizon must be an integer >= 1, got {horizon!r}"):
+            envelope(poly_log(1, 0), horizon)
+
+    @pytest.mark.parametrize("horizon", [100.5, 500.5, True, 0])
+    def test_series_classify_table(self, horizon):
+        with pytest.raises(DomainError, match=rf"horizon must be an integer >= 1, got {horizon!r}"):
+            series_classify(1, self.TBL, horizon)
+
+    @pytest.mark.parametrize("horizon", [20.5, 9, True, 10.0])
+    def test_growth_exponents_table(self, horizon):
+        with pytest.raises(DomainError, match=rf"horizon must be an integer >= 10, got {horizon!r}"):
+            growth_exponents(self.TBL, horizon)
+
+    def test_closed_form_growth_reads_no_horizon(self):
+        # the closed forms are exact, so no horizon is read or checked
+        assert growth_exponents(geometric(2.0), 20.5).log_B == math.log(2.0)
