@@ -218,9 +218,12 @@ class PressureEstimate:
 def _check_operator(grid_size, cap, s=None) -> None:
     """The argument rules of every L_s built here: a collocation grid of at
     least two nodes, at least one digit before the tail and, if given, a
-    finite s."""
-    if s is not None and not math.isfinite(s):
-        raise DomainError(f"s must be finite, got {s!r}")
+    finite s > 1/2, below which the digit sum of L_s diverges."""
+    if s is not None:
+        if not math.isfinite(s):
+            raise DomainError(f"s must be finite, got {s!r}")
+        if s <= 0.5:
+            raise DomainError(f"s must be > 1/2, got {s!r}")
     _require_int("grid_size", grid_size, 2)
     _require_int("cap", cap, 1)
 
@@ -228,8 +231,6 @@ def _check_operator(grid_size, cap, s=None) -> None:
 def transfer_apply(grid: OperatorGrid, s: float) -> OperatorGrid:
     """One application of L_s with the digit tail enclosed."""
     _check_operator(len(grid.nodes), grid.digit_cap, s)
-    if s <= 0.5:
-        raise DomainError("transfer operator diverges for s <= 1/2")
     nodes, M = _operator_matrix(float(s), len(grid.nodes), grid.digit_cap)
     if not np.allclose(nodes, grid.nodes):
         raise DomainError("grid nodes must be the Chebyshev-Lobatto grid")
@@ -248,8 +249,6 @@ def pressure_eigen(
     """P(s) as the log leading eigenvalue, by power iteration on the positive
     cone with a nodewise Collatz-Wielandt bracket."""
     _check_operator(grid_size, cap, s)
-    if s <= 0.5:
-        raise DomainError("pressure is defined only for s > 1/2 here")
     nodes, M = _operator_matrix(float(s), grid_size, cap)
     return _power_iterate(s, nodes, M, cap, tol)
 
@@ -326,8 +325,6 @@ def pressure_cylinder(
     the raw value and is what cross-validation against the eigenvalue uses.
     """
     _check_operator(grid_size, cap, s)
-    if s <= 0.5:
-        raise DomainError("cylinder sums diverge for s <= 1/2")
     _require_int("depth", depth, 1)
     nodes, M = _operator_matrix(float(s), grid_size, cap)
     flo = np.ones(grid_size)

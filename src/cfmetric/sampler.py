@@ -73,7 +73,6 @@ _DOM_VBITS = 0x9D8F0A6B42E1C753
 TWO_NEG53 = 2.0**-53
 _LN2 = float(np.log(2.0))
 _SLOP = 1e-13  # relative widening that dominates float rounding in F
-PER_DIGIT_BIT_BUDGET = 4096
 
 
 def _mix_scalar(x: int) -> int:
@@ -91,8 +90,8 @@ def _mix(x: np.ndarray) -> np.ndarray:
         return z ^ (z >> U64(31))
 
 
-def _word_scalar(seed: int, domain: int, stream: int, ctr: int, rnd: int = 0) -> int:
-    h = _mix_scalar((seed ^ domain) & _M64)
+def _word_scalar(seed: int, stream: int, ctr: int, rnd: int = 0) -> int:
+    h = _mix_scalar((seed ^ _DOM_VBITS) & _M64)
     h = _mix_scalar(h ^ (stream & _M64))
     h = _mix_scalar(h ^ (ctr & _M64))
     if rnd:
@@ -100,13 +99,10 @@ def _word_scalar(seed: int, domain: int, stream: int, ctr: int, rnd: int = 0) ->
     return h
 
 
-def _words(seed: int, domain: int, streams: np.ndarray, ctr: int, rnd: int = 0) -> np.ndarray:
-    h = U64(_mix_scalar((seed ^ domain) & _M64))
+def _words(seed: int, streams: np.ndarray, ctr: int) -> np.ndarray:
+    h = U64(_mix_scalar((seed ^ _DOM_VBITS) & _M64))
     h = _mix(h ^ streams.astype(U64))
-    h = _mix(h ^ U64(ctr & _M64))
-    if rnd:
-        h = _mix(h ^ U64(rnd & _M64))
-    return h
+    return _mix(h ^ U64(ctr & _M64))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +259,6 @@ def _exact_digit(
     level: int,
     rev_digits: list,
     full_history: bool,
-    bit_budget: int = PER_DIGIT_BIT_BUDGET,
     mp=None,
 ) -> int:
     """Draw one digit exactly: rigorous mpmath CDF enclosures against a lazily
@@ -277,19 +272,17 @@ def _exact_digit(
     if mp is None:
         mp = _new_context()
     state = _window_state_bounds(rev_digits, full_history)
-    v_num, v_bits, rnd = _word_scalar(seed, _DOM_VBITS, stream, level) >> 11, 53, 0
+    v_num, v_bits, rnd = _word_scalar(seed, stream, level) >> 11, 53, 0
     for dps, bits in _ROUNDS:
-        if bits > bit_budget:
-            break
         while v_bits < bits:
             rnd += 1
-            v_num = (v_num << 64) | _word_scalar(seed, _DOM_VBITS, stream, level, rnd)
+            v_num = (v_num << 64) | _word_scalar(seed, stream, level, rnd)
             v_bits += 64
         mp.dps = dps
         digit = _search_digit(mp, state, v_num, v_bits)
         if digit is not None:
             return digit
-    raise RuntimeError(f"digit undecidable within {bit_budget}-bit budget "
+    raise RuntimeError(f"digit undecidable within a {v_bits}-bit uniform "
                        f"(stream {stream}, level {level})")
 
 
@@ -331,8 +324,8 @@ class BulkDigitStream:
     def step(self) -> np.ndarray:
         """Sample the next digit of every stream."""
         n = len(self.streams)
-        v = (_words(self.seed, _DOM_VBITS, self.streams.view(np.uint64),
-                    self.level) >> U64(11)).astype(np.float64)
+        v = (_words(self.seed, self.streams.view(np.uint64), self.level)
+             >> U64(11)).astype(np.float64)
         v *= TWO_NEG53
         blo, bhi, glo, ghi = self.blo, self.bhi, self.glo, self.ghi
         # Phi decreases in both arguments, so its values at the two corners of
@@ -514,7 +507,7 @@ def sample_iid_gauss_kuzmin(seed: int, n_streams: int, depth: int,
     streams = np.arange(n_streams, dtype=np.int64) + stream_offset
     out = np.empty((n_streams, depth), dtype=np.int64)
     for k in range(depth):
-        v = (_words(seed ^ 0x1D, _DOM_VBITS, streams.view(np.uint64), k)
+        v = (_words(seed ^ 0x1D, streams.view(np.uint64), k)
              >> U64(11)).astype(np.float64) * TWO_NEG53
         # x = 2^w - 1 at the middle w of V's 2^-53 interval lies in (0, 1]
         # (w rounds to 1 at the top), so every digit floor(1/x) is an int64

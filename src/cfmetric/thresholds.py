@@ -1,19 +1,22 @@
 """Threshold functions, monotone envelopes, the series criterion, and the
 growth exponents that drive the dimension dispatcher.
 
-Built-in families are evaluated in log space so that doubly exponential
-thresholds never materialize; tables carry explicit values.  poly_log,
-geometric and a scaled_geometric of either share one normal form,
-psi(n) = B^n n^alpha (ln n)^c with the scale multiplied into B: the monotone
-hint, the analytic series verdict and the growth exponents are read off
-(B, alpha, c) alone.  double_exp, scaled or not, has one rule of its own.
+A ThresholdFn holds psi in one of three normal forms, which the
+constructors build:
 
-The envelope, the series sums, the dyadic blocks and the growth exponents
-work on ln psi(1..N) as one float64 array: np.log of a table's array (built
-once per table), plus n ln delta for a scaled table, which so takes the table
-branch on delta^n psi(n) itself; the closed forms fill it from log_value(n).
-Every minimising index reported is the first one, so a tie goes to the
-smallest n.
+- exp_poly_log (B, alpha, c): psi(n) = B^n n^alpha (ln n)^c.  poly_log is
+  (1, alpha, c), geometric is (B, 0, 0), and scaled_geometric multiplies its
+  delta into B.  The monotone hint, the analytic series verdict and the
+  growth exponents are read off (B, alpha, c) alone.
+- double_exp (c, b, delta): psi(n) = delta^n c^(b^n), evaluated in log space
+  so that it never materializes.
+- table (delta,) with values: psi(n) = delta^n values[n-1], defined up to
+  n = len(values).
+
+_ln_psi computes ln psi(n) for an int64 array n with one numpy formula per
+form; log_value(n) and the envelope, the series sums, the dyadic blocks and
+the growth exponents all read it.  Every minimising index reported is the
+first one, so a tie goes to the smallest n.
 """
 
 from __future__ import annotations
@@ -33,45 +36,25 @@ INF = math.inf
 
 @dataclass(frozen=True)
 class ThresholdFn:
-    """A positive function psi on {1, 2, ...} with monotonicity metadata.
+    """A positive function psi on {1, 2, ...} in one of three normal forms.
 
-    kind is one of poly_log / geometric / scaled_geometric / double_exp /
-    table.  For closed-form kinds all evaluation happens through
-    log_value(n) = ln psi(n).
+    kind "exp_poly_log" has params (B, alpha, c): psi(n) = B^n n^alpha (ln n)^c,
+    with ln n clamped at n = 1 to ln 2 so that psi stays positive.  kind
+    "double_exp" has params (c, b, delta): psi(n) = delta^n c^(b^n).  kind
+    "table" has params (delta,) and values: psi(n) = delta^n values[n-1].
     """
 
     kind: str
     params: tuple = ()
     values: Optional[tuple] = None
-    inner: Optional["ThresholdFn"] = None
 
     # -- evaluation ---------------------------------------------------------
 
     def log_value(self, n: int) -> float:
-        if n < 1:
-            raise DomainError("psi is defined on n >= 1")
-        if self.kind == "poly_log":
-            alpha, c = self.params
-            # log n clamped at n=1 so psi stays positive
-            return alpha * math.log(n) + c * math.log(math.log(max(n, 2)))
-        if self.kind == "geometric":
-            (B,) = self.params
-            return n * math.log(B)
-        if self.kind == "scaled_geometric":
-            (delta,) = self.params
-            return n * math.log(delta) + self.inner.log_value(n)
-        if self.kind == "double_exp":
-            c, b = self.params
-            # ln psi = b^n ln c, computed as exp(n ln b + ln ln c)
-            try:
-                return math.exp(n * math.log(b) + math.log(math.log(c)))
-            except OverflowError:
-                return INF
-        if self.kind == "table":
-            if n > len(self.values):
-                raise DomainError(f"table defines psi only up to n={len(self.values)}")
-            return math.log(self.values[n - 1])
-        raise DomainError(f"unknown kind {self.kind!r}")
+        n = _require_int("n", n, 1, _N_MAX)
+        if self.kind == "table" and n > len(self.values):
+            raise DomainError(f"table defines psi only up to n={len(self.values)}")
+        return float(_ln_psi(self, np.array([n], dtype=np.int64))[0])
 
     def value(self, n: int) -> float:
         lv = self.log_value(n)
@@ -84,8 +67,6 @@ class ThresholdFn:
 
     @property
     def domain_limit(self) -> Optional[int]:
-        if self.kind == "scaled_geometric":
-            return self.inner.domain_limit
         return len(self.values) if self.kind == "table" else None
 
     # -- monotonicity hint --------------------------------------------------
@@ -94,9 +75,8 @@ class ThresholdFn:
 
     @property
     def monotone_hint(self) -> tuple:
-        form = _exp_poly_log(self)
-        if form is not None:
-            B, alpha, c = form
+        if self.kind == "exp_poly_log":
+            B, alpha, c = self.params
             if _collapses(B, alpha, c):
                 return ("limit", -INF)
             if alpha >= 0 and c >= 0:
@@ -111,17 +91,11 @@ class ThresholdFn:
             if t >= 709:
                 return ("unknown", None)
             return ("eventually", max(2, math.ceil(math.exp(t))))
-        if self.kind == "double_exp":
+        # delta^n with delta >= 1 keeps a rising psi rising: double_exp always
+        # rises, a table where its values are sorted
+        if self.params[-1] >= 1 and (self.kind == "double_exp"
+                                     or np.all(self._array[:-1] <= self._array[1:])):
             return ("nondecreasing", None)
-        if self.kind == "scaled_geometric":
-            if self.params[0] >= 1 and self.inner.monotone_hint[0] == "nondecreasing":
-                return ("nondecreasing", None)
-            return ("unknown", None)
-        if self.kind == "table":
-            vals = self._array
-            if np.all(vals[:-1] <= vals[1:]):
-                return ("nondecreasing", None)
-            return ("unknown", None)
         return ("unknown", None)
 
     @functools.cached_property
@@ -132,15 +106,38 @@ class ThresholdFn:
         return vals
 
     def describe(self) -> str:
-        if self.kind == "poly_log":
-            return f"poly_log({self.params[0]},{self.params[1]})"
-        if self.kind == "geometric":
-            return f"geometric({self.params[0]})"
-        if self.kind == "double_exp":
-            return f"double_exp({self.params[0]},{self.params[1]})"
-        if self.kind == "scaled_geometric":
-            return f"scaled_geometric({self.params[0]},{self.inner.describe()})"
-        return f"table[{len(self.values)}]"
+        """The normal form in parse_psi's grammar (a table as table[N])."""
+        if self.kind == "exp_poly_log":
+            B, alpha, c = self.params
+            if alpha == 0 and c == 0:
+                return f"geometric({B})"
+            inner, delta = f"poly_log({alpha},{c})", B
+        elif self.kind == "double_exp":
+            inner, delta = f"double_exp({self.params[0]},{self.params[1]})", self.params[2]
+        else:
+            inner, delta = f"table[{len(self.values)}]", self.params[0]
+        return inner if delta == 1 else f"scaled_geometric({delta},{inner})"
+
+
+# the largest n that ln psi(n) takes, the int64 range of its index arrays
+_N_MAX = 2**63 - 1
+
+
+def _ln_psi(psi: ThresholdFn, n: np.ndarray) -> np.ndarray:
+    """ln psi(n) for an int64 array n of indices in psi's domain, as float64.
+
+    double_exp's b^n ln c is exp(n ln b + ln ln c), which is inf once it
+    passes the float range.
+    """
+    if psi.kind == "exp_poly_log":
+        B, alpha, c = psi.params
+        return n * math.log(B) + (alpha * np.log(n) + c * np.log(np.log(np.maximum(n, 2))))
+    if psi.kind == "double_exp":
+        c, b, delta = psi.params
+        with np.errstate(over="ignore"):
+            return n * math.log(delta) + np.exp(n * math.log(b) + math.log(math.log(c)))
+    (delta,) = psi.params
+    return n * math.log(delta) + np.log(psi._array[n - 1])
 
 
 def _param(family: str, name: str, value: float, lo: float = -INF) -> float:
@@ -153,29 +150,31 @@ def _param(family: str, name: str, value: float, lo: float = -INF) -> float:
 
 def poly_log(alpha: float, c: float) -> ThresholdFn:
     """psi(n) = n^alpha (log n)^c, the polynomial/logarithmic family."""
-    params = (_param("poly_log", "alpha", alpha), _param("poly_log", "c", c))
-    return ThresholdFn("poly_log", params)
+    params = (1.0, _param("poly_log", "alpha", alpha), _param("poly_log", "c", c))
+    return ThresholdFn("exp_poly_log", params)
 
 
 def geometric(B: float) -> ThresholdFn:
     """psi(n) = B^n."""
-    return ThresholdFn("geometric", (_param("geometric", "B", B, 0.0),))
+    return ThresholdFn("exp_poly_log", (_param("geometric", "B", B, 0.0), 0.0, 0.0))
 
 
 def scaled_geometric(delta: float, inner: ThresholdFn) -> ThresholdFn:
-    """psi(n) = delta^n * inner(n)."""
+    """psi(n) = delta^n * inner(n), with delta folded into inner's B or delta."""
     delta = _param("scaled_geometric", "delta", delta, 0.0)
-    if inner.kind == "scaled_geometric":
-        return scaled_geometric(delta * inner.params[0], inner.inner)
-    if inner.kind == "geometric":
+    if inner.kind == "exp_poly_log":
+        B, alpha, c = inner.params
         # the normal form folds delta into B, so the product must be a base too
-        _param("scaled_geometric", "delta * B", delta * inner.params[0], 0.0)
-    return ThresholdFn("scaled_geometric", (delta,), inner=inner)
+        B = _param("scaled_geometric", "delta * B", delta * B, 0.0)
+        return ThresholdFn(inner.kind, (B, alpha, c))
+    *head, scale = inner.params
+    scale = _param("scaled_geometric", "delta", delta * scale, 0.0)
+    return ThresholdFn(inner.kind, (*head, scale), inner.values)
 
 
 def double_exp(c: float, b: float) -> ThresholdFn:
     """psi(n) = c^(b^n); needs c > 1 and b > 1."""
-    params = (_param("double_exp", "c", c, 1.0), _param("double_exp", "b", b, 1.0))
+    params = (_param("double_exp", "c", c, 1.0), _param("double_exp", "b", b, 1.0), 1.0)
     return ThresholdFn("double_exp", params)
 
 
@@ -189,7 +188,7 @@ def table(values: Sequence[float]) -> ThresholdFn:
         raise DomainError(
             f"psi must be positive and finite; values[{bad}] = {vals[bad]!r}"
         )
-    return ThresholdFn("table", values=vals)
+    return ThresholdFn("table", (1.0,), vals)
 
 
 _PSI_RE = re.compile(r"^\s*([a-z_]+)\s*\((.*)\)\s*$")
@@ -221,30 +220,6 @@ def parse_psi(spec: str) -> ThresholdFn:
     raise DomainError(f"cannot parse psi spec {spec!r}")
 
 
-# ---------------------------------------------------------------------------
-# the normal form psi(n) = B^n n^alpha (ln n)^c
-# ---------------------------------------------------------------------------
-
-
-def _exp_poly_log(psi: ThresholdFn) -> Optional[tuple]:
-    """(B, alpha, c) of a poly_log, a geometric or a scaled one of them;
-    None for any other psi.  The scale delta is multiplied into B."""
-    delta = 1.0
-    if psi.kind == "scaled_geometric":
-        delta, psi = psi.params[0], psi.inner
-    if psi.kind == "poly_log":
-        return (delta, *psi.params)
-    if psi.kind == "geometric":
-        return (delta * psi.params[0], 0.0, 0.0)
-    return None
-
-
-def _double_exp_b(psi: ThresholdFn) -> Optional[float]:
-    """b of a double_exp c^(b^n), scaled or not (delta^n leaves b alone)."""
-    core = psi.inner or psi
-    return core.params[1] if core.kind == "double_exp" else None
-
-
 def _collapses(B: float, alpha: float, c: float) -> bool:
     """Whether B^n n^alpha (ln n)^c tends to 0, so that its envelope is 0."""
     return B < 1 or (B == 1 and (alpha < 0 or (alpha == 0 and c < 0)))
@@ -268,20 +243,8 @@ class EnvelopeTable:
 
 
 def _log_psi(psi: ThresholdFn, n_max: int) -> np.ndarray:
-    """ln psi(1..n_max) as a float64 array.
-
-    A table is one np.log over its first n_max values and a scaled table adds
-    n ln delta to its inner array; the closed forms are filled from
-    psi.log_value(n), so they keep its values bit for bit.
-    """
-    if psi.kind == "table":
-        return np.log(psi._array[:n_max])
-    if psi.kind == "scaled_geometric":
-        (delta,) = psi.params
-        return np.arange(1, n_max + 1) * math.log(delta) + _log_psi(psi.inner, n_max)
-    return np.fromiter(
-        (psi.log_value(n) for n in range(1, n_max + 1)), np.float64, n_max
-    )
+    """ln psi(1..n_max) as a float64 array."""
+    return _ln_psi(psi, np.arange(1, n_max + 1, dtype=np.int64))
 
 
 def _suffix_min(logs: np.ndarray) -> np.ndarray:
@@ -340,8 +303,12 @@ class SeriesVerdict:
 
 
 def _log_terms(r: int, log_psi: np.ndarray) -> np.ndarray:
-    """ln of the terms n^{r-1} psi(n)^{-r} for n = 1..N given ln psi(1..N)."""
-    return (r - 1) * np.log(np.arange(1, len(log_psi) + 1)) - r * log_psi
+    """ln of the terms n^{r-1} psi(n)^{-r} for n = 1..N given ln psi(1..N).
+
+    r ln psi(n) past the float range is inf, so its term is 0, the limit.
+    """
+    with np.errstate(over="ignore"):
+        return (r - 1) * np.log(np.arange(1, len(log_psi) + 1)) - r * log_psi
 
 
 def _partial_sums(r: int, log_psi: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -363,18 +330,17 @@ def _partial_sums(r: int, log_psi: np.ndarray) -> tuple[np.ndarray, tuple]:
 def series_classify(r: int, psi: ThresholdFn, horizon: int = 4096) -> SeriesVerdict:
     """Convergence of sum n^{r-1} psi~(n)^{-r}.
 
-    The normal form and double_exp are decided by the integral test; tables,
-    scaled or not, by the slope of the log terms over the last half.
+    exp_poly_log and double_exp are decided by the integral test; tables by
+    the slope of the log terms over the last half.
     """
     _require_int("r", r, 1)
-    form = _exp_poly_log(psi)
-    if form is not None or _double_exp_b(psi) is not None:
-        if form is None:
-            verdict = "convergent"  # double_exp, scaled or not
-        else:
-            B, alpha, c = form
+    if psi.kind != "table":
+        verdict = "convergent"  # double_exp
+        if psi.kind == "exp_poly_log":
+            B, alpha, c = psi.params
             converges = B > 1 or alpha > 1 or (alpha == 1 and c > 1.0 / r)
-            verdict = "convergent" if converges and not _collapses(*form) else "divergent"
+            if not converges or _collapses(B, alpha, c):
+                verdict = "divergent"
         _, sums = _partial_sums(r, _log_psi(psi, 512))
         return SeriesVerdict(verdict, "analytic", sums, 512)
     horizon = _require_int("horizon", horizon, 1)
@@ -417,9 +383,10 @@ def dyadic_equivalence_check(r: int, psi: ThresholdFn, J: int) -> DyadicReport:
 
         S_j <= (2^{j+1} / psi(2^j))^r <= 2^{2r} S_{j-1},
 
-    with S_j the block sum of n^{r-1} psi(n)^{-r} over [2^j, 2^{j+1}).
-    Requires a nondecreasing psi, and 1 <= J <= 21: the check reads
-    2^{J+1} - 1 values of psi, at most as many as the envelope's scan cap.
+    with S_j the block sum of n^{r-1} psi~(n)^{-r} over [2^j, 2^{j+1}) and
+    psi~ the monotone envelope, on which the sandwich holds.  Requires an
+    envelope that is exact and not 0, and 1 <= J <= 21: the check reads
+    2^{J+1} - 1 values of psi~, at most as many as the envelope's scan cap.
     """
     r = _require_int("r", r, 1)
     J = _require_int("J", J, 1, 21)
@@ -429,7 +396,10 @@ def dyadic_equivalence_check(r: int, psi: ThresholdFn, J: int) -> DyadicReport:
     if psi.domain_limit is not None and 2 ** (J + 1) - 1 > psi.domain_limit:
         raise DomainError("table too short for requested J")
 
-    logs = _log_psi(psi, 2 ** (J + 1) - 1)
+    logs, exact, _ = _envelope_logs(psi, 2 ** (J + 1) - 1)
+    if not exact:
+        raise DomainError("dyadic check requires an exact envelope; "
+                          "psi's monotonicity is unknown")
     # S_j sums the terms at indices 2^j - 1 .. 2^{j+1} - 2
     blocks = np.logaddexp.reduceat(_log_terms(r, logs), 2 ** np.arange(J + 1) - 1)
     rows = []
@@ -466,22 +436,19 @@ def growth_exponents(psi: ThresholdFn, horizon: int = 4096) -> GrowthExponents:
     """Exact exponents for the closed forms, finite-horizon liminf estimate
     for tables (reported with the minimizing index, no extrapolation).
 
-    The normal form B^n n^alpha (ln n)^c gives (ln B, 0) for B > 1 and
+    exp_poly_log B^n n^alpha (ln n)^c gives (ln B, 0) for B > 1 and
     (-inf, -inf) once its envelope collapses to 0, else B = 1 and (0, 0);
-    double_exp, scaled or not, gives (inf, ln b).  A table's estimate, or a
-    scaled table's on delta^n psi(n) itself, is read off its envelope as one
-    float64 array: log_B is the minimum of ln psi~(n) / n and log_b that of
+    double_exp gives (inf, ln b).  A table's estimate, on delta^n values[n-1]
+    itself, is read off its envelope as one float64 array: log_B is the minimum of ln psi~(n) / n and log_b that of
     ln ln psi~(n) / n over the n where ln psi~(n) > 0 (the others are
     skipped and flagged).  A tie goes to the first minimising index.
     """
-    form = _exp_poly_log(psi)
-    if form is not None:
-        if _collapses(*form):
+    if psi.kind == "exp_poly_log":
+        if _collapses(*psi.params):
             return GrowthExponents(-INF, -INF, True, ("envelope collapses to 0",))
-        return GrowthExponents(math.log(form[0]), 0.0, True)
-    b = _double_exp_b(psi)
-    if b is not None:
-        return GrowthExponents(INF, math.log(b), True)
+        return GrowthExponents(math.log(psi.params[0]), 0.0, True)
+    if psi.kind == "double_exp":
+        return GrowthExponents(INF, math.log(psi.params[1]), True)
     # tables: numeric liminf over the horizon
     horizon = _require_int("horizon", horizon, 10)
     logs, exact, note = _envelope_logs(psi, min(horizon, psi.domain_limit or horizon))

@@ -424,6 +424,9 @@ class TestArgumentRules:
         (lambda: pressure_cylinder(math.inf, 2, 10, 8), "s must be finite, got inf"),
         (lambda: pressure_cylinder(0.8, 2, 10, 1), "grid_size must be an integer >= 2"),
         (lambda: pressure_cylinder(0.8, 1.5, 10, 8), "depth must be an integer >= 1, got 1.5"),
+        (lambda: pressure_eigen(0.5, 8, 10), "s must be > 1/2, got 0.5"),
+        (lambda: pressure_cylinder(0.5, 2, 10, 8), "s must be > 1/2, got 0.5"),
+        (lambda: transfer_apply(OperatorGrid.ones(8, 10), 0.5), "s must be > 1/2, got 0.5"),
         (lambda: transfer_apply(OperatorGrid.ones(8, 0), 0.8), "cap must be an integer >= 1"),
         (lambda: transfer_apply(OperatorGrid.ones(8, 10), math.nan), "s must be finite"),
         (lambda: transfer_apply(OperatorGrid(np.array([0.5]), np.array([1.0]), 10), 0.8),

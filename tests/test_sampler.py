@@ -320,12 +320,13 @@ class TestBulkDigitStream:
         with mp.workdps(40):
             v_num = int(mp.floor(mp.log(1.5, 2) * 2**53))
         monkeypatch.setattr(sampler, "_word_scalar", lambda *args: v_num << 11)
-        with pytest.raises(RuntimeError, match="budget"):
-            _exact_digit(1, 0, 0, [], True, bit_budget=53)
+        monkeypatch.setattr(sampler, "_ROUNDS", ((40, 53),))
+        with pytest.raises(RuntimeError, match="undecidable within a 53-bit uniform"):
+            _exact_digit(1, 0, 0, [], True)
 
     def test_escalation_settles_a_straddling_uniform(self, monkeypatch):
         # the 53-bit V of test_bit_budget_diagnostic straddles F(1/2) =
-        # log2(1.5); the default budget lets later rounds read more words
+        # log2(1.5); the later rounds of _ROUNDS read more words
         from mpmath import mp
 
         with mp.workdps(40):
@@ -463,7 +464,7 @@ class TestBulkDigitStream:
         with mp.workdps(40):
             v_num = int(mp.floor(mp.log(1.5, 2) * 2**53)) if where == "F(1/2)" else 2**53 - 1
         monkeypatch.setattr(sampler, "_word_scalar", lambda *args: v_num << 11)
-        monkeypatch.setattr(sampler, "_words", lambda seed, dom, streams, *args:
+        monkeypatch.setattr(sampler, "_words", lambda seed, streams, *args:
                             np.full(streams.size, v_num << 11, dtype=np.uint64))
         want = _exact_digit(1, 0, 0, [], True)
         band = sampler._digit_band
@@ -709,7 +710,7 @@ class TestIidMode:
     @pytest.mark.parametrize("word, lo, hi", [(0, 2**54, 2**55), (2**64 - 1, 1, 2)])
     def test_extreme_uniforms_give_positive_digits(self, monkeypatch, word, lo, hi):
         # V = 0 once made x = 2^V - 1 = 0 and the digit -2^63
-        monkeypatch.setattr(sampler, "_words", lambda seed, dom, streams, *args:
+        monkeypatch.setattr(sampler, "_words", lambda seed, streams, *args:
                             np.full(streams.size, word, dtype=np.uint64))
         m = sample_iid_gauss_kuzmin(3, 4, 2)
         assert m.dtype == np.int64

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,11 +30,8 @@ def _ref_hint(psi):
     """monotone_hint with a table's check as a scan over its tuple."""
     if psi.kind == "table":
         vals = psi.values
-        if all(a <= b for a, b in zip(vals, vals[1:])):
-            return ("nondecreasing", None)
-        return ("unknown", None)
-    if psi.kind == "scaled_geometric" and psi.inner.kind == "table":
-        if psi.params[0] >= 1 and _ref_hint(psi.inner)[0] == "nondecreasing":
+        (delta,) = psi.params
+        if delta >= 1 and all(a <= b for a, b in zip(vals, vals[1:])):
             return ("nondecreasing", None)
         return ("unknown", None)
     return psi.monotone_hint
@@ -230,21 +228,10 @@ class TestEnvelope:
     @given(psi=_tables(), data=st.data())
     def test_array_path_matches_reference(self, psi, data):
         n_tab = psi.domain_limit
-        inner = psi.inner if psi.kind == "scaled_geometric" else psi
-        # ln psi(n) = n ln delta + ln v_n: a last-bit change of ln v_n is
-        # relative to the larger of the two terms, not to their sum
-        scale = 0.0
-        if psi is not inner:
-            ln_delta = math.log(psi.params[0])
-            scale = n_tab * abs(ln_delta) + max(abs(math.log(v)) for v in inner.values)
-
+        # log_value(n) and the array path run the same formula
         horizon = data.draw(st.integers(1, n_tab), label="horizon")
         env = envelope(psi, horizon)
-        want, exact, note = _ref_envelope(psi, horizon)
-        assert (env.exact, env.note) == (exact, note)
-        assert len(env.log_values) == horizon
-        for a, b in zip(env.log_values, want):
-            assert _close(a, b, 1e-15, scale)
+        assert (env.log_values, env.exact, env.note) == _ref_envelope(psi, horizon)
 
         # the table branch, on delta^n psi(n) itself for a scaled table
         horizon = data.draw(st.integers(10, n_tab + 10), label="growth horizon")
@@ -327,6 +314,15 @@ class TestSeriesClassify:
         with pytest.raises(DomainError, match="horizon 200 exceeds table domain 100"):
             envelope(psi, 200)
 
+    def test_double_exp_term_past_float_range(self):
+        # ln psi(512) = 4^512 ln 2 is finite, but 2 ln psi(512) is not: its
+        # term is 0, the limit, with no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = series_classify(2, double_exp(2.0, 4.0))
+        assert v.verdict == "convergent"
+        assert v.partial_sums[-1] == (512, v.partial_sums[0][1])
+
     def test_partial_sums_recorded(self):
         v = series_classify(2, poly_log(1, 0.6))
         assert v.partial_sums
@@ -357,6 +353,23 @@ class TestDyadic:
     def test_decreasing_rejected(self):
         with pytest.raises(DomainError):
             dyadic_equivalence_check(1, geometric(0.5), 5)
+
+    @pytest.mark.parametrize("psi", [
+        poly_log(1, -3), poly_log(2, -5), scaled_geometric(1.01, poly_log(-2, 0)),
+    ], ids=lambda psi: psi.describe())
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_eventually_nondecreasing_checked_on_envelope(self, psi, r):
+        # psi dips before it rises (n0 = 21, 13 and 304); the sandwich holds
+        # on the envelope psi~, where psi itself fails it
+        assert psi.monotone_hint[0] == "eventually"
+        rep = dyadic_equivalence_check(r, psi, 10)
+        assert rep.lower_ok and rep.upper_ok
+
+    def test_unknown_envelope_rejected(self):
+        # 1, 100, 1, 100, ...: the envelope over 127 of its 128 values is
+        # only an upper bound, so the sandwich has nothing to hold on
+        with pytest.raises(DomainError, match="requires an exact envelope"):
+            dyadic_equivalence_check(1, table([1.0, 100.0] * 64), 6)
 
     @pytest.mark.parametrize("r, J, message", [
         (1.5, 5, "r must be an integer >= 1, got 1.5"),
@@ -470,6 +483,7 @@ class TestNormalForm:
     def test_one_normal_form(self, form, delta, r):
         B, alpha, c = form
         a, b = scaled_geometric(delta, geometric(B)), geometric(delta * B)
+        assert a == b
         assert growth_exponents(a) == growth_exponents(b)
         assert a.monotone_hint == b.monotone_hint
         assert series_classify(r, a).verdict == series_classify(r, b).verdict
@@ -526,7 +540,31 @@ class TestClosedFormParams:
             parse_psi(spec)
 
 
+@st.composite
+def _closed_forms(draw):
+    """A poly_log, geometric or double_exp, scaled by up to three deltas."""
+    coef = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+    psi = draw(st.one_of(
+        st.builds(poly_log, coef, coef),
+        st.builds(geometric, st.floats(0.25, 4.0)),
+        st.builds(double_exp, st.floats(1.01, 10.0), st.floats(1.01, 3.0)),
+    ))
+    for delta in draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.25, 4.0),
+                               max_size=3)):
+        psi = scaled_geometric(delta, psi)
+    return psi
+
+
 class TestParse:
+    @settings(max_examples=200, deadline=None)
+    @given(psi=_closed_forms())
+    def test_describe_round_trips(self, psi):
+        assert parse_psi(psi.describe()) == psi
+
+    def test_scale_folds_into_the_base(self):
+        assert scaled_geometric(2, geometric(3)) == geometric(6.0)
+        assert scaled_geometric(0.5, scaled_geometric(2, double_exp(3, 2))) == double_exp(3, 2)
+
     def test_round_trip(self):
         for s in ["poly_log(1,0.4)", "geometric(2.0)", "double_exp(2.718,3)"]:
             psi = parse_psi(s)
@@ -534,8 +572,9 @@ class TestParse:
 
     def test_nested(self):
         psi = parse_psi("scaled_geometric(1.5, poly_log(1,0))")
-        assert psi.kind == "scaled_geometric"
-        assert psi.inner.kind == "poly_log"
+        assert (psi.kind, psi.params, psi.values) == ("exp_poly_log", (1.5, 1.0, 0.0), None)
+        psi = parse_psi("scaled_geometric(0.5, scaled_geometric(3, double_exp(2, 1.5)))")
+        assert (psi.kind, psi.params) == ("double_exp", (2.0, 1.5, 1.5))
 
     def test_table_file(self, tmp_path):
         f = tmp_path / "psi.txt"
