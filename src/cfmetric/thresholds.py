@@ -381,7 +381,7 @@ class DyadicReport:
 def dyadic_equivalence_check(r: int, psi: ThresholdFn, J: int) -> DyadicReport:
     """Check the two-sided dyadic block sandwich
 
-        S_j <= (2^{j+1} / psi(2^j))^r <= 2^{2r} S_{j-1},
+        S_j <= (2^{j+1} / psi~(2^j))^r <= 2^{2r} S_{j-1},
 
     with S_j the block sum of n^{r-1} psi~(n)^{-r} over [2^j, 2^{j+1}) and
     psi~ the monotone envelope, on which the sandwich holds.  Requires an
