@@ -13,7 +13,8 @@ a = 1..cap, where the interpolation rows C_a of the points 1/(a+x_i) do not
 depend on s.  One kernel builds the matrices for a vector of s values, one
 collocation row at a time: it forms the reciprocals 1/(u - x_j) of a block of
 digits once and contracts them with the weights of every s in one matrix
-product.  The rows are independent and run on one thread per CPU.  The
+product.  The rows are independent: each CPU's thread takes a contiguous
+range of them and reuses one set of block buffers for all its rows.  The
 cached P(s) curve gets all its nodes from one pass, and the single-s callers
 use the same kernel with one s.
 
@@ -21,8 +22,11 @@ Every application of L_s goes through one enclosure step, _step.  For any f
 between flo and fhi it writes f = mid +- rad in midpoint-radius form, so the
 digits 1..cap give M @ mid +- |M| @ rad; the digits beyond the cap add the
 monotone integral bounds int_{A}^inf and int_{A+1}^inf applied to the inf
-and sup of f near 0.  transfer_apply, the power iteration and the cylinder
-sums all use it, so every estimate carries a bracket.
+and sup of f near 0.  The integrals do not depend on f, so _tail computes
+them once per run.  transfer_apply, the power iteration and the cylinder
+sums all use _step, so every estimate carries a bracket.  The power
+iteration steps a whole stack of s values at once: the curve runs its 33
+nodes as one stack, and pressure_eigen runs a stack of one.
 """
 
 from __future__ import annotations
@@ -38,7 +42,17 @@ from ._threads import cpus as _cpus, thread_map
 from .cfcore import DomainError, _require_int
 from .thresholds import ThresholdFn, growth_exponents
 
-DEFAULT_GRID = 128
+# The eigenfunction of L_s is analytic on Re x > -1, so its Chebyshev
+# interpolant on [0, 1] converges like (3 + 2 sqrt 2)^{-n} (Trefethen,
+# Approximation Theory and Approximation Practice, ch. 8): at 32 nodes the
+# digit tail, not the grid, limits every answer.  Measured against grid 128
+# at cap 2048 (2 cores, one BLAS thread): the P(s) curves agree to 4.96e-10
+# at the 33 nodes and 5.17e-10 on 2001 points of [S_FLOOR, S_CEIL], where
+# the narrowest eigen bracket is 6.4e-7 wide and solve_dimension's floor is
+# 5e-6; solve_dimension gave equal values on 3000 random queries; and at cap
+# 10000 |P(1)| is 2.25e-10 (2.16e-10 at grid 128).  Grid 32 costs 1/16 of
+# grid 128's matrix work.
+DEFAULT_GRID = 32
 DEFAULT_CAP = 10_000
 CURVE_CAP = 2048
 CURVE_NODES = 33
@@ -98,8 +112,8 @@ class OperatorGrid:
         return cls(x, np.ones(grid_size), cap)
 
 
-# digits per block of a row's reciprocals: at grid 128 a (grid, 2048) block
-# of float64 is 2 MB, and with the weights about 2.5 MB per worker thread
+# digits per block of a row's reciprocals: at grid 32 a (grid, 2048) block
+# of float64 is 512 KB, which each worker thread allocates once
 _DIGIT_BLOCK = 2048
 
 
@@ -115,41 +129,62 @@ def _operator_matrices(
     K[j, a].  The rows do not depend on s, so row i of every M[k] is
     bw * (K @ W), W[a, k] = (a + x_i)^{-2 s_k} / S_a: one GEMM per block of
     at most _DIGIT_BLOCK digits.  A point on node j has the unit row e_j;
-    its column of K becomes e_j, which makes S_a = bw_j.  Each row runs on
-    one of the CPUs' threads and writes only its own entries, so the
-    matrices are the same for any number of threads.
+    its column of K becomes e_j, which makes S_a = bw_j.  Each of the CPUs'
+    threads takes a contiguous range of rows, allocates its K, W and
+    accumulator once and writes only its own rows' entries, so the matrices
+    are the same for any number of threads.
     """
     s = np.asarray(s_values, dtype=float).reshape(-1)
     nodes, bw = chebyshev_lobatto(grid_size)
     mats = np.empty((s.size, grid_size, grid_size))
     expo = -2.0 * s
+    block = min(cap, _DIGIT_BLOCK)
+    offsets = np.arange(1, block + 1, dtype=float)
 
-    def row(i: int) -> None:
-        acc = np.zeros((grid_size, s.size))
-        for a0 in range(1, cap + 1, _DIGIT_BLOCK):
-            base = nodes[i] + np.arange(a0, min(cap + 1, a0 + _DIGIT_BLOCK), dtype=float)
-            u = 1.0 / base
-            # (j, a) layout: the broadcast runs along contiguous digits
-            K = u - nodes[:, None]
-            # errstate is per thread, so it is set here, in the worker
-            with np.errstate(divide="ignore"):
-                np.divide(1.0, K, out=K)
-            # u <= 1 = nodes[-1], so every index is a node
-            j = np.searchsorted(nodes, u)
-            hit = np.flatnonzero(nodes[j] == u)
-            if hit.size:
-                K[:, hit] = 0.0
-                K[j[hit], hit] = 1.0
-            W = base[:, None] ** expo
-            W /= (bw @ K)[:, None]
-            acc += K @ W
-        mats[:, i, :] = (bw[:, None] * acc).T
+    def rows(span: range) -> None:
+        base, u, S = np.empty(block), np.empty(block), np.empty(block)
+        K_buf = np.empty(grid_size * block)
+        W_buf = np.empty((block, s.size))
+        prod = np.empty((grid_size, s.size))
+        acc = np.empty((grid_size, s.size))
+        for i in span:
+            acc.fill(0.0)
+            for a0 in range(0, cap, block):
+                n = min(block, cap - a0)
+                # a short last block takes the front of each buffer, so K
+                # stays C-contiguous, as a freshly allocated block would be
+                b, v, sa, W = base[:n], u[:n], S[:n], W_buf[:n]
+                K = K_buf[: grid_size * n].reshape(grid_size, n)
+                # the digits a0+1..a0+n, exact in float, then a + x_i
+                np.add(offsets[:n], a0, out=b)
+                b += nodes[i]
+                np.divide(1.0, b, out=v)
+                # (j, a) layout: the broadcast runs along contiguous digits
+                np.subtract(v, nodes[:, None], out=K)
+                # errstate is per thread, so it is set here, in the worker
+                with np.errstate(divide="ignore"):
+                    np.divide(1.0, K, out=K)
+                # u <= 1 = nodes[-1], so every index is a node
+                j = np.searchsorted(nodes, v)
+                hit = np.flatnonzero(nodes[j] == v)
+                if hit.size:
+                    K[:, hit] = 0.0
+                    K[j[hit], hit] = 1.0
+                np.power(b[:, None], expo, out=W)
+                np.matmul(bw, K, out=sa)
+                W /= sa[:, None]
+                np.matmul(K, W, out=prod)
+                acc += prod
+            np.multiply(bw[:, None], acc, out=prod)
+            mats[:, i, :] = prod.T
 
-    thread_map(row, min(_cpus(), grid_size), range(grid_size))
+    workers = min(_cpus(), grid_size)
+    bounds = [grid_size * w // workers for w in range(workers + 1)]
+    thread_map(rows, workers, [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
     return nodes, mats
 
 
-# one matrix per (s, grid, cap) for the single-s callers; 131 KB each at grid 128
+# one matrix per (s, grid, cap) for the single-s callers; 8 KB each at grid 32
 @functools.lru_cache(maxsize=64)
 def _operator_matrix(s: float, grid_size: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, mats = _operator_matrices([s], grid_size, cap)
@@ -166,34 +201,52 @@ def _tail_rows(grid_size: int, cap: int) -> np.ndarray:
     return rows
 
 
-def _tail_bounds(s, nodes, flo, fhi, cap):
-    """Enclosure of sum_{a>cap} (a+x)^{-2s} f(1/(a+x)) at every node.
-
-    f is pinned between its min/max over [0, 1/(cap+1)] (sampled through the
-    interpolant) and the digit sum between the integral bounds.
-    """
-    rows = _tail_rows(len(nodes), cap)
-    lo_vals = rows @ flo
-    hi_vals = rows @ fhi
-    fmin = max(lo_vals.min(), 0.0)
-    fmax = max(hi_vals.max(), 0.0)
+def _tail(s, nodes, cap) -> tuple:
+    """The parts of the tail enclosure that do not depend on f, for one s or
+    a (k,) stack of s: the interpolation rows of [0, 1/(cap+1)], and at every
+    node the integral bounds int_{cap+1}^inf and int_{cap}^inf of
+    (a+x)^{-2s} da, shaped (g,) or (k, g)."""
+    s = np.asarray(s, dtype=float)[..., None]
     expo = 1.0 - 2.0 * s
     denom = 2.0 * s - 1.0
     integral_lo = (cap + 1.0 + nodes) ** expo / denom
     integral_hi = (cap + nodes) ** expo / denom
+    return _tail_rows(len(nodes), cap), integral_lo, integral_hi
+
+
+def _apply(M, f):
+    """M @ f for one (g, g) matrix and a (g,) vector, or for each pair of a
+    (k, g, g) stack and a (k, g) stack: one matrix-vector product per f."""
+    return (M @ f[..., None])[..., 0]
+
+
+def _tail_bounds(flo, fhi, tail):
+    """Enclosure of sum_{a>cap} (a+x)^{-2s} f(1/(a+x)) at every node, for
+    flo and fhi each a (g,) vector or a (k, g) stack.
+
+    f is pinned between its min/max over [0, 1/(cap+1)] (sampled through the
+    interpolant) and the digit sum between the integral bounds.
+    """
+    rows, integral_lo, integral_hi = tail
+    lo_vals = _apply(rows, flo)
+    hi_vals = lo_vals if fhi is flo else _apply(rows, fhi)
+    fmin = np.maximum(lo_vals.min(axis=-1, keepdims=True), 0.0)
+    fmax = np.maximum(hi_vals.max(axis=-1, keepdims=True), 0.0)
     return fmin * integral_lo, fmax * integral_hi
 
 
-def _step(s, nodes, M, cap, flo, fhi, tail=True):
+def _step(M, flo, fhi, tail):
     """Enclosure (lo, hi) of L_s f at the nodes for every f with flo <= f <= fhi.
 
-    Midpoint-radius form: M @ mid +- |M| @ rad.  When flo == fhi the radius
-    is exactly 0, so a point iterate is not widened by rounding; when flo is
-    fhi the product |M| @ 0 is skipped.
+    M is one (g, g) collocation matrix with (g,) vectors, or a (k, g, g)
+    stack with (k, g) stacks; tail comes from _tail, or is None for the
+    digits 1..cap alone.  Midpoint-radius form: M @ mid +- |M| @ rad.  When
+    flo == fhi the radius is exactly 0, so a point iterate is not widened by
+    rounding; when flo is fhi the product |M| @ 0 is skipped.
     """
-    core = M @ (0.5 * (flo + fhi))
-    spread = 0.0 if flo is fhi else np.abs(M) @ (0.5 * (fhi - flo))
-    tlo, thi = _tail_bounds(s, nodes, flo, fhi, cap) if tail else (0.0, 0.0)
+    core = _apply(M, 0.5 * (flo + fhi))
+    spread = 0.0 if flo is fhi else _apply(np.abs(M), 0.5 * (fhi - flo))
+    tlo, thi = (0.0, 0.0) if tail is None else _tail_bounds(flo, fhi, tail)
     return core - spread + tlo, core + spread + thi
 
 
@@ -208,6 +261,9 @@ class PressureEstimate:
     params: dict
     ratio_refined: Optional[float] = None
     log_sums: tuple = ()
+    # eigen: whether the spread met tol before the iteration stalled;
+    # None for the cylinder sums, which have no tol
+    converged: Optional[bool] = None
 
     def __post_init__(self):
         lo, hi = self.bracket
@@ -236,7 +292,7 @@ def transfer_apply(grid: OperatorGrid, s: float) -> OperatorGrid:
         raise DomainError("grid nodes must be the Chebyshev-Lobatto grid")
     flo = grid.values if grid.lower is None else grid.lower
     fhi = grid.values if grid.upper is None else grid.upper
-    lo, hi = _step(s, nodes, M, grid.digit_cap, flo, fhi)
+    lo, hi = _step(M, flo, fhi, _tail(s, nodes, grid.digit_cap))
     return OperatorGrid(nodes, 0.5 * (lo + hi), grid.digit_cap, lo, hi)
 
 
@@ -250,42 +306,61 @@ def pressure_eigen(
     cone with a nodewise Collatz-Wielandt bracket."""
     _check_operator(grid_size, cap, s)
     nodes, M = _operator_matrix(float(s), grid_size, cap)
-    return _power_iterate(s, nodes, M, cap, tol)
+    return _power_iterate([s], nodes, M[None], cap, tol)[0]
 
 
 def _power_iterate(
-    s: float,
+    s_values,
     nodes: np.ndarray,
-    M: np.ndarray,
+    mats: np.ndarray,
     cap: int,
     tol: float = 1e-10,
-) -> PressureEstimate:
-    """Power iteration of pressure_eigen on the collocation matrix M of L_s."""
+) -> list:
+    """Power iteration of pressure_eigen on the (k, g, g) stack mats of
+    collocation matrices of L_s, one per s in s_values, stepped together.
+
+    Each s stops at the step where its own rule stops it: the spread of its
+    bracket falls below tol, or after step 12 stalls.  From then on its
+    iterate is frozen, so its estimate is the one it would get alone.
+    """
+    s = np.asarray(s_values, dtype=float).reshape(-1)
     grid_size = len(nodes)
-    f = np.ones(grid_size)
-    spread_prev = math.inf
-    value = bracket = None
+    tail = _tail(s, nodes, cap)
+    f = np.ones((s.size, grid_size))
+    spread_prev = np.full(s.size, math.inf)
+    live = np.ones(s.size, dtype=bool)
+    estimates = [None] * s.size
     for it in range(_MAX_ITER):
-        g_lo, g_hi = _step(s, nodes, M, cap, f, f)
-        g = 0.5 * (g_lo + g_hi)
-        if np.any(g <= 0):
+        g_lo, g_hi = _step(mats, f, f, tail)
+        # a frozen iterate repeats the step at which it stopped, which passed
+        if (g_lo <= 0).any():
             raise RuntimeError(f"iterate left the positive cone at step {it}")
-        r_lo = float(np.min(g_lo / f))
-        r_hi = float(np.max(g_hi / f))
-        value = math.log(float(f @ g) / float(f @ f))
-        bracket = (math.log(r_lo), math.log(r_hi))
-        spread = bracket[1] - bracket[0]
-        f = g / np.max(g)
-        if spread < tol or (it > 12 and spread >= spread_prev * 0.999):
-            return PressureEstimate(
-                s, value, bracket, "eigen",
-                {"grid": grid_size, "cap": cap, "iterations": it + 1, "spread": spread,
-                 "converged": spread < tol},
-            )
+        g = 0.5 * (g_lo + g_hi)
+        value = np.log((f * g).sum(axis=-1) / (f * f).sum(axis=-1))
+        r_lo = np.log((g_lo / f).min(axis=-1))
+        r_hi = np.log((g_hi / f).max(axis=-1))
+        spread = r_hi - r_lo
+        stop = spread < tol
+        if it > 12:
+            stop |= spread >= spread_prev * 0.999
+        stop &= live
+        if stop.any():
+            for k in np.flatnonzero(stop):
+                estimates[k] = PressureEstimate(
+                    float(s[k]), float(value[k]), (float(r_lo[k]), float(r_hi[k])), "eigen",
+                    {"grid": grid_size, "cap": cap, "iterations": it + 1,
+                     "spread": float(spread[k])},
+                    converged=bool(spread[k] < tol),
+                )
+            live &= ~stop
+            if not live.any():
+                return estimates
+        np.divide(g, g.max(axis=-1, keepdims=True), out=f, where=live[:, None])
         spread_prev = spread
+    k = int(np.flatnonzero(live)[0])
     raise RuntimeError(
         f"power iteration did not stabilize in {_MAX_ITER} steps "
-        f"(s={s}, last spread={spread_prev:.3e})"
+        f"(s={s[k]}, last spread={spread_prev[k]:.3e})"
     )
 
 
@@ -327,12 +402,13 @@ def pressure_cylinder(
     _check_operator(grid_size, cap, s)
     _require_int("depth", depth, 1)
     nodes, M = _operator_matrix(float(s), grid_size, cap)
+    tail = _tail(s, nodes, cap)
     flo = np.ones(grid_size)
     fhi = np.ones(grid_size)
     log_scale = 0.0
     log_sums = []
     for _ in range(depth):
-        flo, fhi = _step(s, nodes, M, cap, flo, fhi)
+        flo, fhi = _step(M, flo, fhi, tail)
         log_sums.append(
             (log_scale + math.log(flo[0]), log_scale + math.log(fhi[0]))
         )
@@ -376,12 +452,10 @@ class PressureCurve:
         self.grid_size = grid_size
         self.cap = cap
         nodes, mats = _operator_matrices(self.s_nodes, grid_size, cap)
-        self.values = np.array(
-            [
-                _power_iterate(float(s), nodes, M, cap).value
-                for s, M in zip(self.s_nodes, mats)
-            ]
-        )
+        estimates = _power_iterate(self.s_nodes, nodes, mats, cap)
+        self.values = np.array([e.value for e in estimates])
+        # whether each node's eigen spread met its tol (see PressureEstimate)
+        self.converged = np.array([e.converged for e in estimates])
 
     def eval(self, s: float) -> float:
         if not self.s_floor <= s <= self.s_ceil:
@@ -398,7 +472,7 @@ class PressureCurve:
 
 
 def default_curve(grid_size: int = DEFAULT_GRID, cap: int = CURVE_CAP) -> PressureCurve:
-    # positional call, so default_curve() and default_curve(128, 2048) share one entry
+    # positional call, so default_curve() and default_curve(32, 2048) share one entry
     return _cached_curve(grid_size, cap)
 
 

@@ -105,6 +105,14 @@ class ThresholdFn:
         vals.flags.writeable = False
         return vals
 
+    @functools.cached_property
+    def _ln_array(self) -> np.ndarray:
+        """ln of a table's values, built once (a table never changes), so
+        that _ln_psi only gathers."""
+        logs = np.log(self._array)
+        logs.flags.writeable = False
+        return logs
+
     def describe(self) -> str:
         """The normal form in parse_psi's grammar (a table as table[N])."""
         if self.kind == "exp_poly_log":
@@ -137,7 +145,8 @@ def _ln_psi(psi: ThresholdFn, n: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             return n * math.log(delta) + np.exp(n * math.log(b) + math.log(math.log(c)))
     (delta,) = psi.params
-    return n * math.log(delta) + np.log(psi._array[n - 1])
+    logs = psi._ln_array[n - 1]
+    return logs if delta == 1 else n * math.log(delta) + logs
 
 
 def _param(family: str, name: str, value: float, lo: float = -INF) -> float:

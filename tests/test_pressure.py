@@ -24,7 +24,9 @@ from cfmetric.pressure import (
     solve_dimension,
     transfer_apply,
 )
-from cfmetric.pressure import _operator_matrices, _operator_matrix, _step
+from cfmetric.pressure import (
+    _operator_matrices, _operator_matrix, _power_iterate, _step, _tail,
+)
 from cfmetric.thresholds import (
     double_exp, geometric, poly_log, scaled_geometric, series_classify, table,
 )
@@ -43,7 +45,7 @@ def tail_free_sum(s, depth, cap, grid_size=DEFAULT_GRID):
     nodes, M = _operator_matrix(float(s), grid_size, cap)
     f = np.ones(grid_size)
     for _ in range(depth):
-        f, _ = _step(s, nodes, M, cap, f, f, tail=False)
+        f, _ = _step(M, f, f, None)
     return float(f[0])
 
 
@@ -160,7 +162,7 @@ class TestStepAndCaches:
         mid = 1.0 + rng.random(12)
         rad = 0.1 * rng.random(12)
         flo, fhi = mid - rad, mid + rad
-        lo, hi = _step(s, nodes, M, cap, flo, fhi, tail=False)
+        lo, hi = _step(M, flo, fhi, None)
         mp, mm = np.clip(M, 0.0, None), np.clip(M, None, 0.0)
         assert float(np.abs(lo - (mp @ flo + mm @ fhi)).max()) <= 1e-13
         assert float(np.abs(hi - (mp @ fhi + mm @ flo)).max()) <= 1e-13
@@ -169,7 +171,7 @@ class TestStepAndCaches:
             g = M @ f
             assert np.all(lo <= g) and np.all(g <= hi)
         # the tail only widens the enclosure
-        tlo, thi = _step(s, nodes, M, cap, flo, fhi)
+        tlo, thi = _step(M, flo, fhi, _tail(s, nodes, cap))
         assert np.all(tlo >= lo) and np.all(thi > hi)
 
     def test_matrix_cache_is_bounded_and_counts(self):
@@ -199,9 +201,32 @@ class TestPressureEigen:
     def test_converged_flag(self):
         # at s = 0.6 the spread stalls at 5.6e-5, short of tol = 1e-10
         stalled = pressure_eigen(0.6, 32, 2048)
-        assert stalled.params["converged"] is False
+        assert stalled.converged is False
         assert stalled.params["spread"] > 1e-10
-        assert pressure_eigen(0.6, 32, 2048, tol=1e-3).params["converged"] is True
+        assert pressure_eigen(0.6, 32, 2048, tol=1e-3).converged is True
+
+    def test_curve_nodes_match_single_s_runs(self):
+        # The curve steps all 33 nodes as one stack; each node freezes where
+        # its own rule stops it, so it gets the estimate of a stack of one.
+        # pressure_eigen builds its matrix alone, and a GEMM over one s
+        # column rounds differently from one over 33, so its values and
+        # brackets match to 1e-13, and its iterations and flag exactly.
+        curve = PressureCurve(32, 2048)
+        nodes, mats = _operator_matrices(curve.s_nodes, 32, 2048)
+        batched = _power_iterate(curve.s_nodes, nodes, mats, 2048)
+        for k, s in enumerate(curve.s_nodes):
+            assert batched[k] == _power_iterate([s], nodes, mats[k:k + 1], 2048)[0]
+            alone = pressure_eigen(s, 32, 2048)
+            assert batched[k].params["iterations"] == alone.params["iterations"]
+            assert curve.converged[k] == batched[k].converged == alone.converged
+            assert abs(curve.values[k] - alone.value) <= 1e-13
+            assert max(abs(a - b) for a, b in zip(batched[k].bracket, alone.bracket)) <= 1e-13
+
+    def test_default_grid_matches_grid_128(self, curve):
+        # grid 32 against 128 at the curve's cap: 4.96e-10 apart when measured
+        fine = PressureCurve(128, CURVE_CAP)
+        assert curve.grid_size == 32
+        assert float(np.abs(curve.values - fine.values).max()) <= 1e-9
 
     def test_conformality_anchor(self):
         est = pressure_eigen(1.0)
@@ -443,7 +468,7 @@ class TestArgumentRules:
         # P(1) = 0
         est = pressure_eigen(1.0, 2, 1)
         assert est.bracket[0] <= 0.0 <= est.bracket[1]
-        assert not est.params["converged"]
+        assert not est.converged
         applied = transfer_apply(OperatorGrid.ones(2, 1), 1.0)
         assert np.all(applied.lower <= applied.upper)
         assert PressureCurve(2, 1).values.shape == (33,)
