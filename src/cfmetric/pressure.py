@@ -320,8 +320,9 @@ def _power_iterate(
     collocation matrices of L_s, one per s in s_values, stepped together.
 
     Each s stops at the step where its own rule stops it: the spread of its
-    bracket falls below tol, or after step 12 stalls.  From then on its
-    iterate is frozen, so its estimate is the one it would get alone.
+    bracket falls below tol, or after step 12 stalls.  Its estimate is taken
+    at that step, so it is the one it would get alone.  Its iterate is then
+    frozen: the later steps of the stack repeat its last, positive step.
     """
     s = np.asarray(s_values, dtype=float).reshape(-1)
     grid_size = len(nodes)

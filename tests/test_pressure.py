@@ -211,7 +211,7 @@ class TestPressureEigen:
         # pressure_eigen builds its matrix alone, and a GEMM over one s
         # column rounds differently from one over 33, so its values and
         # brackets match to 1e-13, and its iterations and flag exactly.
-        curve = PressureCurve(32, 2048)
+        curve = default_curve(32, 2048)
         nodes, mats = _operator_matrices(curve.s_nodes, 32, 2048)
         batched = _power_iterate(curve.s_nodes, nodes, mats, 2048)
         for k, s in enumerate(curve.s_nodes):
