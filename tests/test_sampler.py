@@ -10,8 +10,6 @@ import pytest
 from cfmetric import sampler
 from cfmetric.cfcore import DomainError, cylinder, gauss_digit_law, gauss_measure, word
 from cfmetric.sampler import (
-    _WIDEN_DOWN,
-    _WIDEN_UP,
     _SLOP,
     BulkDigitStream,
     _digit_band,
@@ -20,7 +18,6 @@ from cfmetric.sampler import (
     _mix,
     _mix_scalar,
     _phi,
-    _reciprocal,
     _window_state_bounds,
     sample_digit_matrix,
     sample_iid_gauss_kuzmin,
@@ -129,6 +126,10 @@ class TestPhiGuard:
             assert abs(float(u) / want - 1) <= 1e-13
 
 
+# the relative radius of the engine's float state around the exact one
+_RADIUS = Fraction(1, 2**50)
+
+
 def _cdf_mid(u, b, g, z):
     """F(u) = u Phi(b u, g u) / z at the point state (b, g), z = Phi(b, g)."""
     return u * _phi(b * u, g * u) / z
@@ -218,7 +219,7 @@ class TestBulkDigitStream:
         eng = BulkDigitStream(123, 8)
         taken = [eng.step().copy() for _ in range(25)]
         # replay: at a few (stream, level) spots the exact sampler must
-        # reproduce the digit the interval fast path accepted
+        # reproduce the digit the float fast path accepted
         replay = BulkDigitStream(123, 8)
         for level in range(25):
             for j in (0, 3, 7):
@@ -240,39 +241,38 @@ class TestBulkDigitStream:
                 assert blo <= beta <= bhi and glo <= gamma <= ghi
 
     @pytest.mark.parametrize("start, b0, g0", [("gauss", 1, 0), ("lebesgue", 0, 0)])
-    def test_state_encloses_exact_state(self, start, b0, g0):
-        # the float intervals hold beta and gamma, carried exactly as
-        # z -> 1/(a + z), at every level past the 160-digit window, and the
-        # outward widening keeps them a few ulps wide
+    def test_state_within_radius_of_exact_state(self, start, b0, g0):
+        # the float beta and gamma stay within relative 2^-50 of the exact
+        # state, carried as z -> 1/(a + z), at every level past the
+        # 160-digit window
         n, levels = 48, 400
         eng = BulkDigitStream(11, n, start=start)
         beta = [Fraction(b0)] * n
         gamma = [Fraction(g0)] * n
-        widest = 0.0
         for _ in range(levels):
             digits = eng.step().tolist()
             beta = [1 / (a + b) for a, b in zip(digits, beta)]
             gamma = [1 / (a + g) for a, g in zip(digits, gamma)]
-            for lo, hi, exact in ((eng.blo, eng.bhi, beta), (eng.glo, eng.ghi, gamma)):
+            for got, exact in ((eng._beta, beta), (eng._gamma, gamma)):
                 for j in range(n):
-                    assert Fraction(lo[j]) <= exact[j] <= Fraction(hi[j]), (eng.level, j)
-                widest = max(widest, float(np.max((hi - lo) / np.spacing(hi))))
-        assert widest <= 32, widest
+                    assert abs(Fraction(got[j]) - exact[j]) <= _RADIUS * exact[j], (eng.level, j)
 
-    def test_reciprocal_brackets_exact_value(self):
+    def test_advance_keeps_radius_for_huge_digits(self):
         # digits past 2^53 (exact fallbacks are not clipped) round when they
-        # convert to float, which is the rounding that sets the factor 2^-50;
-        # ends just past 1 come from the widening itself
+        # convert to float; from a state at the radius, or exact, one step
+        # still lands within it
         ds = [1, 2**53 + 1, 2**62 + 3, 2**63 - 1]
-        d = np.array(ds, dtype=np.int64).astype(np.float64)  # as _advance converts
-        for z in (0.0, 0.5, 1.0, 1.0 + 2.0**-50):
-            zs = np.full(len(ds), z)
-            lo = _reciprocal(d, zs, _WIDEN_DOWN)
-            hi = _reciprocal(d, zs, _WIDEN_UP)
-            for k, dk in enumerate(ds):
-                exact = 1 / (dk + Fraction(z))
-                assert Fraction(lo[k]) <= exact <= Fraction(hi[k]), (dk, z)
-                assert hi[k] - lo[k] <= 16 * np.spacing(hi[k]), (dk, z)
+        for z in (0.0, 0.5, 1.0 - 2.0**-53, 1.0):
+            for exact in (Fraction(z) * (1 + f) for f in (-_RADIUS, 0, _RADIUS)):
+                if exact > 1:
+                    continue
+                eng = BulkDigitStream(1, len(ds))
+                eng._beta[:] = eng._gamma[:] = z
+                eng._advance(np.array(ds, dtype=np.int64))
+                for k, dk in enumerate(ds):
+                    want = 1 / (dk + exact)
+                    for got in (eng._beta[k], eng._gamma[k]):
+                        assert abs(Fraction(got) - want) <= _RADIUS * want, (dk, z, exact)
 
     def test_fallbacks_share_one_mpmath_context(self, monkeypatch):
         # an engine builds its fallback context once, not once per digit
@@ -390,9 +390,11 @@ class TestBulkDigitStream:
         assert np.allclose(u, want, rtol=1e-15, atol=0.0)
 
     def test_digit_band_encloses_exact_cdf(self):
-        # top >= F(1/(d+1)) and bottom <= F(1/d) at the exact state, for
-        # states the engine reaches (both starts; the Lebesgue start keeps
-        # beta == gamma) and one more point state with delta = 0
+        # top >= F(1/(d+1)) and bottom <= F(1/d) at every state within the
+        # radius of the engine's float state: the exact one and the corners
+        # at relative +/-2^-50, for states the engine reaches (both starts;
+        # the Lebesgue start keeps beta == gamma) and one more point state
+        # with delta = 0
         from mpmath import mp, mpf
 
         states = []
@@ -401,31 +403,36 @@ class TestBulkDigitStream:
             beta, gamma = [Fraction(b0)] * 4, [Fraction(g0)] * 4
             for level in range(41):
                 if level in (0, 1, 40):
-                    states += [(eng.blo[j], eng.bhi[j], eng.glo[j], eng.ghi[j],
-                                beta[j], gamma[j]) for j in range(4)]
+                    states += [(eng._beta[j], eng._gamma[j], beta[j], gamma[j]) for j in range(4)]
                 digits = eng.step().tolist()
                 beta = [1 / (a + b) for a, b in zip(digits, beta)]
                 gamma = [1 / (a + g) for a, g in zip(digits, gamma)]
         x = np.float64(0.37)
-        states.append((x, x, x, x, Fraction(x), Fraction(x)))
+        states.append((x, x, Fraction(x), Fraction(x)))
 
         ds = [1, 2, 7, 10**3, 10**8, 2**50]
         with mp.workdps(50):
             def phi(p, q):
                 return 1 / (1 + p) if p == q else (mp.log1p(p) - mp.log1p(q)) / (p - q)
 
-            def cdf(m, beta, gamma):
-                b, g, u = (mpf(r.numerator) / r.denominator for r in (beta, gamma, Fraction(1, m)))
+            def cdf(m, b, g):
+                u = 1 / mpf(m)
                 return u * phi(b * u, g * u) / phi(b, g)
 
-            for blo, bhi, glo, ghi, beta, gamma in states:
-                z_lo = _phi(bhi, ghi) * (1.0 - _SLOP)
-                z_hi = _phi(blo, glo) * (1.0 + _SLOP)
-                top, bottom = _digit_band(np.array(ds, dtype=np.float64),
-                                          blo, bhi, glo, ghi, z_lo, z_hi)
+            def mp_of(r):
+                return mpf(r.numerator) / r.denominator
+
+            shifts = [1 - mp_of(_RADIUS), 1, 1 + mp_of(_RADIUS)]
+            for b, g, beta, gamma in states:
+                z = _phi(b, g)
+                top, bottom = _digit_band(np.array(ds, dtype=np.float64), b, g,
+                                          z * (1.0 - _SLOP), z * (1.0 + _SLOP))
+                near = [(mpf(float(b)) * fb, mpf(float(g)) * fg) for fb in shifts for fg in shifts]
+                near.append((mp_of(beta), mp_of(gamma)))
                 for k, d in enumerate(ds):
-                    assert mpf(float(top[k])) >= cdf(d + 1, beta, gamma), (beta, gamma, d)
-                    assert mpf(float(bottom[k])) <= cdf(d, beta, gamma), (beta, gamma, d)
+                    for nb, ng in near:
+                        assert mpf(float(top[k])) >= cdf(d + 1, nb, ng), (b, g, d)
+                        assert mpf(float(bottom[k])) <= cdf(d, nb, ng), (b, g, d)
 
     def test_wrong_guesses_move_to_the_same_digits(self, monkeypatch):
         # guesses off by -3..+3 walk to the digits of test_golden_digits'
@@ -464,8 +471,8 @@ class TestBulkDigitStream:
         with mp.workdps(40):
             v_num = int(mp.floor(mp.log(1.5, 2) * 2**53)) if where == "F(1/2)" else 2**53 - 1
         monkeypatch.setattr(sampler, "_word_scalar", lambda *args: v_num << 11)
-        monkeypatch.setattr(sampler, "_words", lambda seed, streams, *args:
-                            np.full(streams.size, v_num << 11, dtype=np.uint64))
+        monkeypatch.setattr(sampler, "_words", lambda ctr, keys, out:
+                            np.full(keys.size, v_num << 11, dtype=np.uint64))
         want = _exact_digit(1, 0, 0, [], True)
         band = sampler._digit_band
         calls = []
@@ -480,7 +487,7 @@ class TestBulkDigitStream:
         assert eng.fallbacks == 3
         assert len(calls) == bands
 
-    def test_step_evaluates_four_logs_and_one_expm1_per_digit(self, monkeypatch):
+    def test_step_evaluates_three_logs_and_one_expm1_per_digit(self, monkeypatch):
         # each _phi element is one log1p and each _inverse_cdf element one
         # expm1; a guess that is right needs no second decision pass
         counts = {"log1p": 0, "expm1": 0}
@@ -500,7 +507,7 @@ class TestBulkDigitStream:
         for _ in range(20):
             eng.step()
         assert eng.fallbacks == 0
-        assert counts == {"log1p": 4 * 500 * 20, "expm1": 500 * 20}
+        assert counts == {"log1p": 3 * 500 * 20, "expm1": 500 * 20}
 
     def test_history_memory(self):
         # the history holds one row per level so far, not a full 160-level
