@@ -25,17 +25,21 @@ mpmath context at its first exact fallback and keeps it for the rest; one
 engine runs on one thread, so threads that overlap never change each other's
 working precision.  _exact_digit called on its own makes a context per call.
 
-The divided difference Phi(p, q) = (ln(1+p) - ln(1+q)) / (p - q) behind F
-and its closed-form inverse have a removable limit at p = q.  _phi and
-_inverse_cdf pay for that limit only when some element reaches it; otherwise
-they compute the plain quotient in place, to the same bits.  No stream
-reaches it on the Gauss start's first levels, where sample_digit_matrix's
-shallow calls run; deeper, the float beta and gamma coincide (in about half
-the streams at level 16 and in all of them from level 32 on), and a step
-takes the guarded path.  The decision loop keeps every candidate digit
-in one float array: an accepted candidate stays where it is, only the streams
-whose candidate moves are indexed again, and the digits are cast once after
-the loop, with the exact fallbacks written over them.
+The band and the guess work in shift form: with delta = b - g and
+L(m) = log1p(delta/(m + g)) = ln((m + b)/(m + g)), F(1/m) = L(m)/L(1), one
+log1p of one quotient per bound, and the guess inverts it for x = 1/u.
+L(1) = delta Phi(b, g) comes from the normaliser Phi(p, q) =
+(ln(1+p) - ln(1+q)) / (p - q).  Where delta == 0 a stream is flat and
+F(1/m) = (1 + g)/(m + g); a step finds its flat streams once, and only a
+step with one pays for that branch (as _phi pays for its limit p = q only
+when some element reaches it).  No stream is flat on the Gauss start's first
+levels, where sample_digit_matrix's shallow calls run; deeper, the float
+beta and gamma coincide (in about half the streams at level 16, in all from
+level 32 on), and the Lebesgue start keeps them equal.  The decision loop
+keeps every candidate digit in one float array: an accepted candidate stays
+where it is, only the streams whose candidate moves are indexed again, and
+the digits are cast once after the loop, with the exact fallbacks written
+over them.
 
 The engine keeps the state as one float point per stream, updated as
 z -> 1/(d + z), and the error budget of the float band is:
@@ -47,13 +51,15 @@ z -> 1/(d + z), and the error budget of the float band is:
 - F.  Phi(p, q) is the mean of 1/(1 + x) over [q, p], so relative moves of p
   and q by at most rho move Phi by a factor in [1/(1 + rho), 1/(1 - rho)],
   and F(u) = u Phi(beta u, gamma u) / Phi(beta, gamma) by one in
-  [(1 - rho)/(1 + rho), (1 + rho)/(1 - rho)]: at most 2^-49, about 1.8e-15.
-  Evaluating F at the float state rounds it by a few u more (at most 4.7 u
-  measured over 9000 engine states and digits).
-- The slop.  The band widens F(u) by 1 +/- _SLOP and divides it by the
-  normaliser widened by 1 -/+ _SLOP, 1e-13 each: about 450 u, well above the
-  two sources together, so the band stays a rigorous enclosure of the exact
-  CDF and every digit it accepts is the exact digit.
+  [(1 - rho)/(1 + rho), (1 + rho)/(1 - rho)]: at most 2^-49, 16 u.
+  Evaluating F in shift form at the float state rounds it by a few u more
+  (at most 4.61 u, measured against mpmath over 740 engine states and
+  digits 1 to 2^50).
+- The slop.  The band multiplies F's ratio by 1 +/- 2 _SLOP once: about
+  1800 u, well above the two sources together (the smallest margin measured
+  over those states and the corners of their radius is 1793 u), so the band
+  stays a rigorous enclosure of the exact CDF and every digit it accepts is
+  the exact digit.
 
 sample_iid_gauss_kuzmin is the deliberate non-exact baseline: i.i.d. digits
 with the Gauss-Kuzmin marginal, without the dependence between positions.
@@ -85,8 +91,9 @@ _DOM_VBITS = 0x9D8F0A6B42E1C753
 
 TWO_NEG53 = 2.0**-53
 _LN2 = float(np.log(2.0))
-# relative widening of F's band and of its normaliser: it dominates the
-# state's radius 2^-50 (F moves by at most 2^-49) and F's float rounding
+# half the relative widening of F's band, applied once to each bound as
+# 1 +/- 2 _SLOP: it dominates the state's radius 2^-50 (F moves by at most
+# 2^-49) and the float rounding of F in shift form (a few u)
 _SLOP = 1e-13
 
 
@@ -159,52 +166,46 @@ def _phi(p, q):
     return out
 
 
-def _digit_band(d, b, g, z_lo, z_hi):
+def _digit_band(d, delta, g, l1, flat):
     """(top, bottom): a rigorous upper bound of F(1/(d+1)) and a rigorous lower
-    bound of F(1/d), where F(u) = u Phi(beta u, gamma u) / Phi(beta, gamma),
-    at the float state (b, g) of an exact state (beta, gamma) within relative
-    2^-50 of it, given z_lo <= Phi(b, g) <= z_hi.
+    bound of F(1/d) at an exact state within relative 2^-50 of the float state
+    (b, g), in shift form: F(1/m) = L(m)/l1 with L(m) = log1p(delta/(m + g)),
+    delta = b - g and l1 = L(1) = delta Phi(b, g).  flat is the mask of
+    delta == 0, where F(1/m) = (1 + g)/(m + g), or None if none is 0.
 
     A uniform known to lie in [V, V + 2^-53] selects digit d when V >= top
-    and V + 2^-53 <= bottom.  Each bound is u * Phi * (1 +/- _SLOP) / z,
-    evaluated in place in that order; the slop covers the state's radius and
-    the rounding of F (see _SLOP)."""
-    u = d + 1.0
-    np.divide(1.0, u, out=u)
-    top = _phi(b * u, g * u)
-    top *= u
-    top *= 1.0 + _SLOP
-    top /= z_lo
-    np.divide(1.0, d, out=u)
-    bottom = _phi(b * u, g * u)
-    bottom *= u
-    bottom *= 1.0 - _SLOP
-    bottom /= z_hi
+    and V + 2^-53 <= bottom.  Each bound is the ratio times 1 +/- 2 _SLOP,
+    evaluated in place; the slop covers the state's radius and the rounding
+    of F (see _SLOP)."""
+    bottom = d + g  # m + g at m = d
+    top = bottom + 1.0  # and at m = d + 1
+    with np.errstate(invalid="ignore"):  # 0/0 where flat, overwritten
+        for s, slop in ((top, 2.0 * _SLOP), (bottom, -2.0 * _SLOP)):
+            f_flat = None if flat is None else (1.0 + g) / s
+            np.divide(delta, s, out=s)
+            np.log1p(s, out=s)
+            s /= l1
+            if flat is not None:
+                np.copyto(s, f_flat, where=flat)
+            s *= 1.0 + slop
     return top, bottom
 
 
-def _inverse_cdf(w, b, g, z):
-    """The u with F(u) = w at the point state (b, g), in closed form, given
-    the normaliser z = Phi(b, g).
+def _inverse_cdf(w, delta, g, l1, flat):
+    """The digit variable x = 1/u with F(u) = w at the point state (b, g), in
+    closed form, given delta, l1 and flat as _digit_band takes them.
 
-    F(u) = w means (1 + b u)/(1 + g u) = E with E = exp(w (b - g) z), so
-    u = e/(1 - g e) with e = (E - 1)/(b - g), which tends to w z as
-    b - g -> 0.  As in _phi, only an input with some b == g pays for that
-    limit; w, b, g and z share one shape (or are scalars)."""
-    d = b - g
-    zero = d == 0.0
-    if np.count_nonzero(zero):
-        safe = np.where(zero, 1.0, d)
-        e = np.where(zero, w * z, np.expm1(w * safe * z) / safe)
-        return e / (1.0 - g * e)
-    e = np.asarray(w * d)  # an array even for scalar arguments
-    e *= z
-    np.expm1(e, out=e)
-    e /= d
-    t = np.asarray(g * e)
-    np.subtract(1.0, t, out=t)
-    e /= t
-    return e
+    F(1/x) = w means log1p(delta/(x + g)) = w l1, so x = delta/expm1(w l1) - g;
+    where flat, (1 + g)/(x + g) = w gives x = (1 + g)/w - g.  w, delta, g, l1
+    and flat share one shape (or are scalars)."""
+    x = np.asarray(w * l1)  # an array even for scalar arguments
+    np.expm1(x, out=x)
+    with np.errstate(invalid="ignore"):  # 0/0 where flat, overwritten
+        np.divide(delta, x, out=x)
+    if flat is not None:
+        np.copyto(x, (1.0 + g) / w, where=flat)
+    x -= g
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +357,15 @@ class BulkDigitStream:
         v = w.astype(np.float64)
         v *= TWO_NEG53
         b, g = self._beta, self._gamma
-        # _phi and _inverse_cdf pay for the limit p = q only when some stream
-        # reaches it: never on the Gauss start's first levels, almost always
-        # once the float beta and gamma coincide some 20 levels deep
         z = _phi(b, g)
-        z_lo = z * (1.0 - _SLOP)
-        z_hi = z * (1.0 + _SLOP)
+        delta = b - g  # and the flat mask, None when no stream is flat
+        flat = delta == 0.0
+        if not np.count_nonzero(flat):
+            flat = None
+        l1 = delta * z  # L(1) = log1p(delta/(1 + g))
         # aim at the middle of V's 2^-53 interval; the band around F is about
         # 2e-13 wide, relative, so the guess is almost always right
-        d = _inverse_cdf(v + TWO_NEG53 * 0.5, b, g, z)
-        with np.errstate(divide="ignore", over="ignore"):
-            np.divide(1.0, d, out=d)
+        d = _inverse_cdf(v + TWO_NEG53 * 0.5, delta, g, l1, flat)
         np.floor(d, out=d)
         np.clip(d, 1.0, 2.0**50, out=d)
 
@@ -383,7 +382,8 @@ class BulkDigitStream:
             # whole instead of copying them by index
             sel = slice(None) if live.size == n else live
             dd, vv = d[sel], v[sel]
-            top, bottom = _digit_band(dd, b[sel], g[sel], z_lo[sel], z_hi[sel])
+            top, bottom = _digit_band(dd, delta[sel], g[sel], l1[sel],
+                                      None if flat is None else flat[sel])
             fits_top = vv >= top                    # the digit is at most d
             fits_bottom = vv + TWO_NEG53 <= bottom  # the digit is at least d
             rest = np.nonzero(~(fits_top & fits_bottom))[0]  # positions in live

@@ -13,11 +13,13 @@ METRICS = [{"name": "op_p50_us", "better": "lower", "bound": 0.25},
            {"name": "work_per_s", "better": "higher", "bound": 0.1}]
 
 
-def _run(side, pair, seed, p50, rate, attempted=100, exit_code=0, digest="ab"):
+def _run(side, pair, seed, p50, rate, attempted=100, exit_code=0, digest="ab", rss=None):
+    metrics = {"op_p50_us": {"value": p50}, "work_per_s": {"value": rate}}
+    if rss is not None:
+        metrics["peak_rss_mb"] = {"value": rss}
     return {"side": side, "workload": "w", "seed": seed, "pair": pair,
             "exit_code": exit_code, "figures": {"digest": digest} if digest else {},
-            "result": {"attempted": attempted, "metrics": {
-                "op_p50_us": {"value": p50}, "work_per_s": {"value": rate}}}}
+            "result": {"attempted": attempted, "metrics": metrics}}
 
 
 def test_summary_quartiles_and_wins():
@@ -76,6 +78,37 @@ def test_summary_bound_headroom():
     assert bench_pairs.worse_by(0.0, 0.5, "higher") is None
     runs = [_run("parent", 1, 7, 10, 0.0), _run("change", 1, 7, 10, 0.5)]
     assert bench_pairs.summarize(runs, METRICS)["w"]["near_bound"] == ["work_per_s"]
+
+
+RSS_METRICS = METRICS + [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+
+
+def test_summary_rss_per_kop():
+    # RSS that grows by 0.1 MB per 1000 ops and nothing else: the change runs
+    # more ops, so its median RSS rises 4 MB, all of it from the op count
+    runs = []
+    for i, (pa, ca) in enumerate([(60_000, 100_000), (62_000, 102_000), (64_000, 104_000)], 1):
+        runs += [_run("parent", i, 80 + i, 10, 5, attempted=pa, rss=40 + pa / 1e4),
+                 _run("change", i, 80 + i, 9, 6, attempted=ca, rss=40 + ca / 1e4)]
+    s = bench_pairs.summarize(runs, RSS_METRICS)["w"]
+    assert s["peak_rss_mb"]["worse_by"] == pytest.approx(4 / 46.2)
+    assert s["rss_mb_per_kop"] == pytest.approx(0.1)
+    assert s["rss_net_of_ops"] == pytest.approx(0.0, abs=1e-12)
+    # by hand: attempted 10k..40k against RSS 10, 12, 13, 16 fit a slope of
+    # 95/500; the medians move 11 -> 14.5 MB and 15k -> 35k ops
+    runs = [_run("parent", 1, 7, 10, 5, attempted=10_000, rss=10),
+            _run("change", 1, 7, 10, 5, attempted=30_000, rss=13),
+            _run("parent", 2, 8, 10, 5, attempted=20_000, rss=12),
+            _run("change", 2, 8, 10, 5, attempted=40_000, rss=16)]
+    s = bench_pairs.summarize(runs, RSS_METRICS)["w"]
+    assert s["rss_mb_per_kop"] == pytest.approx(0.19)
+    assert s["rss_net_of_ops"] == pytest.approx((3.5 - 0.19 * 20) / 11)
+    # one attempted count fits no slope; a benchmark without RSS gets neither
+    runs = [_run(side, 1, 7, 10, 5, rss=r) for side, r in (("parent", 10), ("change", 11))]
+    s = bench_pairs.summarize(runs, RSS_METRICS)["w"]
+    assert s["rss_mb_per_kop"] is None and s["rss_net_of_ops"] is None
+    s = bench_pairs.summarize(runs, METRICS)["w"]
+    assert "rss_mb_per_kop" not in s and "rss_net_of_ops" not in s
 
 
 @pytest.mark.parametrize("text, want", [("51-55", [51, 52, 53, 54, 55]),

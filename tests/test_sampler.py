@@ -51,11 +51,20 @@ def _mp_phi(mp, p, q):
     return 1 / (1 + p) if p == q else (mp.log1p(p) - mp.log1p(q)) / (p - q)
 
 
-def _mp_inverse_cdf(mp, w, b, g, z):
-    """The closed form of _inverse_cdf at mp's precision, at the exact floats."""
-    w, b, g, z = (mp.mpf(float(x)) for x in (w, b, g, z))
-    e = w * z if b == g else mp.expm1(w * (b - g) * z) / (b - g)
-    return e / (1 - g * e)
+def _mp_digit_variable(mp, w, b, g):
+    """The x = 1/u with F(u) = w at mp's precision, at the exact floats b, g."""
+    w, b, g = (mp.mpf(float(t)) for t in (w, b, g))
+    if b == g:
+        return (1 + g) / w - g
+    return (b - g) / mp.expm1(w * mp.log1p((b - g) / (1 + g))) - g
+
+
+def _shift(b, g):
+    """(delta, l1, flat) of the point state (b, g), as BulkDigitStream.step
+    makes them: flat is the mask of delta == 0, or None where none is 0."""
+    delta = b - g
+    flat = np.equal(delta, 0.0)
+    return delta, delta * _phi(b, g), (flat if np.any(flat) else None)
 
 
 class TestPhiGuard:
@@ -98,16 +107,17 @@ class TestPhiGuard:
 
         b, g = self._pairs(mix)
         w = np.random.default_rng(18).uniform(0.0, 1.0, b.size) + 2.0**-54
-        z = _phi(b, g)
-        got = _inverse_cdf(w, b, g, z)
+        delta, l1, flat = _shift(b, g)
+        assert (flat is not None) == mix
+        got = _inverse_cdf(w, delta, g, l1, flat)
         with mp.workdps(50):
-            want = [_mp_inverse_cdf(mp, *x) for x in zip(w, b, g, z)]
+            want = [_mp_digit_variable(mp, *x) for x in zip(w, b, g)]
         rel = [abs((mp.mpf(float(x)) - y) / y) for x, y in zip(got.tolist(), want)]
         assert max(rel) <= 1e-13
         # the mixed input's distinct elements take the unguarded values
         distinct = b != g
-        assert np.array_equal(got[distinct], _inverse_cdf(w[distinct], b[distinct],
-                                                          g[distinct], z[distinct]))
+        assert np.array_equal(got[distinct], _inverse_cdf(w[distinct], delta[distinct],
+                                                          g[distinct], l1[distinct], None))
 
     @pytest.mark.parametrize("p, q", [(0.3, 0.3), (0.5, 0.5 + 1e-14), (1.0, 0.0), (0.9, 0.2),
                                       (0.0, 0.0)])
@@ -118,12 +128,12 @@ class TestPhiGuard:
         got = _phi(wrap(p), wrap(q))
         assert np.shape(got) == ()
         w = 0.625
-        u = _inverse_cdf(wrap(w), wrap(p), wrap(q), wrap(float(got)))
-        assert np.shape(u) == ()
+        delta, l1, flat = _shift(wrap(p), wrap(q))
+        x = _inverse_cdf(wrap(w), wrap(float(delta)), wrap(q), wrap(float(l1)), flat)
+        assert np.shape(x) == ()
         with mp.workdps(50):
             assert abs(float(got) / _mp_phi(mp, p, q) - 1) <= 1e-13
-            want = _mp_inverse_cdf(mp, w, p, q, float(got))
-            assert abs(float(u) / want - 1) <= 1e-13
+            assert abs(float(x) / _mp_digit_variable(mp, w, p, q) - 1) <= 1e-13
 
 
 # the relative radius of the engine's float state around the exact one
@@ -133,6 +143,21 @@ _RADIUS = Fraction(1, 2**50)
 def _cdf_mid(u, b, g, z):
     """F(u) = u Phi(b u, g u) / z at the point state (b, g), z = Phi(b, g)."""
     return u * _phi(b * u, g * u) / z
+
+
+def _engine_states(seed, n, start, levels):
+    """(b, g, beta, gamma) of n streams at each of levels: the engine's float
+    state and the exact one, carried as z -> 1/(a + z)."""
+    eng = BulkDigitStream(seed, n, start=start)
+    beta, gamma = [Fraction(start == "gauss")] * n, [Fraction(0)] * n
+    states = []
+    for level in range(max(levels) + 1):
+        if level in levels:
+            states += [(eng._beta[j], eng._gamma[j], beta[j], gamma[j]) for j in range(n)]
+        digits = eng.step().tolist()
+        beta = [1 / (a + b) for a, b in zip(digits, beta)]
+        gamma = [1 / (a + g) for a, g in zip(digits, gamma)]
+    return states
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +337,21 @@ class TestBulkDigitStream:
             assert np.array_equal(eng.step(), taken[level]), level
         assert eng.fallbacks == 800
 
+    @pytest.mark.parametrize("start", ["gauss", "lebesgue"])
+    def test_natural_fallbacks(self, start):
+        # seed 3's streams 5578 and 18836 draw digits near 1.4e9 and 1.2e8 at
+        # levels 171 and 243, from either start: F(1/m) - F(1/(m+1)) is then
+        # below V's 2^-53, so no band settles them and each goes to
+        # _exact_digit, the second past the 160-digit history window
+        for stream, level in ((5578, 171), (18836, 243)):
+            eng = BulkDigitStream(3, 1, stream_offset=stream, start=start)
+            for _ in range(level):
+                eng.step()
+            assert eng.fallbacks == 0
+            want = _exact_digit(3, stream, level, eng._history(0), full_history=level <= 160)
+            assert eng.step()[0] == want
+            assert eng.fallbacks == 1
+
     def test_bit_budget_diagnostic(self, monkeypatch):
         # at the Gauss start F(1/2) = log2(1.5); a V whose 53-bit interval
         # straddles it cannot pick the first digit within 53 bits
@@ -376,63 +416,62 @@ class TestBulkDigitStream:
         b = np.concatenate([blo, glo, [0.0, 1.0, 0.37]])
         g = np.concatenate([glo, glo, [0.0, 0.0, 0.37]])  # glo, glo: delta == 0
         w = rng.uniform(0.0, 1.0, b.size) + 2.0**-54
-        u = _inverse_cdf(w, b, g, _phi(b, g))
-        assert np.max(np.abs(_cdf_mid(u, b, g, _phi(b, g)) - w)) <= 1e-12
-        # at the Gauss start F(u) = log2(1 + u); 2^w - 1 in floats cancels
-        # for small w, so the reference is mpmath's
+        delta, l1, flat = _shift(b, g)
+        x = _inverse_cdf(w, delta, g, l1, flat)
+        assert np.max(np.abs(_cdf_mid(1.0 / x, b, g, _phi(b, g)) - w)) <= 1e-12
+        # at the Gauss start F(1/x) = log2(1 + 1/x); 2^w - 1 in floats
+        # cancels for small w, so the reference is mpmath's
         from mpmath import mp, mpf
 
         w = np.concatenate([w[:200], [2.0**-54, 1e-9, 1.0 - 2.0**-53]])
         one, zero = np.ones_like(w), np.zeros_like(w)
-        u = _inverse_cdf(w, one, zero, _phi(one, zero))
+        delta, l1, flat = _shift(one, zero)
+        x = _inverse_cdf(w, delta, zero, l1, flat)
         with mp.workdps(40):
-            want = [float(mp.power(2, mpf(x)) - 1) for x in w.tolist()]
-        assert np.allclose(u, want, rtol=1e-15, atol=0.0)
+            want = [float(1 / (mp.power(2, mpf(t)) - 1)) for t in w.tolist()]
+        assert np.allclose(x, want, rtol=1e-15, atol=0.0)
 
     def test_digit_band_encloses_exact_cdf(self):
         # top >= F(1/(d+1)) and bottom <= F(1/d) at every state within the
         # radius of the engine's float state: the exact one and the corners
-        # at relative +/-2^-50, for states the engine reaches (both starts;
-        # the Lebesgue start keeps beta == gamma) and one more point state
-        # with delta = 0
-        from mpmath import mp, mpf
+        # at relative +/-2^-50, for states the engine reaches from both starts
+        # (the Lebesgue start keeps beta == gamma; at level 40 the float beta
+        # and gamma coincide) and one more point state with delta = 0.  The
+        # reference is F in shift form at the exact rational delta =
+        # beta - gamma, log1p(delta/(m + gamma)) / log1p(delta/(1 + gamma)):
+        # unlike a difference of two logs, it does not cancel at 50 digits
+        from mpmath import mp
 
         states = []
-        for start, b0, g0 in (("gauss", 1, 0), ("lebesgue", 0, 0)):
-            eng = BulkDigitStream(11, 4, start=start)
-            beta, gamma = [Fraction(b0)] * 4, [Fraction(g0)] * 4
-            for level in range(41):
-                if level in (0, 1, 40):
-                    states += [(eng._beta[j], eng._gamma[j], beta[j], gamma[j]) for j in range(4)]
-                digits = eng.step().tolist()
-                beta = [1 / (a + b) for a, b in zip(digits, beta)]
-                gamma = [1 / (a + g) for a, g in zip(digits, gamma)]
+        for seed, levels in [(11, (0, 1, 40))] + [(seed, (40,)) for seed in range(6)]:
+            for start in ("gauss", "lebesgue"):
+                states += _engine_states(seed, 4, start, levels)
         x = np.float64(0.37)
         states.append((x, x, Fraction(x), Fraction(x)))
+        assert len(states) == 24 + 48 + 1
 
         ds = [1, 2, 7, 10**3, 10**8, 2**50]
         with mp.workdps(50):
-            def phi(p, q):
-                return 1 / (1 + p) if p == q else (mp.log1p(p) - mp.log1p(q)) / (p - q)
-
-            def cdf(m, b, g):
-                u = 1 / mpf(m)
-                return u * phi(b * u, g * u) / phi(b, g)
-
             def mp_of(r):
-                return mpf(r.numerator) / r.denominator
+                return mp.mpf(r.numerator) / r.denominator
 
-            shifts = [1 - mp_of(_RADIUS), 1, 1 + mp_of(_RADIUS)]
+            def cdf(m, beta, gamma):
+                """F(1/m) at the exact rational state (beta, gamma)."""
+                delta = beta - gamma
+                if delta == 0:
+                    return mp_of((1 + gamma) / (m + gamma))
+                return mp.log1p(mp_of(delta / (m + gamma))) / mp.log1p(mp_of(delta / (1 + gamma)))
+
+            shifts = [1 - _RADIUS, 1, 1 + _RADIUS]
             for b, g, beta, gamma in states:
-                z = _phi(b, g)
-                top, bottom = _digit_band(np.array(ds, dtype=np.float64), b, g,
-                                          z * (1.0 - _SLOP), z * (1.0 + _SLOP))
-                near = [(mpf(float(b)) * fb, mpf(float(g)) * fg) for fb in shifts for fg in shifts]
-                near.append((mp_of(beta), mp_of(gamma)))
+                delta, l1, flat = _shift(b, g)
+                top, bottom = _digit_band(np.array(ds, dtype=np.float64), delta, g, l1, flat)
+                near = [(Fraction(b) * fb, Fraction(g) * fg) for fb in shifts for fg in shifts]
+                near.append((beta, gamma))
                 for k, d in enumerate(ds):
                     for nb, ng in near:
-                        assert mpf(float(top[k])) >= cdf(d + 1, nb, ng), (b, g, d)
-                        assert mpf(float(bottom[k])) <= cdf(d, nb, ng), (b, g, d)
+                        assert mp.mpf(float(top[k])) >= cdf(d + 1, nb, ng), (b, g, d)
+                        assert mp.mpf(float(bottom[k])) <= cdf(d, nb, ng), (b, g, d)
 
     def test_wrong_guesses_move_to_the_same_digits(self, monkeypatch):
         # guesses off by -3..+3 walk to the digits of test_golden_digits'
@@ -447,16 +486,20 @@ class TestBulkDigitStream:
         want = [sample(*case)[0] for case in cases]
         inverse = sampler._inverse_cdf
         shifts = np.random.default_rng(0)
+        guessed = []
 
-        def off_by_a_few(w, b, g, z):
-            d = np.floor(1.0 / inverse(w, b, g, z))
-            return 1.0 / (d + shifts.integers(-3, 4, size=d.size) + 0.5)
+        def off_by_a_few(*args):
+            x = np.floor(inverse(*args))
+            guessed.append(x.size)
+            return x + shifts.integers(-3, 4, size=x.size) + 0.5
 
         monkeypatch.setattr(sampler, "_inverse_cdf", off_by_a_few)
         for case, digits in zip(cases, want):
             got, fallbacks = sample(*case)
             assert np.array_equal(got, digits), case
             assert fallbacks == 0, case
+        # every digit's guess went through the shifted inverse
+        assert sum(guessed) == sum(n * depth for _, n, _, depth, _ in cases)
 
     @pytest.mark.parametrize("where, bands", [
         # V's 2^-53 interval holds F(1/2) = log2(1.5) at the Gauss start: the
@@ -488,20 +531,26 @@ class TestBulkDigitStream:
         assert len(calls) == bands
 
     def test_step_evaluates_three_logs_and_one_expm1_per_digit(self, monkeypatch):
-        # each _phi element is one log1p and each _inverse_cdf element one
-        # expm1; a guess that is right needs no second decision pass
+        # each _phi element is one log1p, each _digit_band element two (one
+        # per bound) and each _inverse_cdf element one expm1; a guess that is
+        # right needs no second decision pass
         counts = {"log1p": 0, "expm1": 0}
-        phi, inverse = sampler._phi, sampler._inverse_cdf
+        phi, band, inverse = sampler._phi, sampler._digit_band, sampler._inverse_cdf
 
         def counted_phi(p, q):
             counts["log1p"] += np.broadcast(p, q).size
             return phi(p, q)
+
+        def counted_band(d, *args):
+            counts["log1p"] += 2 * d.size
+            return band(d, *args)
 
         def counted_inverse(w, *args):
             counts["expm1"] += w.size
             return inverse(w, *args)
 
         monkeypatch.setattr(sampler, "_phi", counted_phi)
+        monkeypatch.setattr(sampler, "_digit_band", counted_band)
         monkeypatch.setattr(sampler, "_inverse_cdf", counted_inverse)
         eng = BulkDigitStream(3, 500)
         for _ in range(20):

@@ -16,7 +16,8 @@ Every run takes run.py's own run length.  The output keeps every run's env
 line, final JSON line (its `attempted` count included), gate line and
 figures, and a summary per workload: median and quartiles of each end-to-end
 metric on each side, in how many pairs the change did better, and how much
-of the metric's bound from BENCHMARK.json the change of the median uses.  The
+of the metric's bound from BENCHMARK.json the change of the median uses; and
+the RSS that each 1000 ops add, with the change of the RSS net of them.  The
 machine block and the run length in the command text come from the env
 lines, so they say what run.py used.
 """
@@ -73,6 +74,16 @@ def worse_by(parent: float, change: float, better: str) -> float | None:
     return worse / abs(parent)
 
 
+def rss_per_kop(runs: list[dict]) -> float | None:
+    """Least-squares slope of peak_rss_mb on attempted/1000 over `runs`, in MB
+    per 1000 ops; None when the runs hold fewer than two attempted counts."""
+    points = [(r["result"]["attempted"] / 1000, r["result"]["metrics"]["peak_rss_mb"]["value"])
+              for r in runs]
+    if len({x for x, _ in points}) < 2:
+        return None
+    return statistics.linear_regression(*zip(*points)).slope
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per-workload summary of end-to-end runs.
 
@@ -81,7 +92,14 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     on a metric when the change's value is strictly better than the parent's.
     Each metric also gets `worse_by`, the change of the median toward worse as
     a fraction of the parent's median, next to its `bound`; `near_bound`
-    lists the metrics whose worse_by is over half their bound, or None."""
+    lists the metrics whose worse_by is over half their bound, or None.
+
+    A workload with a peak_rss_mb metric also gets `rss_mb_per_kop`, the RSS
+    that each 1000 ops add (rss_per_kop over every run of both sides), and
+    `rss_net_of_ops`: the change of the median RSS less that slope times the
+    change of the median attempted count, as a fraction of the parent's
+    median RSS.  A benchmark that keeps a record per op grows its RSS with
+    its throughput, and this separates that growth from the program's own."""
     out = {}
     for wl in sorted({r["workload"] for r in runs}):
         mine = [r for r in runs if r["workload"] == wl]
@@ -107,6 +125,14 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             or summary[m["name"]]["worse_by"] > m["bound"] / 2]
         summary["attempted"] = {side: quartiles([p[side]["result"]["attempted"] for p in pairs])
                                 for side in ("parent", "change")}
+        if "peak_rss_mb" in summary:
+            slope = rss_per_kop(mine)
+            summary["rss_mb_per_kop"] = slope
+            rss, ops = summary["peak_rss_mb"], summary["attempted"]
+            summary["rss_net_of_ops"] = None if slope is None else (
+                (rss["change"]["median"] - rss["parent"]["median"]
+                 - slope * (ops["change"]["median"] - ops["parent"]["median"]) / 1000)
+                / rss["parent"]["median"])
         digests = {(r["seed"], r["figures"].get("digest")) for r in mine}
         if all(d is not None for _, d in digests):
             summary["same_digest_every_seed"] = len(digests) == len({s for s, _ in digests})
