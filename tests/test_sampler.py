@@ -10,7 +10,6 @@ import pytest
 from cfmetric import sampler
 from cfmetric.cfcore import DomainError, cylinder, gauss_digit_law, gauss_measure, word
 from cfmetric.sampler import (
-    _SLOP,
     BulkDigitStream,
     _digit_band,
     _exact_digit,
