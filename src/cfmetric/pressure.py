@@ -305,6 +305,8 @@ def pressure_eigen(
     """P(s) as the log leading eigenvalue, by power iteration on the positive
     cone with a nodewise Collatz-Wielandt bracket."""
     _check_operator(grid_size, cap, s)
+    if not 0.0 < tol < math.inf:  # nan fails too
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     nodes, M = _operator_matrix(float(s), grid_size, cap)
     return _power_iterate([s], nodes, M[None], cap, tol)[0]
 

@@ -8,10 +8,10 @@ where beta = (p+q)'/(p+q) and gamma = q'/q both update as z -> 1/(a+z).  Each
 digit is drawn by inverting the conditional CDF against a 53-bit uniform: the
 closed-form inverse at the float state only seeds the digit, a digit is
 accepted only when V lies inside its rigorous float band (an upper bound of
-F(1/(d+1)) and a lower bound of F(1/d)), and the rare ambiguous case
-is settled exactly by _exact_digit: the window's exact state from one
-continuant recursion, then one ladder of rounds that each read more bits of
-the uniform and raise the mpmath precision.  BulkDigitStream(seed, 1,
+F(1/(d+1)) and a lower bound of F(1/d)), and every digit that one band test
+does not accept is settled exactly by _exact_digit: the window's exact state
+from one continuant recursion, then one ladder of rounds that each read more
+bits of the uniform and raise the mpmath precision.  BulkDigitStream(seed, 1,
 stream_offset=j) is the scalar stream j; the exact enclosure of its point
 after n digits is cfcore.cylinder(word(*digits)).
 
@@ -35,11 +35,14 @@ step with one pays for that branch (as _phi pays for its limit p = q only
 when some element reaches it).  No stream is flat on the Gauss start's first
 levels, where sample_digit_matrix's shallow calls run; deeper, the float
 beta and gamma coincide (in about half the streams at level 16, in all from
-level 32 on), and the Lebesgue start keeps them equal.  The decision loop
-keeps every candidate digit in one float array: an accepted candidate stays
-where it is, only the streams whose candidate moves are indexed again, and
-the digits are cast once after the loop, with the exact fallbacks written
-over them.
+level 32 on), and the Lebesgue start keeps them equal.
+
+A step is one pass over the block: the guess, clipped to [1, 2^50], one band
+test at the guess, and the exact fallback for each stream it does not accept.
+The guess is off by a few u of F, far inside the band's slop, so a wrong
+guess is rare (none in 2e7 digits drawn from both starts); the fallback,
+not a walk to the next candidate, settles it, along with a guess clipped at
+2^50 and a V whose interval holds a digit boundary.
 
 The engine keeps the state as one float point per stream, updated as
 z -> 1/(d + z), and the error budget of the float band is:
@@ -225,21 +228,22 @@ def _new_context():
 _ROUNDS = ((40, 53), (80, 245), (160, 501), (320, 1077), (400, 1333))
 
 
-def _window_state_bounds(rev_digits, full_history):
-    """Enclosure of beta = [0; a_k..a_1+1] and gamma = [0; a_k..a_1] from the
-    most-recent-first digit window.
+def _window_state_bounds(rev_digits, full_history, b0=1):
+    """Enclosure of beta = [0; a_k..a_1 + beta_0] and gamma = [0; a_k..a_1]
+    from the most-recent-first digit window, where the start has gamma_0 = 0
+    and beta_0 = b0: 1 for the Gauss measure, 0 for the Lebesgue one.
 
-    [0; a_k..a_1] = p/q and [0; a_k..a_1 + 1] = [0; a_k..a_1, 1] =
-    (p + p')/(q + q') are the two ends of the cylinder of the reversed word.
-    With the full history they are gamma and beta exactly; a truncated window
-    pins both inside that closed cylinder, width <= 1/q_w^2.
+    [0; a_k..a_1 + z] = (p + z p')/(q + z q'), so z = 0 and z = 1 give the two
+    ends p/q and (p + p')/(q + q') of the cylinder of the reversed word.  With
+    the full history, gamma = p/q and beta = (p + b0 p')/(q + b0 q') exactly; a
+    truncated window pins both inside that closed cylinder, width <= 1/q_w^2.
     """
     p_prev, q_prev, p, q = continuant_tail(rev_digits)
     gamma = Fraction(p, q)
-    beta = Fraction(p + p_prev, q + q_prev)
     if full_history:
+        beta = Fraction(p + b0 * p_prev, q + b0 * q_prev)
         return beta, beta, gamma, gamma
-    lo, hi = sorted((gamma, beta))
+    lo, hi = sorted((gamma, Fraction(p + p_prev, q + q_prev)))
     return lo, hi, lo, hi
 
 
@@ -287,18 +291,20 @@ def _exact_digit(
     rev_digits: list,
     full_history: bool,
     mp=None,
+    b0: int = 1,
 ) -> int:
     """Draw one digit exactly: rigorous mpmath CDF enclosures against a lazily
-    refined dyadic uniform.  Used when the float fast path cannot separate.
+    refined dyadic uniform.  Used for every digit the float band cannot settle.
 
     Each round of _ROUNDS extends V by 64-bit words (extra word k hashes
     (seed, stream, level, k)) and searches again at a higher precision.  A comparison gives a verdict
     only when its bounds separate V from F(1/m), so the digit does not depend
     on the round that decides it.  mp is an mpmath context that no other
-    thread uses (its precision is set here); None makes a new one."""
+    thread uses (its precision is set here); None makes a new one.  b0 is the
+    start's beta_0, as _window_state_bounds takes it."""
     if mp is None:
         mp = _new_context()
-    state = _window_state_bounds(rev_digits, full_history)
+    state = _window_state_bounds(rev_digits, full_history, b0)
     v_num, v_bits, rnd = _word_scalar(seed, stream, level) >> 11, 53, 0
     for dps, bits in _ROUNDS:
         while v_bits < bits:
@@ -335,15 +341,13 @@ class BulkDigitStream:
         self._keys = _stream_keys(self.seed, self.streams)
         self._w = np.empty(n, dtype=U64)  # each level's words, mixed in place
         self.level = 0
-        if start == "gauss":
-            b0, g0 = 1.0, 0.0
-        elif start == "lebesgue":
-            b0, g0 = 0.0, 0.0
-        else:
+        if start not in ("gauss", "lebesgue"):
             raise DomainError("start must be 'gauss' or 'lebesgue'")
+        # the exact start: gamma_0 = 0, and beta_0 = 1 (Gauss) or 0 (Lebesgue)
+        self._b0 = int(start == "gauss")
         # float beta and gamma, each within relative 2^-50 of the exact state
-        self._beta = np.full(n, b0)
-        self._gamma = np.full(n, g0)
+        self._beta = np.full(n, float(self._b0))
+        self._gamma = np.zeros(n)
         # digit rows of the last _HIST_WINDOW levels, oldest first
         self.hist = deque(maxlen=_HIST_WINDOW)
         self.fallbacks = 0
@@ -351,7 +355,6 @@ class BulkDigitStream:
 
     def step(self) -> np.ndarray:
         """Sample the next digit of every stream."""
-        n = len(self.streams)
         w = _words(self.level, self._keys, self._w)
         w >>= U64(11)
         v = w.astype(np.float64)
@@ -368,40 +371,14 @@ class BulkDigitStream:
         d = _inverse_cdf(v + TWO_NEG53 * 0.5, delta, g, l1, flat)
         np.floor(d, out=d)
         np.clip(d, 1.0, 2.0**50, out=d)
-
-        # Every candidate lives in d.  An accepted one stays where it is; only
-        # the streams whose candidate moves are indexed again, and the streams
-        # that no candidate can settle are collected for the exact fallback.
-        live = np.arange(n)  # streams whose candidate is not accepted yet
-        came = np.zeros(n, dtype=np.int8)  # each live candidate's last move: +1 up, -1 down
-        stuck = []
-        for _ in range(80):
-            if live.size == 0:
-                break
-            # while every stream is live (the first pass), read the arrays
-            # whole instead of copying them by index
-            sel = slice(None) if live.size == n else live
-            dd, vv = d[sel], v[sel]
-            top, bottom = _digit_band(dd, delta[sel], g[sel], l1[sel],
-                                      None if flat is None else flat[sel])
-            fits_top = vv >= top                    # the digit is at most d
-            fits_bottom = vv + TWO_NEG53 <= bottom  # the digit is at least d
-            rest = np.nonzero(~(fits_top & fits_bottom))[0]  # positions in live
-            # +1 when only the top test fails, -1 when only the bottom one
-            # does; none back to the candidate it came from (V straddles
-            # their boundary) or below digit 1, so those go to the fallback
-            move = fits_bottom[rest].view(np.int8) - fits_top[rest].view(np.int8)
-            move[(move == -came[rest]) | (dd[rest] + move < 1.0)] = 0
-            moving = move != 0
-            stuck.append(live[rest[~moving]])
-            live = live[rest[moving]]
-            came = move[moving]
-            d[live] += came
-        else:
-            stuck.append(live)
-
+        # one band test: the guess is the digit where V's interval lies in its
+        # band; every other stream, a guess off by a digit, one clipped at
+        # 2^50 or a V too close to a boundary, goes to the exact fallback
+        top, bottom = _digit_band(d, delta, g, l1, flat)
+        ok = v >= top                   # the digit is at most d
+        ok &= v + TWO_NEG53 <= bottom   # and at least d
         digits = d.astype(np.int64)
-        for j in np.concatenate(stuck):
+        for j in np.flatnonzero(~ok):
             digits[j] = self._fallback(int(j))
         self._advance(digits)
         return digits
@@ -412,7 +389,7 @@ class BulkDigitStream:
             self._mp = _new_context()
         return _exact_digit(
             self.seed, int(self.streams[j]), self.level, self._history(j),
-            full_history=self.level <= _HIST_WINDOW, mp=self._mp,
+            full_history=self.level <= _HIST_WINDOW, mp=self._mp, b0=self._b0,
         )
 
     def _history(self, j: int) -> list:

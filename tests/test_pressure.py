@@ -456,6 +456,10 @@ class TestArgumentRules:
         (lambda: pressure_eigen(0.8, 1, 10), "grid_size must be an integer >= 2, got 1"),
         (lambda: pressure_eigen(0.8, 8.0, 10), "grid_size must be an integer >= 2, got 8.0"),
         (lambda: pressure_eigen(0.8, 128, 0), "cap must be an integer >= 1, got 0"),
+        (lambda: pressure_eigen(0.7, 32, 2048, math.nan), "tol must be finite and > 0, got nan"),
+        (lambda: pressure_eigen(0.7, 32, 2048, -1.0), "tol must be finite and > 0, got -1.0"),
+        (lambda: pressure_eigen(0.7, 32, 2048, 0.0), "tol must be finite and > 0, got 0.0"),
+        (lambda: pressure_eigen(0.7, 32, 2048, math.inf), "tol must be finite and > 0, got inf"),
         (lambda: pressure_cylinder(0.8, 2, 0, 8), "cap must be an integer >= 1, got 0"),
         (lambda: pressure_cylinder(math.inf, 2, 10, 8), "s must be finite, got inf"),
         (lambda: pressure_cylinder(0.8, 2, 10, 1), "grid_size must be an integer >= 2"),
