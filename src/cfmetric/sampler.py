@@ -38,11 +38,10 @@ beta and gamma coincide (in about half the streams at level 16, in all from
 level 32 on), and the Lebesgue start keeps them equal.
 
 A step is one pass over the block: the guess, clipped to [1, 2^50], one band
-test at the guess, and the exact fallback for each stream it does not accept.
-The guess is off by a few u of F, far inside the band's slop, so a wrong
-guess is rare (none in 2e7 digits drawn from both starts); the fallback,
-not a walk to the next candidate, settles it, along with a guess clipped at
-2^50 and a V whose interval holds a digit boundary.
+test at the guess, and the exact fallback for each stream it does not accept:
+a guess a digit off, a guess clipped at 2^50, or a V whose interval holds a
+digit boundary.  The guess is off by a few u of F, far inside the band's
+slop, so a wrong one is rare (none in 2e7 digits drawn from both starts).
 
 The engine keeps the state as one float point per stream, updated as
 z -> 1/(d + z), and the error budget of the float band is:
