@@ -15,15 +15,22 @@ bits of the uniform and raise the mpmath precision.  BulkDigitStream(seed, 1,
 stream_offset=j) is the scalar stream j; the exact enclosure of its point
 after n digits is cfcore.cylinder(word(*digits)).
 
+An engine owns its per-level scratch: uint64 words and their shifts, float64
+V, delta, L(1), guess and band, and two bool masks.  Every array operation
+of a step writes into them, so the one array a level makes is the digit
+row it returns.  The history keeps that row itself, made read-only, so a
+caller that needs a writable row copies it.  Only a step with a flat stream
+makes a few more arrays, in the flat branch.
+
 sample_digit_matrix cuts its streams into equal contiguous blocks of at most
-_BLOCK streams, so that one engine's float64 temporaries stay in the CPU
-cache.  Each block is its own BulkDigitStream, which runs every level and
-writes the block's rows of the result.  The blocks run on a thread pool with
-one worker per available CPU, but at most one per _MIN_BLOCK streams; numpy
-releases the interpreter lock inside its array loops.  An engine makes one
-mpmath context at its first exact fallback and keeps it for the rest; one
-engine runs on one thread, so threads that overlap never change each other's
-working precision.  _exact_digit called on its own makes a context per call.
+_BLOCK streams.  Each block is its own BulkDigitStream, which runs every
+level and writes the block's rows of the result.  The blocks run on the
+package's shared thread pool (_threads), on one worker per available CPU but
+at most one per _MIN_BLOCK streams; numpy releases the interpreter lock
+inside its array loops.  An engine makes one mpmath context at its first
+exact fallback and keeps it for the rest; one engine runs on one thread, so
+threads that overlap never change each other's working precision.
+_exact_digit called on its own makes a context per call.
 
 The band and the guess work in shift form: with delta = b - g and
 L(m) = log1p(delta/(m + g)) = ln((m + b)/(m + g)), F(1/m) = L(m)/L(1), one
@@ -106,15 +113,19 @@ def _mix_scalar(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        z = np.add(x, U64(_GOLDEN), out=out)
-        z ^= z >> U64(30)
-        z *= U64(_MIX1)
-        z ^= z >> U64(27)
-        z *= U64(_MIX2)
-        z ^= z >> U64(31)
-        return z
+def _mix(x: np.ndarray, out: np.ndarray | None = None,
+         tmp: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64's finaliser of each word of the uint64 array x, in out; tmp
+    holds the shifted words.  Either is a new array when None.  numpy's array
+    arithmetic wraps modulo 2^64 without a warning."""
+    z = np.add(x, U64(_GOLDEN), out=out)
+    tmp = np.right_shift(z, U64(30), out=tmp)
+    z ^= tmp
+    z *= U64(_MIX1)
+    z ^= np.right_shift(z, U64(27), out=tmp)
+    z *= U64(_MIX2)
+    z ^= np.right_shift(z, U64(31), out=tmp)
+    return z
 
 
 def _word_scalar(seed: int, stream: int, ctr: int, rnd: int = 0) -> int:
@@ -132,10 +143,20 @@ def _stream_keys(seed: int, streams: np.ndarray) -> np.ndarray:
     return _mix(h ^ streams.view(U64))
 
 
-def _words(ctr: int, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The words of counter ctr, _word_scalar's for round 0, mixed in out."""
+def _words(ctr: int, keys: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The words of counter ctr, _word_scalar's for round 0, mixed in out with
+    tmp as _mix's scratch."""
     np.bitwise_xor(keys, U64(ctr & _M64), out=out)
-    return _mix(out, out)
+    return _mix(out, out, tmp)
+
+
+def _uniforms(ctr: int, keys: np.ndarray, w: np.ndarray, tmp: np.ndarray,
+              v: np.ndarray) -> np.ndarray:
+    """V = (word >> 11) 2^-53 of counter ctr for each key, in the float64 v;
+    w and tmp are _words' uint64 scratch.  Both samplers draw through it."""
+    w = _words(ctr, keys, w, tmp)
+    w >>= U64(11)
+    return np.multiply(w, TWO_NEG53, out=v)
 
 
 # ---------------------------------------------------------------------------
@@ -143,32 +164,37 @@ def _words(ctr: int, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _phi(p, q):
+def _phi(p, q, d=None, flat=None, out=None):
     """Divided difference (ln(1+p) - ln(1+q)) / (p - q), stable near p = q.
 
     Decreasing in both arguments: it is the mean of 1/(1 + x) over [q, p].
-    Only an input with some p == q pays for the limit 1/(1 + p): otherwise
-    the quotient is computed in place, with the same operations in the same
-    order, so each value is the same to the bit."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    d = p - q
-    zero = d == 0.0
-    if np.count_nonzero(zero):
-        safe = np.where(zero, 1.0, d)
+    Only an input with some p == q pays for the limit 1/(1 + p), in a new
+    array: otherwise the quotient is computed in place, in out if given,
+    with the same operations in the same order, so each value is the same to
+    the bit.  A caller that has d = p - q and flat, the mask of d == 0 or
+    None where no element is 0, passes both, with p and q float arrays."""
+    if d is None:
+        p = np.asarray(p, dtype=float)
+        q = np.asarray(q, dtype=float)
+        d = p - q
+        flat = d == 0.0
+        if not np.count_nonzero(flat):
+            flat = None
+    if flat is not None:
+        safe = np.where(flat, 1.0, d)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.log1p(safe / (1.0 + q)) / safe
-        return np.where(zero, 1.0 / (1.0 + p), out)
-    out = np.empty_like(d)  # an array even when d is a numpy scalar
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.add(1.0, q, out=out)
-        np.divide(d, out, out=out)
-        np.log1p(out, out=out)
-        out /= d
+        return np.where(flat, 1.0 / (1.0 + p), out)
+    if out is None:
+        out = np.empty_like(d)  # an array even when d is a numpy scalar
+    np.add(1.0, q, out=out)
+    np.divide(d, out, out=out)
+    np.log1p(out, out=out)
+    out /= d
     return out
 
 
-def _digit_band(d, delta, g, l1, flat):
+def _digit_band(d, delta, g, l1, flat, top=None, bottom=None):
     """(top, bottom): a rigorous upper bound of F(1/(d+1)) and a rigorous lower
     bound of F(1/d) at an exact state within relative 2^-50 of the float state
     (b, g), in shift form: F(1/m) = L(m)/l1 with L(m) = log1p(delta/(m + g)),
@@ -178,33 +204,38 @@ def _digit_band(d, delta, g, l1, flat):
     A uniform known to lie in [V, V + 2^-53] selects digit d when V >= top
     and V + 2^-53 <= bottom.  Each bound is the ratio times 1 +/- 2 _SLOP,
     evaluated in place; the slop covers the state's radius and the rounding
-    of F (see _SLOP)."""
-    bottom = d + g  # m + g at m = d
-    top = bottom + 1.0  # and at m = d + 1
-    with np.errstate(invalid="ignore"):  # 0/0 where flat, overwritten
-        for s, slop in ((top, 2.0 * _SLOP), (bottom, -2.0 * _SLOP)):
-            f_flat = None if flat is None else (1.0 + g) / s
-            np.divide(delta, s, out=s)
-            np.log1p(s, out=s)
+    of F (see _SLOP).  top and bottom, if given, hold the result."""
+    bottom = np.add(d, g, out=bottom)  # m + g at m = d
+    top = np.add(bottom, 1.0, out=top)  # and at m = d + 1
+    for s, slop in ((top, 2.0 * _SLOP), (bottom, -2.0 * _SLOP)):
+        f_flat = None if flat is None else (1.0 + g) / s
+        np.divide(delta, s, out=s)
+        np.log1p(s, out=s)
+        if flat is None:
             s /= l1
-            if flat is not None:
-                np.copyto(s, f_flat, where=flat)
-            s *= 1.0 + slop
+        else:
+            with np.errstate(invalid="ignore"):  # 0/0 where flat, overwritten
+                s /= l1
+            np.copyto(s, f_flat, where=flat)
+        s *= 1.0 + slop
     return top, bottom
 
 
-def _inverse_cdf(w, delta, g, l1, flat):
+def _inverse_cdf(w, delta, g, l1, flat, out=None):
     """The digit variable x = 1/u with F(u) = w at the point state (b, g), in
     closed form, given delta, l1 and flat as _digit_band takes them.
 
     F(1/x) = w means log1p(delta/(x + g)) = w l1, so x = delta/expm1(w l1) - g;
     where flat, (1 + g)/(x + g) = w gives x = (1 + g)/w - g.  w, delta, g, l1
-    and flat share one shape (or are scalars)."""
-    x = np.asarray(w * l1)  # an array even for scalar arguments
+    and flat share one shape (or are scalars).  out, if given, holds x; it
+    must not be w, which the flat branch reads again."""
+    x = np.asarray(np.multiply(w, l1, out=out))  # an array even for scalars
     np.expm1(x, out=x)
-    with np.errstate(invalid="ignore"):  # 0/0 where flat, overwritten
+    if flat is None:
         np.divide(delta, x, out=x)
-    if flat is not None:
+    else:
+        with np.errstate(invalid="ignore"):  # 0/0 where flat, overwritten
+            np.divide(delta, x, out=x)
         np.copyto(x, (1.0 + g) / w, where=flat)
     x -= g
     return x
@@ -338,7 +369,11 @@ class BulkDigitStream:
         n, offset = _stream_range(n_streams, stream_offset)
         self.streams = np.arange(n, dtype=np.int64) + offset
         self._keys = _stream_keys(self.seed, self.streams)
-        self._w = np.empty(n, dtype=U64)  # each level's words, mixed in place
+        # each level's scratch, written in place: the words and their shifts,
+        # then V, delta, L(1), the guess, the band and two masks
+        self._w, self._tmp = np.empty((2, n), dtype=U64)
+        self._v, self._delta, self._l1, self._guess, self._top, self._bottom = np.empty((6, n))
+        self._mask, self._ok = np.empty((2, n), dtype=bool)
         self.level = 0
         if start not in ("gauss", "lebesgue"):
             raise DomainError("start must be 'gauss' or 'lebesgue'")
@@ -354,30 +389,31 @@ class BulkDigitStream:
 
     def step(self) -> np.ndarray:
         """Sample the next digit of every stream."""
-        w = _words(self.level, self._keys, self._w)
-        w >>= U64(11)
-        v = w.astype(np.float64)
-        v *= TWO_NEG53
+        v = _uniforms(self.level, self._keys, self._w, self._tmp, self._v)
         b, g = self._beta, self._gamma
-        z = _phi(b, g)
-        delta = b - g  # and the flat mask, None when no stream is flat
-        flat = delta == 0.0
+        delta = np.subtract(b, g, out=self._delta)
+        # the flat mask, None when no stream is flat; once the band is made,
+        # its buffer takes the band's second test
+        flat = np.equal(delta, 0.0, out=self._mask)
         if not np.count_nonzero(flat):
             flat = None
-        l1 = delta * z  # L(1) = log1p(delta/(1 + g))
+        # L(1) = delta Phi(b, g) = log1p(delta/(1 + g))
+        l1 = np.multiply(delta, _phi(b, g, delta, flat, self._l1), out=self._l1)
         # aim at the middle of V's 2^-53 interval; the band around F is about
         # 2e-13 wide, relative, so the guess is almost always right
-        d = _inverse_cdf(v + TWO_NEG53 * 0.5, delta, g, l1, flat)
+        mid = np.add(v, TWO_NEG53 * 0.5, out=self._top)  # top is free until the band
+        d = _inverse_cdf(mid, delta, g, l1, flat, self._guess)
         np.floor(d, out=d)
         np.clip(d, 1.0, 2.0**50, out=d)
         # one band test: the guess is the digit where V's interval lies in its
         # band; every other stream, a guess off by a digit, one clipped at
         # 2^50 or a V too close to a boundary, goes to the exact fallback
-        top, bottom = _digit_band(d, delta, g, l1, flat)
-        ok = v >= top                   # the digit is at most d
-        ok &= v + TWO_NEG53 <= bottom   # and at least d
-        digits = d.astype(np.int64)
-        for j in np.flatnonzero(~ok):
+        top, bottom = _digit_band(d, delta, g, l1, flat, self._top, self._bottom)
+        ok = np.greater_equal(v, top, out=self._ok)  # the digit is at most d
+        v += TWO_NEG53  # the top of V's interval; V is not read again
+        ok &= np.less_equal(v, bottom, out=self._mask)  # and at least d
+        digits = d.astype(np.int64)  # the level's one new array
+        for j in np.flatnonzero(np.logical_not(ok, out=ok)):
             digits[j] = self._fallback(int(j))
         self._advance(digits)
         return digits
@@ -397,18 +433,22 @@ class BulkDigitStream:
 
     def _advance(self, digits: np.ndarray) -> None:
         """beta, gamma <- 1/(d + beta), 1/(d + gamma) in place, each within
-        relative 2^-50 of the exact state (see the module docstring)."""
-        d = digits.astype(np.float64)
+        relative 2^-50 of the exact state (see the module docstring).  The
+        history keeps the row itself, made read-only."""
         for z in (self._beta, self._gamma):
-            z += d
+            z += digits  # each digit rounds to float64 as astype does
             np.divide(1.0, z, out=z)
-        self.hist.append(digits.copy())  # the caller owns the returned row
+        digits.flags.writeable = False
+        self.hist.append(digits)
         self.level += 1
 
 
-# Most streams per engine.  A block's float64 temporaries then take at most
-# 256 KB each, so the few that one array expression keeps live stay in a 2 MB
-# L2 cache; at 1e5 streams they take 800 KB each.
+# Most streams per engine, a measured choice.  An engine keeps about 12
+# arrays of 8 bytes per stream (scratch, state, keys and stream indices),
+# 3 MB at this size.  On 1e5 x 4 digits (2 vCPUs, best of 20 per round, 3
+# rounds), blocks of at most 16384, 32768 and 65536 streams took 13.4-14.3,
+# 11.3-11.8 and 11.1-12.1 ms on two workers; 8192 lost to one worker
+# (15.4-24.4 against 13.3-14.3 ms), and 65536 took 21.5-28.8 ms on one.
 _BLOCK = 32_768
 _MIN_BLOCK = 8_192  # fewest streams per worker thread
 _MAX_DIGITS = 80_000_000
@@ -461,10 +501,12 @@ def sample_digit_matrix(
     between streams, so the digits are the same for any split and any number
     of threads."""
     seed, n_streams, stream_offset = _check_shape(seed, n_streams, depth, stream_offset)
+    out = np.empty((n_streams, depth), dtype=np.int64)
+    if not depth:  # no digits: no block to build
+        return out
     workers = max(1, min(_cpus(), n_streams // _MIN_BLOCK))
     n_blocks = workers * -(-n_streams // (_BLOCK * workers))
     bounds = [n_streams * i // n_blocks for i in range(n_blocks + 1)]
-    out = np.empty((n_streams, depth), dtype=np.int64)
 
     def run(lo: int, hi: int) -> None:
         eng = BulkDigitStream(seed, hi - lo, stream_offset + lo, start)
@@ -481,13 +523,17 @@ def sample_iid_gauss_kuzmin(seed: int, n_streams: int, depth: int,
     mode; the digit process loses its cross-position dependence)."""
     seed, n_streams, stream_offset = _check_shape(seed, n_streams, depth, stream_offset)
     keys = _stream_keys(seed ^ 0x1D, np.arange(n_streams, dtype=np.int64) + stream_offset)
-    w = np.empty(n_streams, dtype=U64)
+    w, tmp = np.empty((2, n_streams), dtype=U64)
+    x = np.empty(n_streams)
     out = np.empty((n_streams, depth), dtype=np.int64)
     for k in range(depth):
-        v = (_words(k, keys, w) >> U64(11)).astype(np.float64) * TWO_NEG53
+        _uniforms(k, keys, w, tmp, x)  # V, which becomes x in place
         # x = 2^w - 1 at the middle w of V's 2^-53 interval lies in (0, 1]
         # (w rounds to 1 at the top), so every digit floor(1/x) is an int64
         # in [1, 2^55)
-        x = np.expm1((v + TWO_NEG53 * 0.5) * _LN2)
-        out[:, k] = np.floor(1.0 / x).astype(np.int64)
+        x += TWO_NEG53 * 0.5
+        x *= _LN2
+        np.expm1(x, out=x)
+        np.divide(1.0, x, out=x)
+        out[:, k] = np.floor(x, out=x)  # whole floats, cast as astype does
     return out

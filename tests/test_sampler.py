@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,10 @@ from cfmetric.sampler import (
     _mix,
     _mix_scalar,
     _phi,
+    _stream_keys,
+    _uniforms,
     _window_state_bounds,
+    _word_scalar,
     sample_digit_matrix,
     sample_iid_gauss_kuzmin,
 )
@@ -525,7 +529,7 @@ class TestBulkDigitStream:
         with mp.workdps(40):
             v_num = int(mp.floor(mp.log(1.5, 2) * 2**53)) if where == "F(1/2)" else 2**53 - 1
         monkeypatch.setattr(sampler, "_word_scalar", lambda *args: v_num << 11)
-        monkeypatch.setattr(sampler, "_words", lambda ctr, keys, out:
+        monkeypatch.setattr(sampler, "_words", lambda ctr, keys, *scratch:
                             np.full(keys.size, v_num << 11, dtype=np.uint64))
         want = _exact_digit(1, 0, 0, [], True)
         band = sampler._digit_band
@@ -548,9 +552,9 @@ class TestBulkDigitStream:
         counts = {"log1p": 0, "expm1": 0}
         phi, band, inverse = sampler._phi, sampler._digit_band, sampler._inverse_cdf
 
-        def counted_phi(p, q):
+        def counted_phi(p, q, *args):
             counts["log1p"] += np.broadcast(p, q).size
-            return phi(p, q)
+            return phi(p, q, *args)
 
         def counted_band(d, *args):
             counts["log1p"] += 2 * d.size
@@ -582,8 +586,70 @@ class TestBulkDigitStream:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 40e6, peak
+        # measured 13.07 MB: the engine's scratch, state and keys (about 10 MB),
+        # four rows (3.2 MB) and the key hash's temporaries
+        assert peak < 14e6, peak
         assert len(eng.hist) == 4
+
+    def test_steps_allocate_only_their_row(self):
+        # no stream of seed 1 is flat at levels 2-4 from the Gauss start, so a
+        # step there writes into the engine's scratch and makes only the row
+        # it returns; measured: 66.9 KB more, 64 KB of it numpy's buffer for
+        # the row's cast to float64 in _advance
+        import tracemalloc
+
+        eng = BulkDigitStream(1, 100_000)
+        eng.step()
+        eng.step()
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                assert np.all(eng._beta != eng._gamma)
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                row = eng.step()
+                _, peak = tracemalloc.get_traced_memory()
+                assert peak - before <= row.nbytes + 100_000, (eng.level, peak - before)
+        finally:
+            tracemalloc.stop()
+
+    def test_history_keeps_the_returned_row(self):
+        eng = BulkDigitStream(4, 16)
+        for _ in range(3):
+            row = eng.step()
+            assert row is eng.hist[-1]
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 1
+
+    def test_helpers_give_the_same_values_in_buffers(self):
+        # on states the engine reaches, none flat (level 1), some (16) and
+        # all (40, and every Lebesgue level), each helper returns the same
+        # values into the step's buffers as into new arrays
+        states = []
+        for start in ("gauss", "lebesgue"):
+            eng = BulkDigitStream(11, 64, start=start)
+            for level in range(41):
+                if level in (1, 16, 40):
+                    states.append((eng.level, eng._beta.copy(), eng._gamma.copy()))
+                eng.step()
+        assert any(np.any(b != g) and np.any(b == g) for _, b, g in states)
+        keys = _stream_keys(11, np.arange(64, dtype=np.int64))
+        for level, b, g in states:
+            delta, l1, flat = _shift(b, g)
+            assert np.array_equal(_phi(b, g, delta, flat, np.empty(64)), _phi(b, g))
+            v = _uniforms(level, keys, *np.empty((2, 64), dtype=np.uint64), np.empty(64))
+            # V from the scalar word hash of each stream, as the exact fallback reads it
+            assert v.tolist() == [(_word_scalar(11, j, level) >> 11) * 2.0**-53 for j in range(64)]
+            mid = v + 2.0**-54
+            x = _inverse_cdf(mid, delta, g, l1, flat)
+            assert np.array_equal(_inverse_cdf(mid, delta, g, l1, flat, np.empty(64)), x)
+            d = np.clip(np.floor(x), 1.0, 2.0**50)
+            got = _digit_band(d, delta, g, l1, flat, np.empty(64), np.empty(64))
+            for a, want in zip(got, _digit_band(d, delta, g, l1, flat)):
+                assert np.array_equal(a, want)
+            words = keys ^ np.uint64(level)
+            assert np.array_equal(_mix(words, *np.empty((2, 64), dtype=np.uint64)), _mix(words))
 
     def test_budget_guard(self):
         with pytest.raises(DomainError, match="digit budget"):
@@ -683,11 +749,23 @@ class TestBlocks:
         assert np.array_equal(got, want)
 
     def test_block_error_reaches_caller(self, monkeypatch):
+        # the error reaches the caller only once no other block is running
+        lock = threading.Lock()
+        running = set()
+
         class Failing(BulkDigitStream):
             def step(self):
-                if self.streams[0] == 50:
-                    raise RuntimeError("block at stream 50 failed")
-                return super().step()
+                first = int(self.streams[0])
+                with lock:
+                    running.add(first)
+                try:
+                    if first == 50:
+                        raise RuntimeError("block at stream 50 failed")
+                    time.sleep(0.02)
+                    return super().step()
+                finally:
+                    with lock:
+                        running.discard(first)
 
         monkeypatch.setattr(sampler, "BulkDigitStream", Failing)
         monkeypatch.setattr(sampler, "_BLOCK", 25)
@@ -695,6 +773,20 @@ class TestBlocks:
         monkeypatch.setattr(sampler, "_cpus", lambda: 2)
         with pytest.raises(RuntimeError, match="stream 50"):
             sample_digit_matrix(3, 100, 2)
+        assert not running
+
+    def test_no_digits_builds_no_block(self, monkeypatch):
+        made = []
+
+        class Recorded(BulkDigitStream):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(sampler, "BulkDigitStream", Recorded)
+        m = sample_digit_matrix(1, 100_000, 0)
+        assert m.shape == (100_000, 0) and m.dtype == np.int64
+        assert made == []
 
 
 @pytest.mark.parametrize("sample", [sample_digit_matrix, sample_iid_gauss_kuzmin])
@@ -782,6 +874,14 @@ class TestIidMode:
         m = sample_iid_gauss_kuzmin(3, 4, 2)
         assert m.dtype == np.int64
         assert np.all((lo <= m) & (m < hi)), m
+
+    def test_golden_digits(self):
+        # SHA-256 of the int64 digits; a change to the uniforms or to the
+        # float steps from V to the digit moves these
+        assert _digest(sample_iid_gauss_kuzmin(2024, 1000, 8)) == (
+            "af017c19f1cd4b69193331f8445df3d3afbafd7fb19c5c70fb753820250189e1")
+        assert _digest(sample_iid_gauss_kuzmin(7, 70_000, 3, stream_offset=-5)) == (
+            "b0fb781c2becce966922b5613343dbe46d7119b240d657f632e88b57151c1fdb")
 
     def test_marginals_and_determinism(self):
         m = sample_iid_gauss_kuzmin(11, 50_000, 2)
