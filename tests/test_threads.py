@@ -112,3 +112,26 @@ def test_forked_child_builds_its_own_pool():
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_concurrent_callers_share_the_pool(fresh_pool):
+    # more callers and workers than cores, asking for pools of different
+    # sizes while the interpreter switches threads often: each caller still
+    # gets every one of its own results
+    got = {}
+
+    def caller(c):
+        got[c] = thread_map(lambda k: (c, k), 2 + c % 3, range(40))
+
+    callers = [threading.Thread(target=caller, args=(c,)) for c in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == {c: [(c, k) for k in range(40)] for c in range(6)}
