@@ -138,10 +138,11 @@ def expand_rational(p: int, q: int) -> DigitWord:
     """Continued fraction of p/q in [0, 1) by the Euclidean algorithm.
 
     The result is canonical: for nonzero p/q the final digit is >= 2, so
-    evaluate(expand_rational(p, q)) == p/q round-trips exactly.
+    evaluate(expand_rational(p, q)) == p/q round-trips exactly.  p and q are
+    integers (a bool is not).
     """
-    if q <= 0:
-        raise DomainError("denominator must be >= 1")
+    p = _require_int("p", p)
+    q = _require_int("q", q, 1)
     if not 0 <= p < q:
         raise DomainError(f"{p}/{q} is not in [0, 1)")
     digits: list[int] = []

@@ -517,6 +517,14 @@ class DimensionResult:
     flags: tuple = ()
 
 
+def _check_tol(tol: float) -> None:
+    """A DomainError unless tol is in [5e-6, inf), the cached curve's accuracy."""
+    if not 5e-6 <= tol < math.inf:  # nan fails too
+        raise DomainError(
+            f"tol must be in [5e-6, inf), the cached curve's accuracy; got {tol!r}"
+        )
+
+
 def solve_dimension(
     r: int,
     B: float,
@@ -531,10 +539,7 @@ def solve_dimension(
     _require_int("r", r, 1)
     if not 1.0 < B < math.inf:
         raise DomainError("solve_dimension needs 1 < B < inf")
-    if not 5e-6 <= tol < math.inf:  # nan fails too
-        raise DomainError(
-            f"tol must be in [5e-6, inf), the cached curve's accuracy; got {tol!r}"
-        )
+    _check_tol(tol)
     curve = curve or default_curve()
     ln_b = math.log(B)
 
@@ -578,8 +583,10 @@ def dimension_dispatch(
     B = 1 gives dimension 1; finite B solves the pressure equation; B = inf
     gives 1/(1+b), degenerating to 0 when b = inf.  Growth exponents at or
     below 0 (bounded or decaying psi) fall into the full-dimension regime.
+    tol is checked in every regime, by solve_dimension's rule.
     """
     _require_int("r", r, 1)
+    _check_tol(tol)
     g = growth_exponents(psi)
     flags = g.flags
     if not g.exact:

@@ -35,14 +35,11 @@ _exact_digit called on its own makes a context per call.
 The band and the guess work in shift form: with delta = b - g and
 L(m) = log1p(delta/(m + g)) = ln((m + b)/(m + g)), F(1/m) = L(m)/L(1), one
 log1p of one quotient per bound, and the guess inverts it for x = 1/u.
-L(1) = delta Phi(b, g) comes from the normaliser Phi(p, q) =
-(ln(1+p) - ln(1+q)) / (p - q).  Where delta == 0 a stream is flat and
-F(1/m) = (1 + g)/(m + g); a step finds its flat streams once, and only a
-step with one pays for that branch (as _phi pays for its limit p = q only
-when some element reaches it).  No stream is flat on the Gauss start's first
-levels, where sample_digit_matrix's shallow calls run; deeper, the float
-beta and gamma coincide (in about half the streams at level 16, in all from
-level 32 on), and the Lebesgue start keeps them equal.
+Where delta == 0 a stream is flat, L(1) is 0 and F(1/m) = (1 + g)/(m + g);
+a step finds its flat streams once, and only a step with one pays for that
+branch.  No stream is flat on the Gauss start's first levels; deeper, the
+float beta and gamma coincide (in all streams from level 32 on), and the
+Lebesgue start keeps them equal.
 
 A step is one pass over the block: the guess, clipped to [1, 2^50], one band
 test at the guess, and the exact fallback for each stream it does not accept:
@@ -164,42 +161,12 @@ def _uniforms(ctr: int, keys: np.ndarray, w: np.ndarray, tmp: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _phi(p, q, d=None, flat=None, out=None):
-    """Divided difference (ln(1+p) - ln(1+q)) / (p - q), stable near p = q.
-
-    Decreasing in both arguments: it is the mean of 1/(1 + x) over [q, p].
-    Only an input with some p == q pays for the limit 1/(1 + p), in a new
-    array: otherwise the quotient is computed in place, in out if given,
-    with the same operations in the same order, so each value is the same to
-    the bit.  A caller that has d = p - q and flat, the mask of d == 0 or
-    None where no element is 0, passes both, with p and q float arrays."""
-    if d is None:
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        d = p - q
-        flat = d == 0.0
-        if not np.count_nonzero(flat):
-            flat = None
-    if flat is not None:
-        safe = np.where(flat, 1.0, d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.log1p(safe / (1.0 + q)) / safe
-        return np.where(flat, 1.0 / (1.0 + p), out)
-    if out is None:
-        out = np.empty_like(d)  # an array even when d is a numpy scalar
-    np.add(1.0, q, out=out)
-    np.divide(d, out, out=out)
-    np.log1p(out, out=out)
-    out /= d
-    return out
-
-
 def _digit_band(d, delta, g, l1, flat, top=None, bottom=None):
     """(top, bottom): a rigorous upper bound of F(1/(d+1)) and a rigorous lower
     bound of F(1/d) at an exact state within relative 2^-50 of the float state
     (b, g), in shift form: F(1/m) = L(m)/l1 with L(m) = log1p(delta/(m + g)),
-    delta = b - g and l1 = L(1) = delta Phi(b, g).  flat is the mask of
-    delta == 0, where F(1/m) = (1 + g)/(m + g), or None if none is 0.
+    delta = b - g and l1 = L(1).  flat is the mask of delta == 0, where
+    F(1/m) = (1 + g)/(m + g), or None if none is 0.
 
     A uniform known to lie in [V, V + 2^-53] selects digit d when V >= top
     and V + 2^-53 <= bottom.  Each bound is the ratio times 1 +/- 2 _SLOP,
@@ -227,9 +194,9 @@ def _inverse_cdf(w, delta, g, l1, flat, out=None):
 
     F(1/x) = w means log1p(delta/(x + g)) = w l1, so x = delta/expm1(w l1) - g;
     where flat, (1 + g)/(x + g) = w gives x = (1 + g)/w - g.  w, delta, g, l1
-    and flat share one shape (or are scalars).  out, if given, holds x; it
-    must not be w, which the flat branch reads again."""
-    x = np.asarray(np.multiply(w, l1, out=out))  # an array even for scalars
+    and flat are arrays of one shape.  out, if given, holds x; it must not
+    be w, which the flat branch reads again."""
+    x = np.multiply(w, l1, out=out)
     np.expm1(x, out=x)
     if flat is None:
         np.divide(delta, x, out=x)
@@ -319,7 +286,6 @@ def _exact_digit(
     stream: int,
     level: int,
     rev_digits: list,
-    full_history: bool,
     mp=None,
     b0: int = 1,
 ) -> int:
@@ -327,14 +293,17 @@ def _exact_digit(
     refined dyadic uniform.  Used for every digit the float band cannot settle.
 
     Each round of _ROUNDS extends V by 64-bit words (extra word k hashes
-    (seed, stream, level, k)) and searches again at a higher precision.  A comparison gives a verdict
-    only when its bounds separate V from F(1/m), so the digit does not depend
-    on the round that decides it.  mp is an mpmath context that no other
-    thread uses (its precision is set here); None makes a new one.  b0 is the
-    start's beta_0, as _window_state_bounds takes it."""
+    (seed, stream, level, k)) and searches again at a higher precision.  A
+    comparison gives a verdict only when its bounds separate V from F(1/m),
+    so the digit does not depend on the round that decides it.  rev_digits
+    is the window of the last min(level, _HIST_WINDOW) digits, most recent
+    first, so it is the full history when it holds level digits.  mp is an
+    mpmath context that no other thread uses (its precision is set here);
+    None makes a new one.  b0 is the start's beta_0, as _window_state_bounds
+    takes it."""
     if mp is None:
         mp = _new_context()
-    state = _window_state_bounds(rev_digits, full_history, b0)
+    state = _window_state_bounds(rev_digits, len(rev_digits) == level, b0)
     v_num, v_bits, rnd = _word_scalar(seed, stream, level) >> 11, 53, 0
     for dps, bits in _ROUNDS:
         while v_bits < bits:
@@ -397,8 +366,11 @@ class BulkDigitStream:
         flat = np.equal(delta, 0.0, out=self._mask)
         if not np.count_nonzero(flat):
             flat = None
-        # L(1) = delta Phi(b, g) = log1p(delta/(1 + g))
-        l1 = np.multiply(delta, _phi(b, g, delta, flat, self._l1), out=self._l1)
+        # L(1) = log1p(delta/(1 + g)), 0 where flat; the band and the guess
+        # overwrite the flat streams
+        l1 = np.add(1.0, g, out=self._l1)
+        np.divide(delta, l1, out=l1)
+        np.log1p(l1, out=l1)
         # aim at the middle of V's 2^-53 interval; the band around F is about
         # 2e-13 wide, relative, so the guess is almost always right
         mid = np.add(v, TWO_NEG53 * 0.5, out=self._top)  # top is free until the band
@@ -422,10 +394,8 @@ class BulkDigitStream:
         self.fallbacks += 1
         if self._mp is None:
             self._mp = _new_context()
-        return _exact_digit(
-            self.seed, int(self.streams[j]), self.level, self._history(j),
-            full_history=self.level <= _HIST_WINDOW, mp=self._mp, b0=self._b0,
-        )
+        return _exact_digit(self.seed, int(self.streams[j]), self.level,
+                            self._history(j), mp=self._mp, b0=self._b0)
 
     def _history(self, j: int) -> list:
         """Stream j's last min(level, _HIST_WINDOW) digits, most recent first."""

@@ -205,12 +205,22 @@ _PSI_RE = re.compile(r"^\s*([a-z_]+)\s*\((.*)\)\s*$")
 
 def parse_psi(spec: str) -> ThresholdFn:
     """Parse the CLI grammar: poly_log(a,c), geometric(B), double_exp(c,b),
-    scaled_geometric(d, <inner>), table:FILE."""
+    scaled_geometric(d, <inner>), table:FILE.  An argument or a table line
+    that is not a number is a DomainError."""
     spec = spec.strip()
+
+    def number(text: str) -> float:
+        try:
+            return float(text)
+        except ValueError:
+            raise DomainError(
+                f"cannot parse psi spec {spec!r}: {text.strip()!r} is not a number"
+            ) from None
+
     if spec.startswith("table:"):
         path = spec[len("table:"):]
         with open(path) as fh:
-            vals = [float(line) for line in fh if line.strip()]
+            vals = [number(line) for line in fh if line.strip()]
         return table(vals)
     m = _PSI_RE.match(spec)
     if not m:
@@ -218,15 +228,13 @@ def parse_psi(spec: str) -> ThresholdFn:
     name, args = m.group(1), m.group(2)
     if name == "scaled_geometric":
         head, _, rest = args.partition(",")
-        return scaled_geometric(float(head), parse_psi(rest))
-    parts = [p.strip() for p in args.split(",") if p.strip()]
-    if name == "poly_log" and len(parts) == 2:
-        return poly_log(float(parts[0]), float(parts[1]))
-    if name == "geometric" and len(parts) == 1:
-        return geometric(float(parts[0]))
-    if name == "double_exp" and len(parts) == 2:
-        return double_exp(float(parts[0]), float(parts[1]))
-    raise DomainError(f"cannot parse psi spec {spec!r}")
+        return scaled_geometric(number(head), parse_psi(rest))
+    make, arity = {"poly_log": (poly_log, 2), "geometric": (geometric, 1),
+                   "double_exp": (double_exp, 2)}.get(name, (None, None))
+    parts = [p for p in args.split(",") if p.strip()]
+    if len(parts) != arity:
+        raise DomainError(f"cannot parse psi spec {spec!r}")
+    return make(*map(number, parts))
 
 
 def _collapses(B: float, alpha: float, c: float) -> bool:

@@ -111,6 +111,51 @@ def test_summary_rss_per_kop():
     assert "rss_mb_per_kop" not in s and "rss_net_of_ops" not in s
 
 
+def test_summary_setup_interleaved():
+    # three samples per side and pair, pooled over the pairs: the parent's
+    # 0.10..0.15 and the change's 0.11..0.16, so the median is 10% worse
+    runs = []
+    for i in (1, 2):
+        for side, base in (("parent", 0.10), ("change", 0.11)):
+            rec = _run(side, i, 90 + i, 10, 5)
+            rec["setup_s_interleaved"] = [base + 0.01 * (3 * (i - 1) + k) for k in range(3)]
+            runs.append(rec)
+    s = bench_pairs.summarize(runs, METRICS)["w"]["setup_s_interleaved"]
+    assert s["samples"] == 6
+    assert s["parent"]["median"] == pytest.approx(0.125)
+    assert s["parent"]["q1"] == pytest.approx(0.1125)
+    assert s["change"]["q3"] == pytest.approx(0.1475)
+    assert s["worse_by"] == pytest.approx(0.01 / 0.125)
+    # runs without samples, as in files made before them, get no entry
+    assert "setup_s_interleaved" not in bench_pairs.summarize(
+        [_run("parent", 1, 7, 10, 5), _run("change", 1, 7, 10, 5)], METRICS)["w"]
+
+
+@pytest.mark.parametrize("pair, first", [(1, "parent"), (2, "change")])
+def test_run_pair_interleaves_setups(monkeypatch, pair, first):
+    # the set-ups follow the pair's order, side by side, three per side; a
+    # traced pair takes none
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_one", lambda tree, *args: {
+        "exit_code": 0, "gates": "gates: all passed", "result": {"attempted": 1}})
+
+    def setup_once(tree, workload, seed):
+        calls.append(tree)
+        return float(len(calls))
+
+    monkeypatch.setattr(bench_pairs, "setup_once", setup_once)
+    trees = {"parent": "P", "change": "C"}
+    records = bench_pairs.run_pair(trees, "w", 5, pair, 0)
+    second = "change" if first == "parent" else "parent"
+    assert calls == [trees[first], trees[second]] * 3
+    assert [r["side"] for r in records] == [first, second]
+    assert records[0]["setup_s_interleaved"] == [1.0, 3.0, 5.0]
+    assert records[1]["setup_s_interleaved"] == [2.0, 4.0, 6.0]
+    calls.clear()
+    traced = bench_pairs.run_pair(trees, "w", 5, pair, 1)
+    assert calls == [] and all("setup_s_interleaved" not in r for r in traced)
+
+
 @pytest.mark.parametrize("text, want", [("51-55", [51, 52, 53, 54, 55]),
                                         ("3", [3]), ("1,4-5,9", [1, 4, 5, 9])])
 def test_seed_list(text, want):

@@ -64,6 +64,22 @@ class TestExpandRational:
         with pytest.raises(DomainError):
             expand_rational(7, 5)
 
+    @pytest.mark.parametrize("p, q, message", [
+        (True, 3, "p must be an integer, got True"),
+        (0.5, 1, "p must be an integer, got 0.5"),
+        (1, 2.0, "q must be an integer >= 1, got 2.0"),
+        (0, False, "q must be an integer >= 1, got False"),
+        (1, 0, "q must be an integer >= 1, got 0"),
+    ])
+    def test_integer_arguments(self, p, q, message):
+        # a bool or a float used to pass: True/3 gave (3,), and 0.5/1 failed
+        # inside the loop on the digit 2.0
+        with pytest.raises(DomainError, match=message):
+            expand_rational(p, q)
+
+    def test_numpy_integers(self):
+        assert expand_rational(np.int64(3), np.int64(4)).digits == (1, 3)
+
     def test_round_trip_both_ways(self):
         rng = random.Random(704)
         for _ in range(500):

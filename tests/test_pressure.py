@@ -445,6 +445,16 @@ class TestArgumentRules:
         with pytest.raises(DomainError, match="r must be an integer >= 1, got "):
             call(r)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, 1e-6, math.inf])
+    @pytest.mark.parametrize("psi", [poly_log(1, 0), double_exp(2, 3), geometric(2.0)],
+                             ids=["B=1", "B=inf", "finite-B"])
+    def test_tol_checked_in_every_regime(self, psi, tol):
+        # B = 1 and B = inf answer without the pressure equation, yet a bad tol
+        # is refused there too, by solve_dimension's rule
+        with pytest.raises(DomainError, match=r"tol must be in \[5e-6, inf\), the cached "
+                                              r"curve's accuracy; got "):
+            dimension_dispatch(2, psi, tol)
+
     def test_numpy_integer_r(self, curve):
         assert dimension_dispatch(np.int64(2), poly_log(1, 0)).value == 1.0
         assert solve_dimension(np.int64(2), 2.0, curve=curve).value == \

@@ -17,7 +17,6 @@ from cfmetric.sampler import (
     _inverse_cdf,
     _mix,
     _mix_scalar,
-    _phi,
     _stream_keys,
     _uniforms,
     _window_state_bounds,
@@ -34,25 +33,6 @@ class TestBitSource:
         for x, v in zip(xs.tolist(), vec.tolist()):
             assert _mix_scalar(int(x)) == int(v)
 
-    def test_phi_stability(self):
-        # divided difference of log1p against mpmath at awkward points
-        from mpmath import mp, mpf
-
-        for p, q in [(0.3, 0.3), (0.5, 0.5 + 1e-14), (1.0, 0.0), (0.9, 0.2)]:
-            got = float(_phi(p, q))
-            with mp.workdps(50):
-                if p == q:
-                    want = 1.0 / (1.0 + p)
-                else:
-                    want = float((mp.log(1 + mpf(p)) - mp.log(1 + mpf(q))) / (mpf(p) - mpf(q)))
-            assert got == pytest.approx(want, rel=1e-13)
-
-
-def _mp_phi(mp, p, q):
-    """Phi(p, q) at mp's precision, at the exact values of the floats p, q."""
-    p, q = mp.mpf(float(p)), mp.mpf(float(q))
-    return 1 / (1 + p) if p == q else (mp.log1p(p) - mp.log1p(q)) / (p - q)
-
 
 def _mp_digit_variable(mp, w, b, g):
     """The x = 1/u with F(u) = w at mp's precision, at the exact floats b, g."""
@@ -64,14 +44,15 @@ def _mp_digit_variable(mp, w, b, g):
 
 def _shift(b, g):
     """(delta, l1, flat) of the point state (b, g), as BulkDigitStream.step
-    makes them: flat is the mask of delta == 0, or None where none is 0."""
+    makes them: l1 = L(1) = log1p(delta/(1 + g)), 0 where flat, and flat the
+    mask of delta == 0, or None where none is 0."""
     delta = b - g
     flat = np.equal(delta, 0.0)
-    return delta, delta * _phi(b, g), (flat if np.any(flat) else None)
+    return delta, np.log1p(delta / (1.0 + g)), (flat if np.any(flat) else None)
 
 
-class TestPhiGuard:
-    """_phi and _inverse_cdf take the p = q limit only when an element needs
+class TestFlatGuard:
+    """_inverse_cdf takes the flat limit delta = 0 only when an element needs
     it; both sides must give the same values."""
 
     @staticmethod
@@ -85,24 +66,6 @@ class TestPhiGuard:
         if mix:
             q[40::7] = p[40::7]
         return p, q
-
-    @pytest.mark.parametrize("mix", [False, True])
-    def test_phi_against_mpmath(self, mix):
-        from mpmath import mp
-
-        p, q = self._pairs(mix)
-        assert np.any(p == q) == mix
-        got = _phi(p, q)
-        with mp.workdps(50):
-            want = [_mp_phi(mp, a, b) for a, b in zip(p.tolist(), q.tolist())]
-        rel = [abs((mp.mpf(float(x)) - y) / y) for x, y in zip(got.tolist(), want)]
-        assert max(rel) <= 1e-13
-        distinct = p != q
-        # the plain quotient, to the bit, wherever p != q: on an input that
-        # has no p == q, and on the rest of a mixed one
-        d = p[distinct] - q[distinct]
-        assert np.array_equal(got[distinct], np.log1p(d / (1.0 + q[distinct])) / d)
-        assert np.array_equal(got[~distinct], 1.0 / (1.0 + p[~distinct]))
 
     @pytest.mark.parametrize("mix", [False, True])
     def test_inverse_cdf_against_mpmath(self, mix):
@@ -124,28 +87,29 @@ class TestPhiGuard:
 
     @pytest.mark.parametrize("p, q", [(0.3, 0.3), (0.5, 0.5 + 1e-14), (1.0, 0.0), (0.9, 0.2),
                                       (0.0, 0.0)])
-    @pytest.mark.parametrize("wrap", [float, np.float64, np.asarray])
-    def test_scalar_inputs(self, p, q, wrap):
+    def test_inverse_cdf_at_awkward_points(self, p, q):
+        # flat states, one nearly flat, and the two starts, as one-element
+        # arrays: the step passes arrays only
         from mpmath import mp
 
-        got = _phi(wrap(p), wrap(q))
-        assert np.shape(got) == ()
         w = 0.625
-        delta, l1, flat = _shift(wrap(p), wrap(q))
-        x = _inverse_cdf(wrap(w), wrap(float(delta)), wrap(q), wrap(float(l1)), flat)
-        assert np.shape(x) == ()
+        delta, l1, flat = _shift(np.array([p]), np.array([q]))
+        x = _inverse_cdf(np.array([w]), delta, np.array([q]), l1, flat)
         with mp.workdps(50):
-            assert abs(float(got) / _mp_phi(mp, p, q) - 1) <= 1e-13
-            assert abs(float(x) / _mp_digit_variable(mp, w, p, q) - 1) <= 1e-13
+            assert abs(float(x[0]) / _mp_digit_variable(mp, w, p, q) - 1) <= 1e-13
 
 
 # the relative radius of the engine's float state around the exact one
 _RADIUS = Fraction(1, 2**50)
 
 
-def _cdf_mid(u, b, g, z):
-    """F(u) = u Phi(b u, g u) / z at the point state (b, g), z = Phi(b, g)."""
-    return u * _phi(b * u, g * u) / z
+def _cdf_mid(x, b, g):
+    """F(1/x) = L(x)/L(1) at the point state (b, g), in shift form with
+    L(m) = log1p(delta/(m + g)); (1 + g)/(x + g) where delta == 0."""
+    delta = b - g
+    with np.errstate(invalid="ignore"):  # 0/0 where flat, replaced
+        shift = np.log1p(delta / (x + g)) / np.log1p(delta / (1.0 + g))
+    return np.where(delta == 0.0, (1.0 + g) / (x + g), shift)
 
 
 def _engine_states(seed, n, start, levels):
@@ -252,7 +216,7 @@ class TestBulkDigitStream:
         for level in range(25):
             for j in (0, 3, 7):
                 rev = replay._history(j)
-                d = _exact_digit(123, j, level, rev, full_history=replay.level <= 160)
+                d = _exact_digit(123, j, level, rev)
                 assert d == int(taken[level][j])
             replay.step()
 
@@ -356,7 +320,7 @@ class TestBulkDigitStream:
             for _ in range(level):
                 eng.step()
             assert eng.fallbacks == 0
-            want = _exact_digit(3, stream, level, eng._history(0), full_history=level <= 160)
+            want = _exact_digit(3, stream, level, eng._history(0))
             assert eng.step()[0] == want
             assert eng.fallbacks == 1
 
@@ -370,7 +334,7 @@ class TestBulkDigitStream:
         monkeypatch.setattr(sampler, "_word_scalar", lambda *args: v_num << 11)
         monkeypatch.setattr(sampler, "_ROUNDS", ((40, 53),))
         with pytest.raises(RuntimeError, match="undecidable within a 53-bit uniform"):
-            _exact_digit(1, 0, 0, [], True)
+            _exact_digit(1, 0, 0, [])
 
     def test_escalation_settles_a_straddling_uniform(self, monkeypatch):
         # the 53-bit V of test_bit_budget_diagnostic straddles F(1/2) =
@@ -386,7 +350,7 @@ class TestBulkDigitStream:
             return v_num << 11
 
         monkeypatch.setattr(sampler, "_word_scalar", word_scalar)
-        got = _exact_digit(1, 0, 0, [], True)
+        got = _exact_digit(1, 0, 0, [])
         assert len(drawn) > 1
         # the same V to 53 + 64 * 20 bits, compared at 200 digits: digit 2
         # if V < F(1/2), else 1
@@ -426,7 +390,7 @@ class TestBulkDigitStream:
         w = rng.uniform(0.0, 1.0, b.size) + 2.0**-54
         delta, l1, flat = _shift(b, g)
         x = _inverse_cdf(w, delta, g, l1, flat)
-        assert np.max(np.abs(_cdf_mid(1.0 / x, b, g, _phi(b, g)) - w)) <= 1e-12
+        assert np.max(np.abs(_cdf_mid(x, b, g) - w)) <= 1e-12
         # at the Gauss start F(1/x) = log2(1 + 1/x); 2^w - 1 in floats
         # cancels for small w, so the reference is mpmath's
         from mpmath import mp, mpf
@@ -531,7 +495,7 @@ class TestBulkDigitStream:
         monkeypatch.setattr(sampler, "_word_scalar", lambda *args: v_num << 11)
         monkeypatch.setattr(sampler, "_words", lambda ctr, keys, *scratch:
                             np.full(keys.size, v_num << 11, dtype=np.uint64))
-        want = _exact_digit(1, 0, 0, [], True)
+        want = _exact_digit(1, 0, 0, [])
         band = sampler._digit_band
         calls = []
 
@@ -545,33 +509,35 @@ class TestBulkDigitStream:
         assert eng.fallbacks == 3
         assert calls == [3]
 
-    def test_step_evaluates_three_logs_and_one_expm1_per_digit(self, monkeypatch):
-        # each _phi element is one log1p, each _digit_band element two (one
-        # per bound) and each _inverse_cdf element one expm1; the band is
-        # tested once per step
+    @pytest.mark.parametrize("start, flat", [("gauss", False), ("lebesgue", True)])
+    def test_step_evaluates_three_logs_and_one_expm1_per_digit(self, monkeypatch, start, flat):
+        # one step takes one log1p per stream for L(1), two for the band (one
+        # per bound) and one expm1 for the guess, on a step with no flat
+        # stream and on one where every stream is flat; the band is tested
+        # once per step
         counts = {"log1p": 0, "expm1": 0}
-        phi, band, inverse = sampler._phi, sampler._digit_band, sampler._inverse_cdf
 
-        def counted_phi(p, q, *args):
-            counts["log1p"] += np.broadcast(p, q).size
-            return phi(p, q, *args)
+        class CountedNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-        def counted_band(d, *args):
-            counts["log1p"] += 2 * d.size
-            return band(d, *args)
+            def log1p(self, x, *args, **kwargs):
+                counts["log1p"] += np.size(x)
+                return np.log1p(x, *args, **kwargs)
 
-        def counted_inverse(w, *args):
-            counts["expm1"] += w.size
-            return inverse(w, *args)
+            def expm1(self, x, *args, **kwargs):
+                counts["expm1"] += np.size(x)
+                return np.expm1(x, *args, **kwargs)
 
-        monkeypatch.setattr(sampler, "_phi", counted_phi)
-        monkeypatch.setattr(sampler, "_digit_band", counted_band)
-        monkeypatch.setattr(sampler, "_inverse_cdf", counted_inverse)
-        eng = BulkDigitStream(3, 500)
-        for _ in range(20):
+        n = 500
+        eng = BulkDigitStream(3, n, start=start)
+        for _ in range(3):
             eng.step()
+        assert np.all((eng._beta == eng._gamma) == flat)
+        monkeypatch.setattr(sampler, "np", CountedNumpy())
+        eng.step()
         assert eng.fallbacks == 0
-        assert counts == {"log1p": 3 * 500 * 20, "expm1": 500 * 20}
+        assert counts == {"log1p": 3 * n, "expm1": n}
 
     def test_history_memory(self):
         # the history holds one row per level so far, not a full 160-level
@@ -625,19 +591,22 @@ class TestBulkDigitStream:
     def test_helpers_give_the_same_values_in_buffers(self):
         # on states the engine reaches, none flat (level 1), some (16) and
         # all (40, and every Lebesgue level), each helper returns the same
-        # values into the step's buffers as into new arrays
+        # values into the step's buffers as into new arrays, and _shift makes
+        # the L(1) that the step leaves in its buffer
         states = []
         for start in ("gauss", "lebesgue"):
             eng = BulkDigitStream(11, 64, start=start)
             for level in range(41):
-                if level in (1, 16, 40):
-                    states.append((eng.level, eng._beta.copy(), eng._gamma.copy()))
+                state = (eng.level, eng._beta.copy(), eng._gamma.copy())
                 eng.step()
-        assert any(np.any(b != g) and np.any(b == g) for _, b, g in states)
+                if level in (1, 16, 40):
+                    states.append(state + (eng._l1.copy(),))
+        assert any(np.any(b != g) and np.any(b == g) for _, b, g, _ in states)
         keys = _stream_keys(11, np.arange(64, dtype=np.int64))
-        for level, b, g in states:
+        for level, b, g, step_l1 in states:
             delta, l1, flat = _shift(b, g)
-            assert np.array_equal(_phi(b, g, delta, flat, np.empty(64)), _phi(b, g))
+            assert np.array_equal(l1, step_l1)
+            assert np.all(l1[b == g] == 0.0)
             v = _uniforms(level, keys, *np.empty((2, 64), dtype=np.uint64), np.empty(64))
             # V from the scalar word hash of each stream, as the exact fallback reads it
             assert v.tolist() == [(_word_scalar(11, j, level) >> 11) * 2.0**-53 for j in range(64)]
@@ -674,7 +643,7 @@ class TestBulkDigitStream:
         got = []
         # a fresh thread builds its context while mpmath.mp is unusable
         worker = threading.Thread(target=lambda: got.extend(
-            _exact_digit(123, j, 30, rev, full_history=True) for j, rev in cases))
+            _exact_digit(123, j, 30, rev) for j, rev in cases))
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive()
@@ -851,7 +820,7 @@ def test_end_streams_agree_with_exact_digit(stream):
     eng = BulkDigitStream(5, 1, stream)
     rows = [int(eng.step()[0]) for _ in range(3)]
     assert sample_digit_matrix(5, 1, 3, stream_offset=stream)[0].tolist() == rows
-    assert _exact_digit(5, stream, 0, [], True) == rows[0]
+    assert _exact_digit(5, stream, 0, []) == rows[0]
 
 
 def test_engine_checks_its_arguments_once(monkeypatch):

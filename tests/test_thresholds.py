@@ -586,6 +586,20 @@ class TestParse:
         with pytest.raises(DomainError):
             parse_psi("powerlaw(2)")
 
+    @pytest.mark.parametrize("spec, arg", [
+        ("geometric(x)", "x"), ("poly_log(1, y)", "y"), ("double_exp(2, 1.5e)", "1.5e"),
+        ("scaled_geometric(d, geometric(2))", "d"), ("scaled_geometric(2, geometric(x))", "x"),
+    ])
+    def test_argument_not_a_number(self, spec, arg):
+        with pytest.raises(DomainError, match=rf"cannot parse psi spec .*'{arg}' is not a number"):
+            parse_psi(spec)
+
+    def test_table_line_not_a_number(self, tmp_path):
+        f = tmp_path / "psi.txt"
+        f.write_text("1.0\ntwo\n")
+        with pytest.raises(DomainError, match="'two' is not a number"):
+            parse_psi(f"table:{f}")
+
 
 class TestHorizonArguments:
     """A horizon is an integer (a bool is not), refused with a DomainError

@@ -12,14 +12,22 @@ pairs of `--trace 1` runs, kept apart from the end-to-end runs.  Given an
 existing output file of the same two commits, the tool adds its new pairs to
 the runs already there.
 
-Every run takes run.py's own run length.  The output keeps every run's env
-line, final JSON line (its `attempted` count included), gate line and
-figures, and a summary per workload: median and quartiles of each end-to-end
-metric on each side, in how many pairs the change did better, and how much
-of the metric's bound from BENCHMARK.json the change of the median uses; and
-the RSS that each 1000 ops add, with the change of the RSS net of them.  The
-machine block and the run length in the command text come from the env
-lines, so they say what run.py used.
+Every run takes run.py's own run length.  After each end-to-end pair, the
+tool times SETUP_SAMPLES more set-ups of each side, each in a fresh
+interpreter (`run.py --setup-only`), alternating between the sides in the
+pair's order: a run's own setup_s is the median of a dozen samples taken
+over its run, too few to resolve the 25% bound on a shared host, and
+interleaved samples put both sides on the same stretch of it.
+
+The output keeps every run's env line, final JSON line (its `attempted`
+count included), gate line, figures and interleaved set-up samples, and a
+summary per workload: median and quartiles of each end-to-end metric on
+each side, in how many pairs the change did better, and how much of the
+metric's bound from BENCHMARK.json the change of the median uses; the same
+quartiles of the interleaved set-ups; and the RSS that each 1000 ops add,
+with the change of the RSS net of them.  The machine block and the run
+length in the command text come from the env lines, so they say what
+run.py used.
 """
 
 from __future__ import annotations
@@ -39,6 +47,8 @@ ROOT = Path(__file__).resolve().parent.parent
 COMMAND = "python3 perfbench/run.py --workload <w> --seed <s> --trace <0|1> (runs of {seconds} s)"
 # the env line fields that describe the host rather than the run
 MACHINE_FIELDS = ("nproc", "blas_threads", "python", "numpy", "scipy")
+# fresh-interpreter set-ups of each side after each end-to-end pair
+SETUP_SAMPLES = 3
 
 
 def seed_list(text: str) -> list[int]:
@@ -99,7 +109,11 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     `rss_net_of_ops`: the change of the median RSS less that slope times the
     change of the median attempted count, as a fraction of the parent's
     median RSS.  A benchmark that keeps a record per op grows its RSS with
-    its throughput, and this separates that growth from the program's own."""
+    its throughput, and this separates that growth from the program's own.
+
+    When the runs carry interleaved set-up samples, `setup_s_interleaved`
+    gives their median and quartiles on each side, pooled over the pairs,
+    and the change of the median toward worse as `worse_by`."""
     out = {}
     for wl in sorted({r["workload"] for r in runs}):
         mine = [r for r in runs if r["workload"] == wl]
@@ -125,6 +139,14 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             or summary[m["name"]]["worse_by"] > m["bound"] / 2]
         summary["attempted"] = {side: quartiles([p[side]["result"]["attempted"] for p in pairs])
                                 for side in ("parent", "change")}
+        setups = {side: [t for p in pairs for t in p[side].get("setup_s_interleaved", [])]
+                  for side in ("parent", "change")}
+        if all(setups.values()):
+            stats = {side: quartiles(v) for side, v in setups.items()}
+            summary["setup_s_interleaved"] = {
+                **stats, "samples": len(setups["parent"]),
+                "worse_by": worse_by(stats["parent"]["median"], stats["change"]["median"],
+                                     "lower")}
         if "peak_rss_mb" in summary:
             slope = rss_per_kop(mine)
             summary["rss_mb_per_kop"] = slope
@@ -175,8 +197,18 @@ def run_one(tree: Path, workload: str, seed: int, trace: int) -> dict:
             "result": result}
 
 
+def setup_once(tree: Path, workload: str, seed: int) -> float:
+    """One fresh-interpreter set-up of `workload` in `tree`, in seconds."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--setup-only"]
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])["setup_s"]
+
+
 def run_pair(trees: dict, workload: str, seed: int, pair: int, trace: int) -> list[dict]:
-    """Both sides of pair `pair` (1-based): parent first when it is odd."""
+    """Both sides of pair `pair` (1-based): parent first when it is odd.  An
+    end-to-end pair then adds SETUP_SAMPLES set-ups per side, in the same
+    alternating order, as each record's `setup_s_interleaved`."""
     order = ("parent", "change") if pair % 2 else ("change", "parent")
     records = []
     for side in order:
@@ -186,6 +218,11 @@ def run_pair(trees: dict, workload: str, seed: int, pair: int, trace: int) -> li
         print(f"{workload} pair {pair} seed {seed} {side}: {rec['gates']}, "
               f"attempted {rec['result']['attempted']}", file=sys.stderr, flush=True)
         records.append(rec)
+    if not trace:
+        for _ in range(SETUP_SAMPLES):
+            for rec in records:
+                rec.setdefault("setup_s_interleaved", []).append(
+                    setup_once(trees[rec["side"]], workload, seed))
     return records
 
 
