@@ -193,9 +193,9 @@ def _inverse_cdf(w, delta, g, l1, flat, out=None):
     closed form, given delta, l1 and flat as _digit_band takes them.
 
     F(1/x) = w means log1p(delta/(x + g)) = w l1, so x = delta/expm1(w l1) - g;
-    where flat, (1 + g)/(x + g) = w gives x = (1 + g)/w - g.  w, delta, g, l1
-    and flat are arrays of one shape.  out, if given, holds x; it must not
-    be w, which the flat branch reads again."""
+    where flat, (1 + g)/(x + g) = w gives x = (1 + g)/w - g.  w, delta, g
+    and l1 are arrays of one shape.  out, if given, holds x; it must not be
+    w, which the flat branch reads again."""
     x = np.multiply(w, l1, out=out)
     np.expm1(x, out=x)
     if flat is None:

@@ -51,7 +51,8 @@ def random_word(rng, max_len=12, max_digit=10):
 class TestExpandRational:
     @pytest.mark.parametrize(
         "p,q,digits",
-        [(1, 2, (2,)), (3, 4, (1, 3)), (2, 5, (2, 2)), (0, 1, ()), (2, 4, (2,))],
+        [(1, 2, (2,)), (3, 4, (1, 3)), (2, 5, (2, 2)), (0, 1, ()), (2, 4, (2,)),
+         (np.int64(3), np.int64(4), (1, 3))],
     )
     def test_examples(self, p, q, digits):
         assert expand_rational(p, q).digits == digits
@@ -76,9 +77,6 @@ class TestExpandRational:
         # inside the loop on the digit 2.0
         with pytest.raises(DomainError, match=message):
             expand_rational(p, q)
-
-    def test_numpy_integers(self):
-        assert expand_rational(np.int64(3), np.int64(4)).digits == (1, 3)
 
     def test_round_trip_both_ways(self):
         rng = random.Random(704)
