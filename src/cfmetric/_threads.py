@@ -1,10 +1,10 @@
 """The thread pool that the bulk sampler and the operator build share.
 
-One pool serves the process.  It is made on the first call that needs two
-threads or more (not at import), grows when a call asks for more workers
-than it has, and is made again in a child forked after it exists, whose
-copy of it has no threads.  A call made on one of its threads runs inline,
-so work that maps again from inside the pool cannot wait on itself.
+One pool of cpus() threads serves the process, made on the first map that
+needs threads (not at import) and again in a child forked after it exists.
+Each call of a map is one task on it, so at most cpus() calls run at once
+across every caller.  A map made on a pool thread runs inline, so work that
+maps again from inside the pool cannot wait on itself.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 import os
 import threading
 
-_lock = threading.Lock()  # guards _pool, and each call's submissions
-_pool = None  # (executor, its thread count), made on first use
+_lock = threading.Lock()  # guards _pool
+_pool = None  # the executor, made on first use
 _on_pool = threading.local()  # .marked is True on the pool's own threads
 
 
@@ -40,54 +40,31 @@ def _mark() -> None:
     _on_pool.marked = True
 
 
-def _executor(workers: int):
-    """The shared executor, made or replaced by one of at least `workers`
-    threads if need be; called with _lock held."""
+def thread_map(fn, *iterables) -> list:
+    """list(map(fn, *iterables)), each call a task on the shared pool.
+
+    With one call, one CPU, or on a pool thread, the calls run inline.  The
+    work must release the interpreter lock (numpy does) to overlap.  When a
+    call fails, the calls not yet started are cancelled, and once no call of
+    this map is running, the error of the first failed call (in the order of
+    the calls) is re-raised."""
     global _pool
-    if _pool is None or _pool[1] < workers:
-        # imported on first use, not with the package: about 10 ms of import
-        from concurrent.futures import ThreadPoolExecutor
-
-        if _pool is not None:
-            _pool[0].shutdown(wait=False)  # its queued calls still run
-        _pool = (ThreadPoolExecutor(workers, "cfmetric", _mark), workers)
-    return _pool[0]
-
-
-def thread_map(fn, workers: int, *iterables) -> list:
-    """list(map(fn, *iterables)), with at most `workers` calls at once.
-
-    Worker k makes calls k, k + workers, k + 2 workers, ... in turn, on the
-    shared pool; with one worker, one call, or on a pool thread, the calls
-    run inline.  The work must release the interpreter lock (numpy does) to
-    overlap.  When a call fails, no worker starts another call, and once
-    every running call has returned, the error of the first failed call (in
-    the order of the calls) is re-raised."""
     calls = list(zip(*iterables))
-    workers = min(workers, len(calls))
-    if workers <= 1 or getattr(_on_pool, "marked", False):
+    if len(calls) <= 1 or cpus() <= 1 or getattr(_on_pool, "marked", False):
         return [fn(*args) for args in calls]
-    results = [None] * len(calls)
-    errors = [None] * len(calls)
-    failed = threading.Event()
-
-    def stripe(k: int) -> None:
-        for i in range(k, len(calls), workers):
-            if failed.is_set():
-                return
-            try:
-                results[i] = fn(*calls[i])
-            except BaseException as exc:  # handed to the caller below
-                errors[i] = exc
-                failed.set()
-                return
-
     with _lock:
-        pool = _executor(workers)
-        futures = [pool.submit(stripe, k) for k in range(workers)]
-    for future in futures:
-        future.result()  # a stripe returns once its calls are done
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
+        if _pool is None:
+            # imported on first use, not with the package: about 10 ms of import
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(cpus(), "cfmetric", _mark)
+        futures = [_pool.submit(fn, *args) for args in calls]
+    try:
+        return [future.result() for future in futures]  # in the order of the calls
+    except BaseException:
+        from concurrent.futures import wait
+
+        for future in futures:
+            future.cancel()  # only a call not yet started
+        wait(futures)
+        raise

@@ -98,13 +98,27 @@ class OperatorGrid:
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.nodes.ndim != 1 or np.any(np.diff(self.nodes) <= 0):
+        # not all(diff > 0), so that a nan node is refused too
+        if self.nodes.ndim != 1 or not self.nodes.size or not np.all(np.diff(self.nodes) > 0):
             raise DomainError("nodes must be strictly increasing")
         if self.nodes[0] < 0 or self.nodes[-1] > 1:
             raise DomainError("nodes must lie in [0, 1]")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("values must be finite")
+        n = len(self.nodes)
+        for name in ("values", "lower", "upper"):
+            a = getattr(self, name)
+            if a is None:  # only lower and upper are optional
+                continue
+            a = np.asarray(a, dtype=float)
+            if a.shape != (n,):
+                raise DomainError(f"{name} must have shape ({n},), one entry per node; "
+                                  f"got {a.shape}")
+            if not np.all(np.isfinite(a)):
+                raise DomainError(f"{name} must be finite")
+            setattr(self, name, a)
+        if self.lower is not None and np.any(self.lower > self.values):
+            raise DomainError("lower must be <= values at every node")
+        if self.upper is not None and np.any(self.values > self.upper):
+            raise DomainError("upper must be >= values at every node")
 
     @classmethod
     def ones(cls, grid_size: int = DEFAULT_GRID, cap: int = DEFAULT_CAP) -> "OperatorGrid":
@@ -180,7 +194,7 @@ def _operator_matrices(
 
     workers = min(_cpus(), grid_size)
     bounds = [grid_size * w // workers for w in range(workers + 1)]
-    thread_map(rows, workers, [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+    thread_map(rows, [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
     return nodes, mats
 
 

@@ -24,10 +24,10 @@ makes a few more arrays, in the flat branch.
 
 sample_digit_matrix cuts its streams into equal contiguous blocks of at most
 _BLOCK streams.  Each block is its own BulkDigitStream, which runs every
-level and writes the block's rows of the result.  The blocks run on the
-package's shared thread pool (_threads), on one worker per available CPU but
-at most one per _MIN_BLOCK streams; numpy releases the interpreter lock
-inside its array loops.  An engine makes one mpmath context at its first
+level and writes the block's rows of the result.  Each block is one task on
+the package's shared pool of one thread per available CPU (_threads), and
+the block count keeps to at most one busy thread per _MIN_BLOCK streams;
+numpy releases the interpreter lock inside its array loops.  An engine makes one mpmath context at its first
 exact fallback and keeps it for the rest; one engine runs on one thread, so
 threads that overlap never change each other's working precision.
 _exact_digit called on its own makes a context per call.
@@ -344,10 +344,8 @@ class BulkDigitStream:
         self._v, self._delta, self._l1, self._guess, self._top, self._bottom = np.empty((6, n))
         self._mask, self._ok = np.empty((2, n), dtype=bool)
         self.level = 0
-        if start not in ("gauss", "lebesgue"):
-            raise DomainError("start must be 'gauss' or 'lebesgue'")
         # the exact start: gamma_0 = 0, and beta_0 = 1 (Gauss) or 0 (Lebesgue)
-        self._b0 = int(start == "gauss")
+        self._b0 = _start_beta(start)
         # float beta and gamma, each within relative 2^-50 of the exact state
         self._beta = np.full(n, float(self._b0))
         self._gamma = np.zeros(n)
@@ -439,6 +437,14 @@ def _stream_range(n_streams, stream_offset) -> tuple[int, int]:
     return n, offset
 
 
+def _start_beta(start) -> int:
+    """The exact start's beta_0: 1 for "gauss", 0 for "lebesgue", and a
+    DomainError for any other start."""
+    if not (isinstance(start, str) and start in ("gauss", "lebesgue")):
+        raise DomainError(f"start must be 'gauss' or 'lebesgue', got {start!r}")
+    return int(start == "gauss")
+
+
 def _check_shape(seed, n_streams, depth, stream_offset) -> tuple[int, int, int]:
     """The argument rules that both samplers share; returns the seed,
     n_streams and stream_offset as ints."""
@@ -462,15 +468,19 @@ def sample_digit_matrix(
     """Digits a_1..a_depth for a block of streams, shape (n_streams, depth).
 
     Row j is stream stream_offset + j.  The rows are cut into equal contiguous
-    blocks of at most _BLOCK streams, each sampled by its own BulkDigitStream.
-    The blocks run on min(CPUs, n_streams // _MIN_BLOCK) threads, at least one,
-    and their count is the smallest multiple of the thread count that keeps
-    them that small.  A digit the float bounds cannot settle goes to
+    blocks of at most _BLOCK streams, each sampled by its own BulkDigitStream
+    as one task on the shared pool of one thread per CPU.  Their count is the
+    smallest multiple of w = min(CPUs, n_streams // _MIN_BLOCK), at least one,
+    that keeps them that small.  Below CPUs * _MIN_BLOCK streams that count is
+    w itself, as n_streams < _MIN_BLOCK * (w + 1) <= _BLOCK * w, so at most w
+    threads run.  start is checked once, before any block is built (and at
+    depth 0 too).  A digit the float bounds cannot settle goes to
     _exact_digit, which works in its block engine's own mpmath context.  Each
     uniform is keyed by (seed, stream, level, round) and no state is shared
     between streams, so the digits are the same for any split and any number
     of threads."""
     seed, n_streams, stream_offset = _check_shape(seed, n_streams, depth, stream_offset)
+    _start_beta(start)  # once here, not in every block, and at depth 0 too
     out = np.empty((n_streams, depth), dtype=np.int64)
     if not depth:  # no digits: no block to build
         return out
@@ -483,7 +493,7 @@ def sample_digit_matrix(
         for k in range(depth):
             out[lo:hi, k] = eng.step()
 
-    thread_map(run, workers, bounds, bounds[1:])
+    thread_map(run, bounds, bounds[1:])
     return out
 
 

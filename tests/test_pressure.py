@@ -244,6 +244,13 @@ class TestPressureEigen:
         assert abs(est.value) <= 1e-6
         assert est.bracket[0] <= 0.0 <= est.bracket[1]
 
+    def test_derivative_anchor(self):
+        # P'(1) = -pi^2/(6 ln 2), minus the Gauss map's entropy; the central
+        # difference at the default (32, 10000) is 2.0e-8 off when measured
+        h = 1e-4
+        dp1 = (pressure_eigen(1.0 + h).value - pressure_eigen(1.0 - h).value) / (2.0 * h)
+        assert abs(dp1 + PI2_6 / math.log(2.0)) <= 1e-7
+
     def test_strictly_decreasing(self):
         assert pressure_eigen(0.6, cap=2048).value > pressure_eigen(0.9, cap=2048).value
 
@@ -385,8 +392,10 @@ class TestDimensionDispatch:
         res = dimension_dispatch(2, poly_log(3, 0), curve=curve)
         assert res.regime == "B=1" and res.value == 1.0
 
-    def test_double_exp_quarter(self, curve):
-        res = dimension_dispatch(1, double_exp(math.e, 3), curve=curve)
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_double_exp_quarter(self, curve, r):
+        # the B = inf regime answers 1/(1 + b) for every r
+        res = dimension_dispatch(r, double_exp(math.e, 3), curve=curve)
         assert res.regime == "B=inf"
         assert res.value == pytest.approx(0.25, abs=1e-12)
 
@@ -422,11 +431,31 @@ class TestGridBasics:
         assert x[0] == 0.0 and x[-1] == 1.0
         assert np.all(np.diff(x) > 0)
 
-    def test_operator_grid_validation(self):
-        with pytest.raises(DomainError):
-            OperatorGrid(np.array([0.5, 0.2]), np.array([1.0, 1.0]))
-        with pytest.raises(DomainError):
-            OperatorGrid(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+    @pytest.mark.parametrize("nodes, values, bounds, message", [
+        ([0.5, 0.2], [1.0, 1.0], {}, "nodes must be strictly increasing"),
+        ([0.0, math.nan, 1.0], [1.0] * 3, {}, "nodes must be strictly increasing"),
+        ([], [], {}, "nodes must be strictly increasing"),
+        ([0.0, 2.0], [1.0, 1.0], {}, r"nodes must lie in \[0, 1\]"),
+        ([0.0, 1.0], [1.0], {}, r"values must have shape \(2,\), one entry per node; got \(1,\)"),
+        ([0.0, 1.0], [[1.0, 1.0]], {}, r"values must have shape \(2,\)"),
+        ([0.0, 1.0], [1.0, math.inf], {}, "values must be finite"),
+        ([0.0, 1.0], [1.0, 1.0], {"lower": [1.0, 1.0, 1.0]}, r"lower must have shape \(2,\)"),
+        ([0.0, 1.0], [1.0, 1.0], {"upper": [[2.0], [2.0]]}, r"upper must have shape \(2,\)"),
+        ([0.0, 1.0], [1.0, 1.0], {"upper": [2.0, math.nan]}, "upper must be finite"),
+        # an inverted bracket: lower = 2 > upper = 1
+        ([0.0, 1.0], [1.5, 1.5], {"lower": [2.0, 2.0], "upper": [1.0, 1.0]},
+         "lower must be <= values"),
+        ([0.0, 1.0], [1.0, 1.0], {"lower": [0.0, 1.5]}, "lower must be <= values"),
+        ([0.0, 1.0], [1.0, 1.0], {"upper": [2.0, 0.5]}, "upper must be >= values"),
+    ])
+    def test_operator_grid_validation(self, nodes, values, bounds, message):
+        with pytest.raises(DomainError, match=message):
+            OperatorGrid(np.array(nodes), np.array(values), 10, **bounds)
+
+    def test_operator_grid_keeps_a_valid_bracket(self):
+        x, _ = chebyshev_lobatto(8)
+        g = OperatorGrid(x, np.ones(8), 10, np.zeros(8), [2.0] * 8)
+        assert g.upper.dtype == float and np.all(g.lower <= g.values)
 
 
 class TestArgumentRules:

@@ -668,7 +668,7 @@ class TestBlocks:
             "a18b9ca144f43d02aa543926d8434433a900aa88a15d83cd9a091b332fe145da")
 
     @pytest.mark.parametrize("workers, n_blocks", [(1, 7), (2, 8), (3, 9)])
-    def test_blocks_match_scalar_streams(self, monkeypatch, workers, n_blocks):
+    def test_blocks_match_scalar_streams(self, monkeypatch, cpus, workers, n_blocks):
         made = []
 
         class Recorded(BulkDigitStream):
@@ -679,7 +679,7 @@ class TestBlocks:
         monkeypatch.setattr(sampler, "BulkDigitStream", Recorded)
         monkeypatch.setattr(sampler, "_BLOCK", 16)
         monkeypatch.setattr(sampler, "_MIN_BLOCK", 4)
-        monkeypatch.setattr(sampler, "_cpus", lambda: workers)
+        cpus(workers)
         m = sample_digit_matrix(77, 100, 6, stream_offset=1000)
         # the fewest blocks of at most 16 streams, in a multiple of the
         # worker count, contiguous and of equal size within one stream
@@ -691,11 +691,11 @@ class TestBlocks:
             eng = BulkDigitStream(77, 1, stream_offset=1000 + j)
             assert [int(eng.step()[0]) for _ in range(6)] == m[j].tolist(), j
 
-    def test_threaded_fallback_matches_serial(self, monkeypatch):
+    def test_threaded_fallback_matches_serial(self, monkeypatch, cpus):
         want = sample_digit_matrix(5, 48, 3)
         monkeypatch.setattr(sampler, "_BLOCK", 8)
         monkeypatch.setattr(sampler, "_MIN_BLOCK", 4)
-        monkeypatch.setattr(sampler, "_cpus", lambda: 3)
+        cpus(3)
         # a band that accepts no digit sends every digit to the fallback
         monkeypatch.setattr(sampler, "_digit_band",
                             lambda d, *args: (np.ones_like(d), np.zeros_like(d)))
@@ -717,7 +717,7 @@ class TestBlocks:
         assert len(set(calls)) > 1
         assert np.array_equal(got, want)
 
-    def test_block_error_reaches_caller(self, monkeypatch):
+    def test_block_error_reaches_caller(self, monkeypatch, cpus):
         # the error reaches the caller only once no other block is running
         lock = threading.Lock()
         running = set()
@@ -739,7 +739,7 @@ class TestBlocks:
         monkeypatch.setattr(sampler, "BulkDigitStream", Failing)
         monkeypatch.setattr(sampler, "_BLOCK", 25)
         monkeypatch.setattr(sampler, "_MIN_BLOCK", 4)
-        monkeypatch.setattr(sampler, "_cpus", lambda: 2)
+        cpus(2)
         with pytest.raises(RuntimeError, match="stream 50"):
             sample_digit_matrix(3, 100, 2)
         assert not running
@@ -803,6 +803,25 @@ def _iid(seed, n_streams, stream_offset=0):
 def test_sampler_arguments_name_their_limit(sample, seed, n_streams, offset, message):
     with pytest.raises(DomainError, match=message):
         sample(seed, n_streams, offset)
+
+
+@pytest.mark.parametrize("depth", [0, 3])
+@pytest.mark.parametrize("start", ["bogus", "Gauss", None, 1])
+def test_start_checked_once_before_any_block(monkeypatch, depth, start):
+    made = []
+
+    class Recorded(BulkDigitStream):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sampler, "BulkDigitStream", Recorded)
+    message = "start must be 'gauss' or 'lebesgue', got "
+    with pytest.raises(DomainError, match=message):
+        sample_digit_matrix(1, 10, depth, start=start)
+    assert made == []
+    with pytest.raises(DomainError, match=message):
+        BulkDigitStream(1, 10, start=start)
 
 
 @pytest.mark.parametrize("sample", [_engine_row, _matrix, _iid])

@@ -12,25 +12,16 @@ from cfmetric import _threads
 from cfmetric._threads import thread_map
 
 
-@pytest.fixture
-def fresh_pool(monkeypatch):
-    """No shared pool at the start; the pools the test makes are shut down
-    after it, and the pool from before it is put back."""
-    monkeypatch.setattr(_threads, "_pool", None)
-    yield
-    if _threads._pool is not None:
-        _threads._pool[0].shutdown(wait=True)
-
-
-def test_results_in_call_order():
-    assert thread_map(lambda a, b: a * b, 3, range(7), range(10, 17)) == [
+def test_results_in_call_order(cpus):
+    cpus(3)
+    assert thread_map(lambda a, b: a * b, range(7), range(10, 17)) == [
         a * b for a, b in zip(range(7), range(10, 17))]
-    assert thread_map(lambda a: a, 2, []) == []
+    assert thread_map(lambda a: a, []) == []
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_at_most_workers_calls_at_once(fresh_pool, workers):
-    thread_map(lambda k: k, 4, range(4))  # a pool of 4 threads, more than asked for
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_at_most_cpus_calls_at_once(cpus, n):
+    cpus(n)
     lock = threading.Lock()
     active = peak = 0
 
@@ -44,35 +35,29 @@ def test_at_most_workers_calls_at_once(fresh_pool, workers):
             active -= 1
         return k
 
-    assert thread_map(call, workers, range(12)) == list(range(12))
-    assert 1 <= peak <= workers
+    assert thread_map(call, range(12)) == list(range(12))
+    assert 1 <= peak <= n
 
 
-def test_pool_grows_for_more_workers(fresh_pool):
-    thread_map(lambda k: k, 2, range(2))
-    assert _threads._pool[1] == 2
-    # each call waits for the other two, so they return only if three run at once
-    barrier = threading.Barrier(3, timeout=30)
-    assert thread_map(lambda k: barrier.wait() >= 0 and k, 3, range(3)) == [0, 1, 2]
-    assert _threads._pool[1] == 3
-
-
-def test_call_from_a_pool_thread_runs_inline(fresh_pool):
+def test_call_from_a_pool_thread_runs_inline(cpus):
     # a map inside a mapped call would wait on the pool's own threads; it runs
     # on the calling thread instead
+    cpus(2)
+
     def outer(k):
         me = threading.get_ident()
-        return thread_map(lambda j: threading.get_ident() == me, 2, range(4))
+        return thread_map(lambda j: threading.get_ident() == me, range(4))
 
     got = []
-    caller = threading.Thread(target=lambda: got.extend(thread_map(outer, 2, range(2))))
+    caller = threading.Thread(target=lambda: got.extend(thread_map(outer, range(2))))
     caller.start()
     caller.join(timeout=60)
     assert not caller.is_alive()
     assert got == [[True] * 4] * 2
 
 
-def test_failed_call_waits_for_running_calls(fresh_pool):
+def test_failed_call_waits_for_running_calls(cpus):
+    cpus(2)
     finished = []
 
     def call(k):
@@ -82,8 +67,45 @@ def test_failed_call_waits_for_running_calls(fresh_pool):
         finished.append(k)
 
     with pytest.raises(ValueError, match="call 1"):
-        thread_map(call, 2, range(2))
+        thread_map(call, range(2))
     assert finished == [0]
+
+
+def test_failed_call_cancels_calls_not_started(cpus):
+    # call 0 fails at once; the calls queued behind the running ones never start
+    cpus(2)
+    lock = threading.Lock()
+    started, running = [], set()
+
+    def call(k):
+        with lock:
+            started.append(k)
+            running.add(k)
+        try:
+            if k == 0:
+                raise ValueError("call 0 failed")
+            time.sleep(0.1)
+        finally:
+            with lock:
+                running.discard(k)
+
+    with pytest.raises(ValueError, match="call 0"):
+        thread_map(call, range(8))
+    assert not running
+    assert 0 in started and len(started) <= 4
+
+
+def test_first_failed_call_in_call_order_is_raised(cpus):
+    # call 1 fails first in time, call 0 first in the order of the calls
+    cpus(2)
+
+    def call(k):
+        if k == 0:
+            time.sleep(0.05)
+        raise ValueError(f"call {k} failed")
+
+    with pytest.raises(ValueError, match="call 0"):
+        thread_map(call, range(2))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -95,15 +117,16 @@ def test_forked_child_builds_its_own_pool():
         from cfmetric import _threads
         from cfmetric._threads import thread_map
 
-        assert thread_map(lambda k: k * k, 2, range(6)) == [0, 1, 4, 9, 16, 25]
-        before = _threads._pool[0]
+        _threads.cpus = lambda: 2  # threads, whatever the host has
+        assert thread_map(lambda k: k * k, range(6)) == [0, 1, 4, 9, 16, 25]
+        before = _threads._pool
         pid = os.fork()
         if pid == 0:
             got = []
-            t = threading.Thread(target=lambda: got.extend(thread_map(lambda k: k + 1, 2, range(6))))
+            t = threading.Thread(target=lambda: got.extend(thread_map(lambda k: k + 1, range(6))))
             t.start()
             t.join(timeout=60)
-            ok = not t.is_alive() and got == [1, 2, 3, 4, 5, 6] and _threads._pool[0] is not before
+            ok = not t.is_alive() and got == [1, 2, 3, 4, 5, 6] and _threads._pool is not before
             os._exit(0 if ok else 1)
         _, status = os.waitpid(pid, 0)
         raise SystemExit(os.waitstatus_to_exitcode(status))
@@ -114,14 +137,14 @@ def test_forked_child_builds_its_own_pool():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_concurrent_callers_share_the_pool(fresh_pool):
-    # more callers and workers than cores, asking for pools of different
-    # sizes while the interpreter switches threads often: each caller still
-    # gets every one of its own results
+def test_concurrent_callers_share_the_pool(cpus):
+    # more callers than threads, while the interpreter switches threads
+    # often: each caller still gets every one of its own results
+    cpus(3)
     got = {}
 
     def caller(c):
-        got[c] = thread_map(lambda k: (c, k), 2 + c % 3, range(40))
+        got[c] = thread_map(lambda k: (c, k), range(40))
 
     callers = [threading.Thread(target=caller, args=(c,)) for c in range(6)]
     interval = sys.getswitchinterval()
