@@ -98,23 +98,19 @@ class OperatorGrid:
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
-        # not all(diff > 0), so that a nan node is refused too
+        # all(diff > 0) is False at a nan node too
         if self.nodes.ndim != 1 or not self.nodes.size or not np.all(np.diff(self.nodes) > 0):
             raise DomainError("nodes must be strictly increasing")
         if self.nodes[0] < 0 or self.nodes[-1] > 1:
             raise DomainError("nodes must lie in [0, 1]")
-        n = len(self.nodes)
-        for name in ("values", "lower", "upper"):
+        for name in ("values", "lower", "upper"):  # lower and upper may be None
             a = getattr(self, name)
-            if a is None:  # only lower and upper are optional
-                continue
-            a = np.asarray(a, dtype=float)
-            if a.shape != (n,):
-                raise DomainError(f"{name} must have shape ({n},), one entry per node; "
-                                  f"got {a.shape}")
-            if not np.all(np.isfinite(a)):
-                raise DomainError(f"{name} must be finite")
-            setattr(self, name, a)
+            if a is not None:
+                a = np.asarray(a, dtype=float)
+                if a.shape != self.nodes.shape or not np.all(np.isfinite(a)):
+                    raise DomainError(f"{name} must be {self.nodes.size} finite numbers, "
+                                      f"one per node; got shape {a.shape}")
+                setattr(self, name, a)
         if self.lower is not None and np.any(self.lower > self.values):
             raise DomainError("lower must be <= values at every node")
         if self.upper is not None and np.any(self.values > self.upper):

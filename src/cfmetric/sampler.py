@@ -26,11 +26,11 @@ sample_digit_matrix cuts its streams into equal contiguous blocks of at most
 _BLOCK streams.  Each block is its own BulkDigitStream, which runs every
 level and writes the block's rows of the result.  Each block is one task on
 the package's shared pool of one thread per available CPU (_threads), and
-the block count keeps to at most one busy thread per _MIN_BLOCK streams;
-numpy releases the interpreter lock inside its array loops.  An engine makes one mpmath context at its first
-exact fallback and keeps it for the rest; one engine runs on one thread, so
-threads that overlap never change each other's working precision.
-_exact_digit called on its own makes a context per call.
+the block count keeps at most one thread busy per _MIN_BLOCK streams; numpy
+releases the interpreter lock inside its array loops.  An engine makes one
+mpmath context at its first exact fallback and keeps it for the rest; one
+engine runs on one thread, so threads that overlap never change each other's
+working precision.  _exact_digit called on its own makes a context per call.
 
 The band and the guess work in shift form: with delta = b - g and
 L(m) = log1p(delta/(m + g)) = ln((m + b)/(m + g)), F(1/m) = L(m)/L(1), one
@@ -471,16 +471,14 @@ def sample_digit_matrix(
     blocks of at most _BLOCK streams, each sampled by its own BulkDigitStream
     as one task on the shared pool of one thread per CPU.  Their count is the
     smallest multiple of w = min(CPUs, n_streams // _MIN_BLOCK), at least one,
-    that keeps them that small.  Below CPUs * _MIN_BLOCK streams that count is
-    w itself, as n_streams < _MIN_BLOCK * (w + 1) <= _BLOCK * w, so at most w
-    threads run.  start is checked once, before any block is built (and at
-    depth 0 too).  A digit the float bounds cannot settle goes to
-    _exact_digit, which works in its block engine's own mpmath context.  Each
-    uniform is keyed by (seed, stream, level, round) and no state is shared
-    between streams, so the digits are the same for any split and any number
-    of threads."""
+    that keeps them that small; when w < CPUs it is w itself, as n_streams <
+    _MIN_BLOCK * (w + 1) <= _BLOCK * w, so at most w threads run.  A digit the
+    float bounds cannot settle goes to _exact_digit, which works in its block
+    engine's own mpmath context.  Each uniform is keyed by (seed, stream,
+    level, round) and no state is shared between streams, so the digits are
+    the same for any split and any number of threads."""
     seed, n_streams, stream_offset = _check_shape(seed, n_streams, depth, stream_offset)
-    _start_beta(start)  # once here, not in every block, and at depth 0 too
+    _start_beta(start)  # once, before any block, at depth 0 too
     out = np.empty((n_streams, depth), dtype=np.int64)
     if not depth:  # no digits: no block to build
         return out

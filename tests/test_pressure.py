@@ -436,12 +436,14 @@ class TestGridBasics:
         ([0.0, math.nan, 1.0], [1.0] * 3, {}, "nodes must be strictly increasing"),
         ([], [], {}, "nodes must be strictly increasing"),
         ([0.0, 2.0], [1.0, 1.0], {}, r"nodes must lie in \[0, 1\]"),
-        ([0.0, 1.0], [1.0], {}, r"values must have shape \(2,\), one entry per node; got \(1,\)"),
-        ([0.0, 1.0], [[1.0, 1.0]], {}, r"values must have shape \(2,\)"),
-        ([0.0, 1.0], [1.0, math.inf], {}, "values must be finite"),
-        ([0.0, 1.0], [1.0, 1.0], {"lower": [1.0, 1.0, 1.0]}, r"lower must have shape \(2,\)"),
-        ([0.0, 1.0], [1.0, 1.0], {"upper": [[2.0], [2.0]]}, r"upper must have shape \(2,\)"),
-        ([0.0, 1.0], [1.0, 1.0], {"upper": [2.0, math.nan]}, "upper must be finite"),
+        ([0.0, 1.0], [1.0], {}, r"values must be 2 finite numbers, one per node; got shape \(1,\)"),
+        ([0.0, 1.0], [[1.0, 1.0]], {}, r"values must be 2 finite .* got shape \(1, 2\)"),
+        ([0.0, 1.0], [1.0, math.inf], {}, "values must be 2 finite numbers"),
+        ([0.0, 1.0], [1.0, 1.0], {"lower": [1.0, 1.0, 1.0]},
+         r"lower must be 2 finite .* got shape \(3,\)"),
+        ([0.0, 1.0], [1.0, 1.0], {"upper": [[2.0], [2.0]]},
+         r"upper must be 2 finite .* got shape \(2, 1\)"),
+        ([0.0, 1.0], [1.0, 1.0], {"upper": [2.0, math.nan]}, "upper must be 2 finite numbers"),
         # an inverted bracket: lower = 2 > upper = 1
         ([0.0, 1.0], [1.5, 1.5], {"lower": [2.0, 2.0], "upper": [1.0, 1.0]},
          "lower must be <= values"),

@@ -72,7 +72,8 @@ def test_failed_call_waits_for_running_calls(cpus):
 
 
 def test_failed_call_cancels_calls_not_started(cpus):
-    # call 0 fails at once; the calls queued behind the running ones never start
+    # call 0 fails at once, and the caller cancels the queued calls well within
+    # call 1's 0.1 s: of the 8 calls, at most calls 0 to 3 ever start
     cpus(2)
     lock = threading.Lock()
     started, running = [], set()
