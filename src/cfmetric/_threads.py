@@ -1,10 +1,13 @@
-"""The thread pool that the bulk sampler and the operator build share.
+"""The thread pool that the bulk sampler and the operator build share, and
+the one rule that cuts their work over the CPUs.
 
 One pool of cpus() threads serves the process, made on the first map that
 needs threads (not at import) and again in a child forked after it exists.
 Each call of a map is one task on it, so at most cpus() calls run at once
 across every caller.  A map made on a pool thread runs inline, so work that
-maps again from inside the pool cannot wait on itself.
+maps again from inside the pool cannot wait on itself.  spans() cuts a range
+of items into the equal contiguous spans that a caller maps, one call per
+span; it is the only reader of cpus() outside the pool itself.
 """
 
 from __future__ import annotations
@@ -34,6 +37,21 @@ def cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         return os.cpu_count() or 1
+
+
+def spans(n: int, least: int = 1, most: int | None = None) -> list[int]:
+    """The bounds b of equal contiguous spans of range(n): span k is
+    range(b[k], b[k + 1]), and the lengths differ by at most one.
+
+    The count is the smallest multiple of w = max(1, min(cpus(), n // least))
+    that keeps each span at most most long (w itself when most is None), so
+    no more than one CPU is kept busy per least items.  When w < cpus() and
+    most >= 2 least, the count is w itself, as n < least (w + 1) <= most w:
+    at most w spans, so at most w threads run.  For n >= 1 and most >= 2 (or
+    None) the count is at most n, so no span is empty."""
+    w = max(1, min(cpus(), n // least))
+    count = w if most is None else w * -(-n // (most * w))
+    return [n * k // count for k in range(count + 1)]
 
 
 def _mark() -> None:

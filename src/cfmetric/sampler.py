@@ -23,14 +23,14 @@ caller that needs a writable row copies it.  Only a step with a flat stream
 makes a few more arrays, in the flat branch.
 
 sample_digit_matrix cuts its streams into equal contiguous blocks of at most
-_BLOCK streams.  Each block is its own BulkDigitStream, which runs every
-level and writes the block's rows of the result.  Each block is one task on
-the package's shared pool of one thread per available CPU (_threads), and
-the block count keeps at most one thread busy per _MIN_BLOCK streams; numpy
-releases the interpreter lock inside its array loops.  An engine makes one
-mpmath context at its first exact fallback and keeps it for the rest; one
-engine runs on one thread, so threads that overlap never change each other's
-working precision.  _exact_digit called on its own makes a context per call.
+_BLOCK streams by _threads.spans, which keeps at most one thread busy per
+_MIN_BLOCK streams.  Each block is its own BulkDigitStream, which runs every
+level and writes the block's rows of the result, as one task on the
+package's shared pool of one thread per available CPU; numpy releases the
+interpreter lock inside its array loops.  An engine makes one mpmath context
+at its first exact fallback and keeps it for the rest; one engine runs on one
+thread, so threads that overlap never change each other's working precision.
+_exact_digit called on its own makes a context per call.
 
 The band and the guess work in shift form: with delta = b - g and
 L(m) = log1p(delta/(m + g)) = ln((m + b)/(m + g)), F(1/m) = L(m)/L(1), one
@@ -83,7 +83,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._threads import cpus as _cpus, thread_map
+from ._threads import spans, thread_map
 from .cfcore import DomainError, _require_int, continuant_tail
 
 U64 = np.uint64
@@ -467,12 +467,10 @@ def sample_digit_matrix(
 ) -> np.ndarray:
     """Digits a_1..a_depth for a block of streams, shape (n_streams, depth).
 
-    Row j is stream stream_offset + j.  The rows are cut into equal contiguous
+    Row j is stream stream_offset + j.  The rows are cut by
+    _threads.spans(n_streams, _MIN_BLOCK, _BLOCK) into equal contiguous
     blocks of at most _BLOCK streams, each sampled by its own BulkDigitStream
-    as one task on the shared pool of one thread per CPU.  Their count is the
-    smallest multiple of w = min(CPUs, n_streams // _MIN_BLOCK), at least one,
-    that keeps them that small; when w < CPUs it is w itself, as n_streams <
-    _MIN_BLOCK * (w + 1) <= _BLOCK * w, so at most w threads run.  A digit the
+    as one task on the shared pool of one thread per CPU.  A digit the
     float bounds cannot settle goes to _exact_digit, which works in its block
     engine's own mpmath context.  Each uniform is keyed by (seed, stream,
     level, round) and no state is shared between streams, so the digits are
@@ -482,9 +480,7 @@ def sample_digit_matrix(
     out = np.empty((n_streams, depth), dtype=np.int64)
     if not depth:  # no digits: no block to build
         return out
-    workers = max(1, min(_cpus(), n_streams // _MIN_BLOCK))
-    n_blocks = workers * -(-n_streams // (_BLOCK * workers))
-    bounds = [n_streams * i // n_blocks for i in range(n_blocks + 1)]
+    bounds = spans(n_streams, _MIN_BLOCK, _BLOCK)
 
     def run(lo: int, hi: int) -> None:
         eng = BulkDigitStream(seed, hi - lo, stream_offset + lo, start)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cfmetric import pressure
-from cfmetric.cfcore import DomainError
+from cfmetric.cfcore import DomainError, _require_int
 from cfmetric.pressure import (
     CURVE_CAP,
     DEFAULT_GRID,
@@ -14,7 +14,6 @@ from cfmetric.pressure import (
     DimensionResult,
     OperatorGrid,
     PressureCurve,
-    capped_cylinder_sum,
     chebyshev_lobatto,
     default_curve,
     dimension_dispatch,
@@ -37,6 +36,29 @@ PI2_6 = math.pi**2 / 6.0
 @pytest.fixture(scope="module")
 def curve():
     return default_curve()
+
+
+def capped_cylinder_sum(s: float, depth: int, cap: int) -> float:
+    """Exact enumeration of sum over words in {1..cap}^depth of q_n^{-2s}.
+
+    Independent oracle for the operator route; cost cap^depth, guarded.
+    """
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s!r}")
+    _require_int("depth", depth, 0)
+    _require_int("cap", cap, 1)
+    if cap**depth > 2_000_000:
+        raise DomainError("enumeration budget exceeded; lower cap or depth")
+    total = 0.0
+    stack = [(0, 1, 0)]  # (q_prev, q, level)
+    while stack:
+        q_prev, q, level = stack.pop()
+        if level == depth:
+            total += float(q) ** (-2.0 * s)
+            continue
+        for a in range(1, cap + 1):
+            stack.append((q, a * q + q_prev, level + 1))
+    return total
 
 
 def tail_free_sum(s, depth, cap, grid_size=DEFAULT_GRID):
@@ -130,18 +152,18 @@ class TestOperatorKernel:
             want = naive_operator_matrix(s, 13, 40)
             assert float(np.abs(M - want).max()) <= 1e-13
 
-    def test_matrices_equal_for_any_worker_count(self, monkeypatch):
+    def test_matrices_equal_for_any_worker_count(self, monkeypatch, cpus):
         monkeypatch.setattr(pressure, "_DIGIT_BLOCK", 64)
         got = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(pressure, "_cpus", lambda: workers)
+            cpus(workers)
             got.append(_operator_matrices(self.S_VALUES, 13, 300)[1])
         assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
 
-    def test_exact_hits_raise_no_warning_in_worker_threads(self, monkeypatch):
+    def test_exact_hits_raise_no_warning_in_worker_threads(self, cpus):
         # numpy's error state is per thread, so a pool thread starts from the
         # default, which warns on 1/0; every warning is made an error here
-        monkeypatch.setattr(pressure, "_cpus", lambda: 2)
+        cpus(2)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             _, mats = _operator_matrices([0.7], 13, 5)
@@ -264,7 +286,7 @@ class TestPressureEigen:
     def test_single_level_sum(self):
         # first cylinder sum: ln sum a^{-2} = ln(pi^2/6)
         est = pressure_cylinder(1.0, 1)
-        assert est.log_sums[0] == pytest.approx(math.log(PI2_6), abs=1e-7)
+        assert est.value == pytest.approx(math.log(PI2_6), abs=1e-7)
 
 
 class TestPressureCylinder:
@@ -289,6 +311,13 @@ class TestPressureCylinder:
         assert abs(eig.value - cyl.ratio_refined) <= 2e-3
         # the Fekete bracket of the raw value must cover the eigen value
         assert cyl.bracket[0] - 1e-9 <= eig.value <= cyl.bracket[1] + 1e-9
+
+    def test_lost_lower_bound_names_its_depth(self):
+        # at the default grid and cap the lower end at 0 first reaches 0 at
+        # depth 45 for s = 1, where math.log would fail
+        pressure_cylinder(1.0, 44)
+        with pytest.raises(DomainError, match="lower bound reached 0 at depth 45"):
+            pressure_cylinder(1.0, 45)
 
     def test_budget_guard(self):
         with pytest.raises(DomainError):
@@ -434,6 +463,7 @@ class TestGridBasics:
     @pytest.mark.parametrize("nodes, values, bounds, message", [
         ([0.5, 0.2], [1.0, 1.0], {}, "nodes must be strictly increasing"),
         ([0.0, math.nan, 1.0], [1.0] * 3, {}, "nodes must be strictly increasing"),
+        ([math.nan], [1.0], {}, r"nodes must lie in \[0, 1\]"),
         ([], [], {}, "nodes must be strictly increasing"),
         ([0.0, 2.0], [1.0, 1.0], {}, r"nodes must lie in \[0, 1\]"),
         ([0.0, 1.0], [1.0], {}, r"values must be 2 finite numbers, one per node; got shape \(1,\)"),
@@ -509,6 +539,14 @@ class TestArgumentRules:
         (lambda: pressure_cylinder(0.5, 2, 10, 8), "s must be > 1/2, got 0.5"),
         (lambda: transfer_apply(OperatorGrid.ones(8, 10), 0.5), "s must be > 1/2, got 0.5"),
         (lambda: transfer_apply(OperatorGrid.ones(8, 0), 0.8), "cap must be an integer >= 1"),
+        (lambda: OperatorGrid.ones(8, 0), "cap must be an integer >= 1, got 0"),
+        (lambda: OperatorGrid.ones(8, 2.5), "cap must be an integer >= 1, got 2.5"),
+        (lambda: OperatorGrid.ones(0), "grid_size must be an integer >= 2, got 0"),
+        (lambda: OperatorGrid.ones(1), "grid_size must be an integer >= 2, got 1"),
+        (lambda: OperatorGrid([0.0, 1.0], [1.0, 1.0], 0),
+         "digit_cap must be an integer >= 1, got 0"),
+        (lambda: OperatorGrid([0.0, 1.0], [1.0, 1.0], 2.5),
+         "digit_cap must be an integer >= 1, got 2.5"),
         (lambda: transfer_apply(OperatorGrid.ones(8, 10), math.nan), "s must be finite"),
         (lambda: transfer_apply(OperatorGrid(np.array([0.5]), np.array([1.0]), 10), 0.8),
          "grid_size must be an integer >= 2, got 1"),

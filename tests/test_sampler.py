@@ -658,10 +658,10 @@ class TestBlocks:
     """sample_digit_matrix's split into stream blocks and worker threads."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_golden_digits_multi_block(self, monkeypatch, workers):
+    def test_golden_digits_multi_block(self, cpus, workers):
         # 70 000 streams make 3 blocks on one worker and 4 on two; the digests
         # are those of one engine over all the streams
-        monkeypatch.setattr(sampler, "_cpus", lambda: workers)
+        cpus(workers)
         assert _digest(sample_digit_matrix(2024, 70_000, 3)) == (
             "eff5c8d8e69c14fef9a902d7d72d911a413b5a7f2df7372135cc65f05bcfc8f2")
         assert _digest(sample_digit_matrix(2024, 70_000, 3, start="lebesgue")) == (

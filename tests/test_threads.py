@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from cfmetric import _threads
-from cfmetric._threads import thread_map
+from cfmetric._threads import spans, thread_map
 
 
 def test_results_in_call_order(cpus):
@@ -116,7 +116,7 @@ def test_forked_child_builds_its_own_pool():
     script = textwrap.dedent("""
         import os, threading
         from cfmetric import _threads
-        from cfmetric._threads import thread_map
+        from cfmetric._threads import spans, thread_map
 
         _threads.cpus = lambda: 2  # threads, whatever the host has
         assert thread_map(lambda k: k * k, range(6)) == [0, 1, 4, 9, 16, 25]
@@ -159,3 +159,28 @@ def test_concurrent_callers_share_the_pool(cpus):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     assert got == {c: [(c, k) for k in range(40)] for c in range(6)}
+
+
+def test_spans_cut_as_each_caller_did(cpus):
+    # the operator rows (least 1, no most) and the sampler blocks (8192 and
+    # 32768, and the 4 and 16 that TestBlocks patches in), against the split
+    # each caller made itself before spans: contiguous, none empty, at most
+    # most long, and a multiple of w in number
+    cases = ([(n, 1, None) for n in range(2, 200)]
+             + [(n, 4, 16) for n in range(1, 200)]
+             + [(n, 8192, 32768) for n in (*range(1, 70_000, 37), 10**5, 10**6, 10**7)])
+    for c in range(1, 9):
+        cpus(c)
+        for n, least, most in cases:
+            b = spans(n, least, most)
+            lengths = [hi - lo for lo, hi in zip(b, b[1:])]
+            w = max(1, min(c, n // least))
+            assert b[0] == 0 and b[-1] == n and min(lengths) >= 1
+            assert max(lengths) - min(lengths) <= 1 and len(lengths) % w == 0
+            if most is None:  # the operator build's rows
+                want = [n * k // min(c, n) for k in range(min(c, n) + 1)]
+            else:  # sample_digit_matrix's blocks
+                assert max(lengths) <= most
+                count = w * -(-n // (most * w))
+                want = [n * k // count for k in range(count + 1)]
+            assert b == want, (c, n, least, most)
