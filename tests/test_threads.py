@@ -116,7 +116,7 @@ def test_forked_child_builds_its_own_pool():
     script = textwrap.dedent("""
         import os, threading
         from cfmetric import _threads
-        from cfmetric._threads import spans, thread_map
+        from cfmetric._threads import thread_map
 
         _threads.cpus = lambda: 2  # threads, whatever the host has
         assert thread_map(lambda k: k * k, range(6)) == [0, 1, 4, 9, 16, 25]
