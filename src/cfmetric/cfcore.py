@@ -23,8 +23,7 @@ RationalLike = Union[int, Fraction]
 
 def ln_big(n: int) -> float:
     """Natural log of a positive integer, safe far beyond float range."""
-    if n <= 0:
-        raise ValueError("ln_big requires a positive integer")
+    n = _require_int("n", n, 1)
     shift = n.bit_length() - 53
     if shift <= 0:
         return math.log(n)
@@ -32,8 +31,9 @@ def ln_big(n: int) -> float:
 
 
 def ln_fraction(x: Fraction) -> float:
-    if x <= 0:
-        raise ValueError("ln_fraction requires a positive rational")
+    """Natural log of a positive rational: a Fraction or an integer, not a bool."""
+    if not isinstance(x, numbers.Rational) or isinstance(x, bool) or x <= 0:
+        raise DomainError(f"x must be a positive rational, got {x!r}")
     return ln_big(x.numerator) - ln_big(x.denominator)
 
 

@@ -16,17 +16,19 @@ digits once and contracts them with the weights of every s in one matrix
 product.  The rows are independent: _threads.spans cuts them into one
 contiguous span per thread, and each span reuses one set of block buffers
 for all its rows.  The cached P(s) curve gets all its nodes from one pass,
-and the single-s callers use the same kernel with one s.
+and the single-s callers use the same kernel with one s.  L_s is fixed by s,
+the grid size and the cap alone, and _operator_matrix, the one operator
+cache, keeps a read-only (nodes, M) per (s, grid, cap) for those callers.
 
 Every application of L_s goes through one enclosure step, _step.  For any f
 between flo and fhi it writes f = mid +- rad in midpoint-radius form, so the
 digits 1..cap give M @ mid +- |M| @ rad; the digits beyond the cap add the
 monotone integral bounds int_{A}^inf and int_{A+1}^inf applied to the inf
-and sup of f near 0.  The integrals do not depend on f, so _tail computes
-them once per run.  transfer_apply, the power iteration and the cylinder
-sums all use _step, so every estimate carries a bracket.  The power
-iteration steps a whole stack of s values at once: the curve runs its 33
-nodes as one stack, and pressure_eigen runs a stack of one.
+and sup of f near 0.  _tail builds the parts that do not depend on f once
+per run.  transfer_apply, the power iteration and the cylinder sums all use
+_step, so every estimate carries a bracket.  The power iteration steps a
+whole stack of s values at once: the curve runs its 33 nodes as one stack,
+and pressure_eigen runs a stack of one.
 """
 
 from __future__ import annotations
@@ -88,41 +90,42 @@ def _bary_rows(u: np.ndarray, nodes: np.ndarray, bw: np.ndarray) -> np.ndarray:
 
 @dataclass
 class OperatorGrid:
-    """A function sampled on the collocation grid, plus operator metadata."""
+    """A function on the Chebyshev-Lobatto nodes of len(values), the only grid
+    transfer_apply takes, with an enclosure lower <= values <= upper and the
+    digit cap of its L_s.  lower and upper default to the values array itself,
+    a point function, for which _step skips |M| @ 0."""
 
-    nodes: np.ndarray
     values: np.ndarray
     digit_cap: int = DEFAULT_CAP
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.nodes = np.asarray(self.nodes, dtype=float)
-        # all(diff > 0) is False at a nan node too
-        if self.nodes.ndim != 1 or not self.nodes.size or not np.all(np.diff(self.nodes) > 0):
-            raise DomainError("nodes must be strictly increasing")
-        # and so is this, for a single node, which has no diff
-        if not (0.0 <= self.nodes[0] and self.nodes[-1] <= 1.0):
-            raise DomainError("nodes must lie in [0, 1]")
+        self.values = np.asarray(self.values, dtype=float)
+        shape = self.values.shape
+        if len(shape) != 1 or shape[0] < 2:
+            raise DomainError(f"values must be at least 2 numbers on one axis; got shape {shape}")
         self.digit_cap = _require_int("digit_cap", self.digit_cap, 1)
-        for name in ("values", "lower", "upper"):  # lower and upper may be None
+        for name in ("values", "lower", "upper"):
             a = getattr(self, name)
-            if a is not None:
-                a = np.asarray(a, dtype=float)
-                if a.shape != self.nodes.shape or not np.all(np.isfinite(a)):
-                    raise DomainError(f"{name} must be {self.nodes.size} finite numbers, "
-                                      f"one per node; got shape {a.shape}")
-                setattr(self, name, a)
-        if self.lower is not None and np.any(self.lower > self.values):
+            a = self.values if a is None else np.asarray(a, dtype=float)
+            if a.shape != shape or not np.all(np.isfinite(a)):
+                raise DomainError(f"{name} must be {shape[0]} finite numbers, one per node; "
+                                  f"got shape {a.shape}")
+            setattr(self, name, a)
+        if np.any(self.lower > self.values):
             raise DomainError("lower must be <= values at every node")
-        if self.upper is not None and np.any(self.values > self.upper):
+        if np.any(self.values > self.upper):
             raise DomainError("upper must be >= values at every node")
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return chebyshev_lobatto(self.values.size)[0]
 
     @classmethod
     def ones(cls, grid_size: int = DEFAULT_GRID, cap: int = DEFAULT_CAP) -> "OperatorGrid":
         _check_operator(grid_size, cap)
-        x, _ = chebyshev_lobatto(grid_size)
-        return cls(x, np.ones(grid_size), cap)
+        return cls(np.ones(grid_size), cap)
 
 
 # digits per block of a row's reciprocals: at grid 32 a (grid, 2048) block
@@ -196,34 +199,26 @@ def _operator_matrices(
     return nodes, mats
 
 
-# one matrix per (s, grid, cap) for the single-s callers; 8 KB each at grid 32
 @functools.lru_cache(maxsize=64)
 def _operator_matrix(s: float, grid_size: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, mats = _operator_matrices([s], grid_size, cap)
+    nodes.flags.writeable = mats.flags.writeable = False
     return nodes, mats[0]
-
-
-# one (7, grid) block per (grid, cap); read-only, as every caller shares it
-@functools.lru_cache(maxsize=64)
-def _tail_rows(grid_size: int, cap: int) -> np.ndarray:
-    """Interpolation rows of seven points spread over [0, 1/(cap+1)]."""
-    nodes, bw = chebyshev_lobatto(grid_size)
-    rows = _bary_rows(np.linspace(0.0, 1.0 / (cap + 1), 7), nodes, bw)
-    rows.flags.writeable = False
-    return rows
 
 
 def _tail(s, nodes, cap) -> tuple:
     """The parts of the tail enclosure that do not depend on f, for one s or
-    a (k,) stack of s: the interpolation rows of [0, 1/(cap+1)], and at every
-    node the integral bounds int_{cap+1}^inf and int_{cap}^inf of
-    (a+x)^{-2s} da, shaped (g,) or (k, g)."""
+    a (k,) stack of s: the interpolation rows of seven points spread over
+    [0, 1/(cap+1)], and at every node the integral bounds int_{cap+1}^inf and
+    int_{cap}^inf of (a+x)^{-2s} da, shaped (g,) or (k, g)."""
+    _, bw = chebyshev_lobatto(len(nodes))
+    rows = _bary_rows(np.linspace(0.0, 1.0 / (cap + 1), 7), nodes, bw)
     s = np.asarray(s, dtype=float)[..., None]
     expo = 1.0 - 2.0 * s
     denom = 2.0 * s - 1.0
     integral_lo = (cap + 1.0 + nodes) ** expo / denom
     integral_hi = (cap + nodes) ** expo / denom
-    return _tail_rows(len(nodes), cap), integral_lo, integral_hi
+    return rows, integral_lo, integral_hi
 
 
 def _apply(M, f):
@@ -296,14 +291,10 @@ def _check_operator(grid_size, cap, s=None) -> None:
 
 def transfer_apply(grid: OperatorGrid, s: float) -> OperatorGrid:
     """One application of L_s with the digit tail enclosed."""
-    _check_operator(len(grid.nodes), grid.digit_cap, s)
-    nodes, M = _operator_matrix(float(s), len(grid.nodes), grid.digit_cap)
-    if not np.allclose(nodes, grid.nodes):
-        raise DomainError("grid nodes must be the Chebyshev-Lobatto grid")
-    flo = grid.values if grid.lower is None else grid.lower
-    fhi = grid.values if grid.upper is None else grid.upper
-    lo, hi = _step(M, flo, fhi, _tail(s, nodes, grid.digit_cap))
-    return OperatorGrid(nodes, 0.5 * (lo + hi), grid.digit_cap, lo, hi)
+    _check_operator(grid.values.size, grid.digit_cap, s)
+    nodes, M = _operator_matrix(float(s), grid.values.size, grid.digit_cap)
+    lo, hi = _step(M, grid.lower, grid.upper, _tail(s, nodes, grid.digit_cap))
+    return OperatorGrid(0.5 * (lo + hi), grid.digit_cap, lo, hi)
 
 
 def pressure_eigen(
@@ -313,7 +304,12 @@ def pressure_eigen(
     tol: float = 1e-10,
 ) -> PressureEstimate:
     """P(s) as the log leading eigenvalue, by power iteration on the positive
-    cone with a nodewise Collatz-Wielandt bracket."""
+    cone with a nodewise Collatz-Wielandt bracket.  It needs e^P(s) to lead
+    the collocation matrix's spectrum, and at large s a negative eigenvalue
+    has a larger modulus (grid 32: from s = 4.4-4.5; grid 64: from 4.5-5).
+    Past that the spread stalls, giving converged=False with a bracket that
+    still holds P(s) (s = 5-7 at grid 32), or the iterate leaves the positive
+    cone, which raises a DomainError (s = 8 and 10 at grid 32)."""
     _check_operator(grid_size, cap, s)
     if not 0.0 < tol < math.inf:  # nan fails too
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
@@ -347,7 +343,10 @@ def _power_iterate(
         g_lo, g_hi = _step(mats, f, f, tail)
         # a frozen iterate repeats the step at which it stopped, which passed
         if (g_lo <= 0).any():
-            raise RuntimeError(f"iterate left the positive cone at step {it}")
+            k = int(np.flatnonzero((g_lo <= 0).any(axis=-1))[0])
+            raise DomainError(f"power iteration left the positive cone at step {it} (s={s[k]}, "
+                              f"grid {grid_size}): the collocation matrix has a negative "
+                              "eigenvalue larger in modulus than e^P(s)")
         g = 0.5 * (g_lo + g_hi)
         value = np.log((f * g).sum(axis=-1) / (f * f).sum(axis=-1))
         r_lo = np.log((g_lo / f).min(axis=-1))

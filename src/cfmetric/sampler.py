@@ -71,9 +71,10 @@ sample_iid_gauss_kuzmin is the deliberate non-exact baseline: i.i.d. digits
 with the Gauss-Kuzmin marginal, without the dependence between positions.
 
 Randomness comes from a splitmix64 counter generator keyed by
-(seed, stream, level, round), and streams share no state.  So stream j gets
-the same digits whatever block it falls in and however many blocks and
-workers a call uses.
+(seed, stream, level, round), with the seed in [0, 2^64), and streams share
+no state.  So stream j gets the same digits whatever block it falls in and
+however many blocks and workers a call uses.  The i.i.d. baseline hashes
+its seed under a domain constant of its own, apart from the exact sampler's.
 """
 
 from __future__ import annotations
@@ -92,8 +93,11 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _M64 = (1 << 64) - 1
 
-# domain separator of the uniforms V that select each digit
+# domain separators of the uniforms: V, which selects each exact digit, and
+# the i.i.d. baseline's.  i.i.d. seed s shares its keys with exact seed
+# s ^ _DOM_IID ^ _DOM_VBITS only, which is at least 2^63 for every s below 2^63
 _DOM_VBITS = 0x9D8F0A6B42E1C753
+_DOM_IID = 0x6A09E667F3BCC909
 
 TWO_NEG53 = 2.0**-53
 _LN2 = float(np.log(2.0))
@@ -134,9 +138,9 @@ def _word_scalar(seed: int, stream: int, ctr: int, rnd: int = 0) -> int:
     return h
 
 
-def _stream_keys(seed: int, streams: np.ndarray) -> np.ndarray:
+def _stream_keys(seed: int, streams: np.ndarray, domain: int = _DOM_VBITS) -> np.ndarray:
     """The level-free part of each int64 stream's word hash, computed once."""
-    h = U64(_mix_scalar((seed ^ _DOM_VBITS) & _M64))
+    h = U64(_mix_scalar((seed ^ domain) & _M64))
     return _mix(h ^ streams.view(U64))
 
 
@@ -334,7 +338,7 @@ class BulkDigitStream:
 
     def __init__(self, seed: int, n_streams: int, stream_offset: int = 0,
                  start: str = "gauss"):
-        self.seed = _require_int("seed", seed)
+        self.seed = _require_int("seed", seed, 0, _M64)
         n, offset = _stream_range(n_streams, stream_offset)
         self.streams = np.arange(n, dtype=np.int64) + offset
         self._keys = _stream_keys(self.seed, self.streams)
@@ -448,7 +452,7 @@ def _start_beta(start) -> int:
 def _check_shape(seed, n_streams, depth, stream_offset) -> tuple[int, int, int]:
     """The argument rules that both samplers share; returns the seed,
     n_streams and stream_offset as ints."""
-    seed = _require_int("seed", seed)
+    seed = _require_int("seed", seed, 0, _M64)  # the hash reads 64 bits of it
     n, offset = _stream_range(n_streams, stream_offset)
     depth = _require_int("depth", depth, 0)
     # also bounds the engine's history, n_streams * min(depth, 160) digits
@@ -496,7 +500,7 @@ def sample_iid_gauss_kuzmin(seed: int, n_streams: int, depth: int,
     """i.i.d. digits with the Gauss-Kuzmin marginal (speed-over-exactness
     mode; the digit process loses its cross-position dependence)."""
     seed, n_streams, stream_offset = _check_shape(seed, n_streams, depth, stream_offset)
-    keys = _stream_keys(seed ^ 0x1D, np.arange(n_streams, dtype=np.int64) + stream_offset)
+    keys = _stream_keys(seed, np.arange(n_streams, dtype=np.int64) + stream_offset, _DOM_IID)
     w, tmp = np.empty((2, n_streams), dtype=U64)
     x = np.empty(n_streams)
     out = np.empty((n_streams, depth), dtype=np.int64)

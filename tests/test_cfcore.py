@@ -360,6 +360,21 @@ class TestGaussMeasure:
     def test_digit_law_numpy_integer(self):
         assert gauss_digit_law(np.int64(7)) == gauss_digit_law(7)
 
+    @pytest.mark.parametrize("n", [0, -3, 2.5, 4.0, True])
+    def test_ln_big_refuses_non_positive_integers(self, n):
+        # 0 raised a bare ValueError and 2.5 an AttributeError
+        with pytest.raises(DomainError, match="n must be an integer >= 1, got "):
+            ln_big(n)
+
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(-1, 3), 0, 2.5, True, "1/2"])
+    def test_ln_fraction_refuses_non_positive_rationals(self, x):
+        with pytest.raises(DomainError, match="x must be a positive rational, got "):
+            ln_fraction(x)
+
+    def test_ln_big_of_a_numpy_integer(self):
+        # np.int64 has no bit_length, which raised an AttributeError
+        assert ln_big(np.int64(10)) == math.log(10)
+
 
 class TestPublicSurface:
     def test_all_is_the_kept_set(self):

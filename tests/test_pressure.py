@@ -74,7 +74,7 @@ def tail_free_sum(s, depth, cap, grid_size=DEFAULT_GRID):
 class TestTransferApply:
     def test_telescoping_eigenfunction(self):
         x, _ = chebyshev_lobatto(DEFAULT_GRID)
-        g = OperatorGrid(x, 1.0 / (1.0 + x))
+        g = OperatorGrid(1.0 / (1.0 + x))
         out = transfer_apply(g, 1.0)
         f = 1.0 / (1.0 + out.nodes)
         # f lies inside the bracket at every node
@@ -205,6 +205,18 @@ class TestStepAndCaches:
         transfer_apply(grid, 0.6 + 0.005 * 69)
         assert _operator_matrix.cache_info().hits == info.hits + 1
 
+    def test_cached_operator_is_read_only(self):
+        # every caller shares the cached arrays; M *= 2 once moved
+        # pressure_eigen(0.7, 8, 16).value from 0.988 to 1.496
+        before = pressure_eigen(0.7, 8, 16)
+        nodes, M = _operator_matrix(0.7, 8, 16)
+        for a in (nodes, M):
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2.0
+        # a grid's nodes are its own array, not the cached one
+        transfer_apply(OperatorGrid.ones(8, 16), 0.7).nodes[:] = 0.0
+        assert pressure_eigen(0.7, 8, 16) == before
+
     def test_default_curve_shared_across_call_forms(self, curve):
         assert default_curve(DEFAULT_GRID, CURVE_CAP) is curve
 
@@ -272,6 +284,21 @@ class TestPressureEigen:
         h = 1e-4
         dp1 = (pressure_eigen(1.0 + h).value - pressure_eigen(1.0 - h).value) / (2.0 * h)
         assert abs(dp1 + PI2_6 / math.log(2.0)) <= 1e-7
+
+    @pytest.mark.parametrize("s", [8.0, 10.0])
+    def test_negative_eigenvalue_past_the_limit_raises(self, s):
+        # at grid 32 the collocation matrix has a negative eigenvalue whose
+        # modulus exceeds e^P(s) from s = 4.4-4.5 (18x at s = 8), so power
+        # iteration leaves the positive cone
+        ev = np.linalg.eigvals(_operator_matrix(s, 32, 10_000)[1]).real
+        assert -ev.min() > ev.max()
+        with pytest.raises(DomainError, match=rf"left the positive cone at step \d+ \(s={s}, "
+                                              r"grid 32\): .* negative eigenvalue"):
+            pressure_eigen(s)
+
+    def test_converges_below_the_limit(self):
+        # s = 4: the negative eigenvalue is 0.71 of e^P(s)
+        assert pressure_eigen(4.0).converged
 
     def test_strictly_decreasing(self):
         assert pressure_eigen(0.6, cap=2048).value > pressure_eigen(0.9, cap=2048).value
@@ -460,34 +487,34 @@ class TestGridBasics:
         assert x[0] == 0.0 and x[-1] == 1.0
         assert np.all(np.diff(x) > 0)
 
-    @pytest.mark.parametrize("nodes, values, bounds, message", [
-        ([0.5, 0.2], [1.0, 1.0], {}, "nodes must be strictly increasing"),
-        ([0.0, math.nan, 1.0], [1.0] * 3, {}, "nodes must be strictly increasing"),
-        ([math.nan], [1.0], {}, r"nodes must lie in \[0, 1\]"),
-        ([], [], {}, "nodes must be strictly increasing"),
-        ([0.0, 2.0], [1.0, 1.0], {}, r"nodes must lie in \[0, 1\]"),
-        ([0.0, 1.0], [1.0], {}, r"values must be 2 finite numbers, one per node; got shape \(1,\)"),
-        ([0.0, 1.0], [[1.0, 1.0]], {}, r"values must be 2 finite .* got shape \(1, 2\)"),
-        ([0.0, 1.0], [1.0, math.inf], {}, "values must be 2 finite numbers"),
-        ([0.0, 1.0], [1.0, 1.0], {"lower": [1.0, 1.0, 1.0]},
-         r"lower must be 2 finite .* got shape \(3,\)"),
-        ([0.0, 1.0], [1.0, 1.0], {"upper": [[2.0], [2.0]]},
-         r"upper must be 2 finite .* got shape \(2, 1\)"),
-        ([0.0, 1.0], [1.0, 1.0], {"upper": [2.0, math.nan]}, "upper must be 2 finite numbers"),
+    @pytest.mark.parametrize("values, bounds, message", [
+        ([1.0], {}, r"values must be at least 2 numbers on one axis; got shape \(1,\)"),
+        ([[1.0, 1.0]], {}, r"values must be at least 2 .* got shape \(1, 2\)"),
+        ([1.0, math.inf], {}, "values must be 2 finite numbers, one per node; got shape"),
+        ([1.0, 1.0], {"lower": [1.0, 1.0, 1.0]}, r"lower must be 2 finite .* got shape \(3,\)"),
+        ([1.0, 1.0], {"upper": [[2.0], [2.0]]}, r"upper must be 2 finite .* got shape \(2, 1\)"),
+        ([1.0, 1.0], {"upper": [2.0, math.nan]}, "upper must be 2 finite numbers"),
         # an inverted bracket: lower = 2 > upper = 1
-        ([0.0, 1.0], [1.5, 1.5], {"lower": [2.0, 2.0], "upper": [1.0, 1.0]},
-         "lower must be <= values"),
-        ([0.0, 1.0], [1.0, 1.0], {"lower": [0.0, 1.5]}, "lower must be <= values"),
-        ([0.0, 1.0], [1.0, 1.0], {"upper": [2.0, 0.5]}, "upper must be >= values"),
+        ([1.5, 1.5], {"lower": [2.0, 2.0], "upper": [1.0, 1.0]}, "lower must be <= values"),
+        ([1.0, 1.0], {"lower": [0.0, 1.5]}, "lower must be <= values"),
+        ([1.0, 1.0], {"upper": [2.0, 0.5]}, "upper must be >= values"),
     ])
-    def test_operator_grid_validation(self, nodes, values, bounds, message):
+    def test_operator_grid_validation(self, values, bounds, message):
         with pytest.raises(DomainError, match=message):
-            OperatorGrid(np.array(nodes), np.array(values), 10, **bounds)
+            OperatorGrid(np.array(values), 10, **bounds)
 
     def test_operator_grid_keeps_a_valid_bracket(self):
-        x, _ = chebyshev_lobatto(8)
-        g = OperatorGrid(x, np.ones(8), 10, np.zeros(8), [2.0] * 8)
+        g = OperatorGrid(np.ones(8), 10, np.zeros(8), [2.0] * 8)
         assert g.upper.dtype == float and np.all(g.lower <= g.values)
+
+    def test_operator_grid_nodes_come_from_its_values(self):
+        # the grid takes no nodes: they are the Chebyshev-Lobatto nodes of
+        # len(values), and a point function is its own bracket, the same array
+        g = OperatorGrid.ones(8, 16)
+        assert np.array_equal(g.nodes, chebyshev_lobatto(8)[0])
+        assert g.lower is g.values and g.upper is g.values
+        with pytest.raises(TypeError):
+            OperatorGrid(values=np.ones(8), nodes=chebyshev_lobatto(8)[0])
 
 
 class TestArgumentRules:
@@ -543,13 +570,9 @@ class TestArgumentRules:
         (lambda: OperatorGrid.ones(8, 2.5), "cap must be an integer >= 1, got 2.5"),
         (lambda: OperatorGrid.ones(0), "grid_size must be an integer >= 2, got 0"),
         (lambda: OperatorGrid.ones(1), "grid_size must be an integer >= 2, got 1"),
-        (lambda: OperatorGrid([0.0, 1.0], [1.0, 1.0], 0),
-         "digit_cap must be an integer >= 1, got 0"),
-        (lambda: OperatorGrid([0.0, 1.0], [1.0, 1.0], 2.5),
-         "digit_cap must be an integer >= 1, got 2.5"),
+        (lambda: OperatorGrid([1.0, 1.0], 0), "digit_cap must be an integer >= 1, got 0"),
+        (lambda: OperatorGrid([1.0, 1.0], 2.5), "digit_cap must be an integer >= 1, got 2.5"),
         (lambda: transfer_apply(OperatorGrid.ones(8, 10), math.nan), "s must be finite"),
-        (lambda: transfer_apply(OperatorGrid(np.array([0.5]), np.array([1.0]), 10), 0.8),
-         "grid_size must be an integer >= 2, got 1"),
         (lambda: PressureCurve(1, 8), "grid_size must be an integer >= 2, got 1"),
         (lambda: PressureCurve(8, True), "cap must be an integer >= 1, got True"),
     ])

@@ -789,8 +789,10 @@ def _iid(seed, n_streams, stream_offset=0):
 
 @pytest.mark.parametrize("sample", [_engine_row, _matrix, _iid])
 @pytest.mark.parametrize("seed, n_streams, offset, message", [
-    (1.5, 2, 0, "seed must be an integer, got 1.5"),
-    (True, 2, 0, "seed must be an integer, got True"),
+    (1.5, 2, 0, r"seed must be an integer in \[0, 18446744073709551615\], got 1.5"),
+    (True, 2, 0, r"seed must be an integer in \[0, 18446744073709551615\], got True"),
+    (-1, 2, 0, r"seed must be an integer in \[0, 18446744073709551615\], got -1"),
+    (2**64, 2, 0, r"seed must be an integer in .*, got 18446744073709551616"),
     (1, 2.5, 0, r"n_streams must be an integer >= 1, got 2.5"),
     (1, True, 0, r"n_streams must be an integer >= 1, got True"),
     (1, 2, 1.5, r"stream_offset must be an integer in \[-9223372036854775808, "
@@ -833,6 +835,14 @@ def test_streams_at_the_ends_of_int64(sample):
         assert np.array_equal(a, sample(np.int64(5), np.int64(1), np.int64(offset)))
 
 
+@pytest.mark.parametrize("sample", [_engine_row, _matrix, _iid])
+def test_seeds_at_the_ends_of_uint64(sample):
+    # the hash reads 64 bits of the seed, so only [0, 2^64) is taken: outside
+    # it, 5 + 2^64 once gave seed 5's digits and -1 gave 2^64 - 1's
+    for seed in (0, 2**64 - 1):
+        assert np.array_equal(sample(seed, 4), sample(np.uint64(seed), 4))
+
+
 @pytest.mark.parametrize("stream", [2**63 - 1, -2**63])
 def test_end_streams_agree_with_exact_digit(stream):
     # the exact fallback hashes a stream by its uint64 view, as the engine does
@@ -867,9 +877,19 @@ class TestIidMode:
         # SHA-256 of the int64 digits; a change to the uniforms or to the
         # float steps from V to the digit moves these
         assert _digest(sample_iid_gauss_kuzmin(2024, 1000, 8)) == (
-            "af017c19f1cd4b69193331f8445df3d3afbafd7fb19c5c70fb753820250189e1")
+            "f44150dac676b45d29ef383ddc197af1593bc5c0b38ff32427afc3ed5a08fdf6")
         assert _digest(sample_iid_gauss_kuzmin(7, 70_000, 3, stream_offset=-5)) == (
-            "b0fb781c2becce966922b5613343dbe46d7119b240d657f632e88b57151c1fdb")
+            "93e90f91dc0ecea8a8ba05ee977e7dcb51b4660e300ada43fd142033d9850e27")
+
+    def test_uniforms_apart_from_the_exact_sampler(self):
+        # i.i.d. seed s once keyed its words as exact seed s ^ 0x1D, so seed
+        # 0's first digits equalled exact seed 29's in every stream; with
+        # independent uniforms they agree with probability sum_k p_k^2 = 0.2175
+        n = 100_000
+        iid = sample_iid_gauss_kuzmin(0, n, 1)[:, 0]
+        agree = float(np.mean(iid == sample_digit_matrix(29, n, 1)[:, 0]))
+        p2 = sum(gauss_digit_law(k) ** 2 for k in range(1, 10_000))
+        assert abs(agree - p2) <= 4 * math.sqrt(p2 * (1 - p2) / n)
 
     def test_marginals_and_determinism(self):
         m = sample_iid_gauss_kuzmin(11, 50_000, 2)
