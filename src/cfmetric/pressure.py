@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -83,17 +83,17 @@ def _bary_rows(u: np.ndarray, nodes: np.ndarray, bw: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(bw, d, out=d)
         d /= d.sum(axis=-1, keepdims=True)
-    if np.any(hit):
-        d[hit] = exact[hit]
+    d[hit] = exact[hit]
     return d
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OperatorGrid:
     """A function on the Chebyshev-Lobatto nodes of len(values), the only grid
     transfer_apply takes, with an enclosure lower <= values <= upper and the
     digit cap of its L_s.  lower and upper default to the values array itself,
-    a point function, for which _step skips |M| @ 0."""
+    a point function, for which _step skips |M| @ 0.  The grid is frozen and
+    holds read-only copies of its arrays, so it stays as its checks left it."""
 
     values: np.ndarray
     digit_cap: int = DEFAULT_CAP
@@ -101,21 +101,22 @@ class OperatorGrid:
     upper: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        shape = self.values.shape
+        values = np.array(self.values, dtype=float)
+        shape = values.shape
         if len(shape) != 1 or shape[0] < 2:
             raise DomainError(f"values must be at least 2 numbers on one axis; got shape {shape}")
-        self.digit_cap = _require_int("digit_cap", self.digit_cap, 1)
-        for name in ("values", "lower", "upper"):
-            a = getattr(self, name)
-            a = self.values if a is None else np.asarray(a, dtype=float)
+        object.__setattr__(self, "digit_cap", _require_int("digit_cap", self.digit_cap, 1))
+        lower, upper = (values if a is None else np.array(a, dtype=float)
+                        for a in (self.lower, self.upper))
+        for name, a in (("values", values), ("lower", lower), ("upper", upper)):
             if a.shape != shape or not np.all(np.isfinite(a)):
                 raise DomainError(f"{name} must be {shape[0]} finite numbers, one per node; "
                                   f"got shape {a.shape}")
-            setattr(self, name, a)
-        if np.any(self.lower > self.values):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        if np.any(lower > values):
             raise DomainError("lower must be <= values at every node")
-        if np.any(self.values > self.upper):
+        if np.any(values > upper):
             raise DomainError("upper must be >= values at every node")
 
     @property
@@ -398,30 +399,23 @@ def pressure_cylinder(
     flo = np.ones(grid_size)
     fhi = np.ones(grid_size)
     log_scale = 0.0
-    log_sums = []
+    mid = None  # the midpoint of ln S_n's bracket; prev is ln S_{n-1}'s
     for n in range(1, depth + 1):
         flo, fhi = _step(M, flo, fhi, tail)
         if not flo[0] > 0.0:
             raise DomainError(f"the cylinder sum's lower bound reached 0 at depth {n} "
                               f"(s={s}, grid {grid_size}, cap {cap}); lower the depth "
                               "or raise the cap")
-        log_sums.append(
-            (log_scale + math.log(flo[0]), log_scale + math.log(fhi[0]))
-        )
+        ls_lo, ls_hi = log_scale + math.log(flo[0]), log_scale + math.log(fhi[0])
+        prev, mid = mid, 0.5 * (ls_lo + ls_hi)
         scale = float(np.max(fhi))
         flo /= scale
         fhi /= scale
         log_scale += math.log(scale)
-    ls_lo, ls_hi = log_sums[-1]
-    value = 0.5 * (ls_lo + ls_hi) / depth
     bracket = ((ls_lo - s * LN4) / depth, ls_hi / depth)
-    refined = None
-    if depth >= 2:
-        prev = 0.5 * (log_sums[-2][0] + log_sums[-2][1])
-        refined = 0.5 * (ls_lo + ls_hi) - prev
     return PressureEstimate(
-        s, value, bracket, {"depth": depth, "cap": cap, "grid": grid_size},
-        ratio_refined=refined,
+        s, mid / depth, bracket, {"depth": depth, "cap": cap, "grid": grid_size},
+        ratio_refined=None if prev is None else mid - prev,
     )
 
 
@@ -450,6 +444,9 @@ class PressureCurve:
         self.values = np.array([e.value for e in estimates])
         # whether each node's eigen spread met its tol (see PressureEstimate)
         self.converged = np.array([e.converged for e in estimates])
+        # default_curve shares one curve with every caller
+        for a in (self.tau, self.s_nodes, self.bw, self.values, self.converged):
+            a.flags.writeable = False
 
     def eval(self, s: float) -> float:
         if not self.s_floor <= s <= self.s_ceil:
@@ -473,17 +470,19 @@ def default_curve(grid_size: int = DEFAULT_GRID, cap: int = CURVE_CAP) -> Pressu
 _cached_curve = functools.lru_cache(maxsize=None)(PressureCurve)
 
 
-def _root(g, curve: PressureCurve, tol: float) -> tuple[float, tuple]:
-    """Root of a decreasing g on (1/2, 1] by bisection, to within tol.
+def _root(g, s_floor: float, tol: float) -> tuple[float, tuple]:
+    """Root of a decreasing g on [s_floor, 1] by bisection, to within tol.
 
-    Returns the root and the trace of (midpoint, g(midpoint)) pairs."""
+    The upper end is 1 and the lower end 0.501, or s_floor when g(0.501) <= 0,
+    so a root at or above 1 (B too close to 1) or at or below s_floor is
+    refused.  Returns the root and the trace of (midpoint, g(midpoint)) pairs."""
     hi = 1.0
     if g(hi) >= 0.0:
         raise DomainError("B is too close to 1 for the cached curve accuracy")
     lo = 0.5 + 1e-3
-    while g(lo) <= 0.0:
-        lo = 0.5 + (lo - 0.5) / 4.0
-        if lo - 0.5 < curve.s_floor - 0.5:
+    if g(lo) <= 0.0:
+        lo = s_floor
+        if g(lo) <= 0.0:
             raise DomainError(
                 "root sits below the cached curve domain; rebuild with a smaller s floor"
             )
@@ -537,7 +536,7 @@ def solve_dimension(
     def g(s):
         return curve.eval(s) - (s + (2.0 * s - 1.0) * (r - 1)) * ln_b
 
-    value, trace = _root(g, curve, tol)
+    value, trace = _root(g, curve.s_floor, tol)
     return DimensionResult("finite-B", value, {"r": r, "B": B, "tol": tol}, trace)
 
 
@@ -572,9 +571,10 @@ def dimension_dispatch(
     """Three-regime dimension of the r-large-digits set for threshold psi.
 
     B = 1 gives dimension 1; finite B solves the pressure equation; B = inf
-    gives 1/(1+b), degenerating to 0 when b = inf.  Growth exponents at or
-    below 0 (bounded or decaying psi) fall into the full-dimension regime.
-    tol is checked in every regime, by solve_dimension's rule.
+    gives 1/(1+b), which is 0 at b = inf by the same formula (exp(inf) = inf).
+    Growth exponents at or below 0 (bounded or decaying psi) fall into the
+    full-dimension regime.  tol is checked in every regime, by
+    solve_dimension's rule.
     """
     _require_int("r", r, 1)
     _check_tol(tol)
@@ -583,14 +583,9 @@ def dimension_dispatch(
     if not g.exact:
         flags = flags + ("exponents are finite-horizon estimates",)
     if g.log_B == math.inf:
-        if g.log_b == math.inf:
-            return DimensionResult("B=inf", 0.0, {"r": r, "log_b": g.log_b}, flags=flags)
         b = math.exp(g.log_b)
-        return DimensionResult(
-            "B=inf", 1.0 / (1.0 + b), {"r": r, "b": b}, flags=flags
-        )
+        return DimensionResult("B=inf", 1.0 / (1.0 + b), {"r": r, "b": b}, flags=flags)
     if g.log_B <= 0.0:
         return DimensionResult("B=1", 1.0, {"r": r, "log_B": g.log_B}, flags=flags)
-    B = math.exp(g.log_B)
-    res = solve_dimension(r, B, tol, curve)
-    return DimensionResult(res.regime, res.value, res.inputs, res.trace, flags)
+    res = solve_dimension(r, math.exp(g.log_B), tol, curve)
+    return replace(res, flags=flags)

@@ -57,11 +57,8 @@ class ThresholdFn:
         return float(_ln_psi(self, np.array([n], dtype=np.int64))[0])
 
     def value(self, n: int) -> float:
-        lv = self.log_value(n)
-        if lv == INF:
-            return INF
         try:
-            return math.exp(lv)
+            return math.exp(self.log_value(n))
         except OverflowError:
             return INF
 
@@ -273,29 +270,28 @@ _TURN_SCAN_CAP = 1 << 22
 
 
 def _envelope_logs(psi: ThresholdFn, horizon: int) -> tuple[np.ndarray, bool, str]:
-    """The envelope as (ln psi~(1..horizon) array, exact, note)."""
+    """The envelope as (ln psi~(1..horizon) array, exact, note): the suffix
+    minimum of ln psi(1..n) cut to the horizon, with n past psi's turning
+    point n0 if it has one; an upper bound when psi's monotonicity is unknown."""
     horizon = _require_int("horizon", horizon, 1)
     if psi.domain_limit is not None and horizon > psi.domain_limit:
         raise DomainError(
             f"horizon {horizon} exceeds table domain {psi.domain_limit}"
         )
-    if horizon == psi.domain_limit:
-        # the table is the whole domain, so its suffix minimum is psi~ exactly
-        return _suffix_min(_log_psi(psi, horizon)), True, ""
-    hint, aux = psi.monotone_hint
-    if hint == "limit":
-        return np.full(horizon, aux), True, "psi decreases; envelope is its tail infimum"
-    if hint == "eventually":
-        if aux > max(horizon, _TURN_SCAN_CAP):
-            raise DomainError(f"psi turns upward only at n0 = {aux}, past the cap of "
-                              f"{_TURN_SCAN_CAP} values on the envelope's scan")
-        # beyond aux psi is nondecreasing, so every suffix min is attained by aux
-        return _suffix_min(_log_psi(psi, max(horizon, aux)))[:horizon], True, ""
-    logs = _log_psi(psi, horizon)
-    if hint == "nondecreasing":
-        return logs, True, ""
-    # unknown: suffix minimum over the horizon only, an upper bound for psi~
-    return _suffix_min(logs), False, "envelope is upper bound only (unknown monotonicity)"
+    n, exact, note = horizon, True, ""
+    # a table's whole domain needs no hint: its suffix minimum is psi~ exactly
+    if horizon != psi.domain_limit:
+        hint, aux = psi.monotone_hint
+        if hint == "limit":
+            return np.full(horizon, aux), True, "psi decreases; envelope is its tail infimum"
+        if hint == "eventually":
+            if aux > max(horizon, _TURN_SCAN_CAP):
+                raise DomainError(f"psi turns upward only at n0 = {aux}, past the cap of "
+                                  f"{_TURN_SCAN_CAP} values on the envelope's scan")
+            n = max(horizon, aux)
+        elif hint == "unknown":
+            exact, note = False, "envelope is upper bound only (unknown monotonicity)"
+    return _suffix_min(_log_psi(psi, n))[:horizon], exact, note
 
 
 def envelope(psi: ThresholdFn, horizon: int) -> EnvelopeTable:

@@ -1,6 +1,7 @@
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from cfmetric.pressure import (
     transfer_apply,
 )
 from cfmetric.pressure import (
-    _operator_matrices, _operator_matrix, _power_iterate, _step, _tail,
+    _operator_matrices, _operator_matrix, _power_iterate, _root, _step, _tail,
 )
 from cfmetric.thresholds import (
     double_exp, geometric, poly_log, scaled_geometric, series_classify, table,
@@ -219,6 +220,17 @@ class TestStepAndCaches:
 
     def test_default_curve_shared_across_call_forms(self, curve):
         assert default_curve(DEFAULT_GRID, CURVE_CAP) is curve
+
+    def test_shared_curve_is_read_only(self, curve):
+        # every caller shares the cached curve; values *= 2 once moved
+        # solve_dimension(2, 2.0) from 0.73354 to 0.81912
+        before = solve_dimension(2, 2.0)
+        with pytest.raises(ValueError, match="read-only"):
+            default_curve().values *= 2
+        for name in ("tau", "s_nodes", "bw", "values", "converged"):
+            assert not getattr(curve, name).flags.writeable, name
+        assert solve_dimension(2, 2.0) == before
+        assert before.value == pytest.approx(0.73354, abs=1e-4)
 
     def test_threads_match_serial(self):
         s_values = [0.6, 0.9] * 2
@@ -418,6 +430,51 @@ class TestSolveDimension:
         assert len(fine.trace) > len(solve_dimension(2, 2.0, curve=curve).trace)
         assert fine.value == pytest.approx(0.73354, abs=1e-4)
 
+    def test_B_too_close_to_1_refused(self, curve):
+        # the curve's P(1) is about +1.3e-8, above ln(1 + 1e-9), so g(1) > 0
+        assert 0.0 < curve.eval(1.0) - math.log(1.0 + 1e-9)
+        with pytest.raises(DomainError, match="B is too close to 1"):
+            solve_dimension(1, 1.0 + 1e-9, curve=curve)
+
+    @pytest.mark.parametrize("B", [1e8, 1e12])
+    def test_root_below_the_curve_floor_refused(self, curve, B):
+        # dim_sweep's beyond_floor queries: r = 1 and B in [1e8, 1e12]
+        with pytest.raises(DomainError, match="root sits below the cached curve domain"):
+            solve_dimension(1, B, curve=curve)
+
+    @pytest.mark.parametrize("root, calls", [
+        (0.7, [1.0, 0.501]),              # a root above 0.501: the floor is never read
+        (0.5005, [1.0, 0.501, S_FLOOR]),  # between the floor and 0.501
+    ])
+    def test_root_reads_its_two_lower_ends_before_bisecting(self, root, calls):
+        seen = []
+
+        def g(s):
+            seen.append(s)
+            return root - s
+
+        value, trace = _root(g, S_FLOOR, 1e-4)
+        assert seen[:len(calls)] == calls
+        assert seen[len(calls):] == [mid for mid, _ in trace]
+        assert trace[0][0] == 0.5 * (calls[-1] + 1.0)
+        assert abs(value - root) <= 1e-4
+
+    @pytest.mark.parametrize("root, calls, message", [
+        (1.0, [1.0], "B is too close to 1"),
+        (S_FLOOR, [1.0, 0.501, S_FLOOR], "root sits below the cached curve domain"),
+        (0.5001, [1.0, 0.501, S_FLOOR], "root sits below the cached curve domain"),
+    ])
+    def test_root_refusals_read_no_further(self, root, calls, message):
+        seen = []
+
+        def g(s):
+            seen.append(s)
+            return root - s
+
+        with pytest.raises(DomainError, match=message):
+            _root(g, S_FLOOR, 1e-4)
+        assert seen == calls
+
 
 class TestHussainShulga:
     def test_r1_identity(self, curve):
@@ -507,6 +564,27 @@ class TestGridBasics:
         g = OperatorGrid(np.ones(8), 10, np.zeros(8), [2.0] * 8)
         assert g.upper.dtype == float and np.all(g.lower <= g.values)
 
+    def test_operator_grid_is_frozen_and_read_only(self):
+        # a field set after the checks once skipped them: lower = None gave a
+        # bare TypeError in transfer_apply
+        g = OperatorGrid.ones(8, 16)
+        with pytest.raises(FrozenInstanceError):
+            g.lower = None
+        with pytest.raises(FrozenInstanceError):
+            g.upper = g.values - 1
+        for a in (g.values, g.lower, g.upper):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 2.0
+        assert np.all(transfer_apply(g, 1.0).lower > 0.0)
+
+    def test_operator_grid_copies_the_callers_arrays(self):
+        values, lower, upper = np.ones(8), np.zeros(8), np.full(8, 2.0)
+        g = OperatorGrid(values, 10, lower, upper)
+        for a in (values, lower, upper):
+            assert a.flags.writeable
+            a += 5.0
+        assert np.all(g.lower == 0.0) and np.all(g.values == 1.0) and np.all(g.upper == 2.0)
+
     def test_operator_grid_nodes_come_from_its_values(self):
         # the grid takes no nodes: they are the Chebyshev-Lobatto nodes of
         # len(values), and a point function is its own bracket, the same array
@@ -575,6 +653,12 @@ class TestArgumentRules:
         (lambda: transfer_apply(OperatorGrid.ones(8, 10), math.nan), "s must be finite"),
         (lambda: PressureCurve(1, 8), "grid_size must be an integer >= 2, got 1"),
         (lambda: PressureCurve(8, True), "cap must be an integer >= 1, got True"),
+        (lambda: solve_dimension(2, 1.0), r"solve_dimension needs 1 < B < inf"),
+        (lambda: solve_dimension(2, math.inf), r"solve_dimension needs 1 < B < inf"),
+        (lambda: solve_dimension(2, math.nan), r"solve_dimension needs 1 < B < inf"),
+        (lambda: default_curve().eval(S_FLOOR - 1e-9), "outside cached curve domain"),
+        (lambda: default_curve().eval(0.5), "outside cached curve domain"),
+        (lambda: default_curve().eval(pressure.S_CEIL + 1e-9), "outside cached curve domain"),
     ])
     def test_operator_arguments_refused_at_once(self, call, message):
         with pytest.raises(DomainError, match=message):

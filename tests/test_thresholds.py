@@ -522,6 +522,32 @@ class TestTableValues:
         with pytest.raises(DomainError, match=r"values\[2\]"):
             parse_psi(f"table:{f}")
 
+    def test_empty_table_rejected(self):
+        with pytest.raises(DomainError, match="table must be nonempty"):
+            table([])
+
+    @pytest.mark.parametrize("psi", [table([1.0, 2.0, 3.0]),
+                                     scaled_geometric(2.0, table([1.0, 2.0, 3.0]))])
+    def test_value_past_the_table_end_refused(self, psi):
+        assert psi.value(3) == pytest.approx(3.0 * psi.params[0] ** 3)
+        for read in (psi.log_value, psi.value):
+            with pytest.raises(DomainError, match=r"table defines psi only up to n=3"):
+                read(4)
+
+
+class TestValue:
+    @pytest.mark.parametrize("psi, n, log_value", [
+        (geometric(1e300), 3, 3 * math.log(1e300)),  # exp overflows
+        (poly_log(200.0, 0.0), 10**6, 200 * math.log(10**6)),
+        (double_exp(10.0, 10.0), 400, INF),  # ln psi itself is inf
+    ])
+    def test_past_the_float_range_is_inf(self, psi, n, log_value):
+        assert psi.log_value(n) == pytest.approx(log_value)
+        assert psi.value(n) == INF
+
+    def test_below_the_float_range_is_zero(self):
+        assert geometric(1e-300).value(3) == 0.0
+
 
 class TestClosedFormParams:
     @pytest.mark.parametrize("spec,name", [
