@@ -18,7 +18,7 @@ contiguous span per thread, and each span reuses one set of block buffers
 for all its rows.  The cached P(s) curve gets all its nodes from one pass,
 and the single-s callers use the same kernel with one s.  L_s is fixed by s,
 the grid size and the cap alone, and _operator_matrix, the one operator
-cache, keeps a read-only (nodes, M) per (s, grid, cap) for those callers.
+cache, keeps a read-only M per (s, grid, cap) for those callers.
 
 Every application of L_s goes through one enclosure step, _step.  For any f
 between flo and fhi it writes f = mid +- rad in midpoint-radius form, so the
@@ -201,18 +201,18 @@ def _operator_matrices(
 
 
 @functools.lru_cache(maxsize=64)
-def _operator_matrix(s: float, grid_size: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, mats = _operator_matrices([s], grid_size, cap)
-    nodes.flags.writeable = mats.flags.writeable = False
-    return nodes, mats[0]
+def _operator_matrix(s: float, grid_size: int, cap: int) -> np.ndarray:
+    _, mats = _operator_matrices([s], grid_size, cap)
+    mats.flags.writeable = False
+    return mats[0]
 
 
-def _tail(s, nodes, cap) -> tuple:
+def _tail(s, grid_size, cap) -> tuple:
     """The parts of the tail enclosure that do not depend on f, for one s or
     a (k,) stack of s: the interpolation rows of seven points spread over
     [0, 1/(cap+1)], and at every node the integral bounds int_{cap+1}^inf and
     int_{cap}^inf of (a+x)^{-2s} da, shaped (g,) or (k, g)."""
-    _, bw = chebyshev_lobatto(len(nodes))
+    nodes, bw = chebyshev_lobatto(grid_size)
     rows = _bary_rows(np.linspace(0.0, 1.0 / (cap + 1), 7), nodes, bw)
     s = np.asarray(s, dtype=float)[..., None]
     expo = 1.0 - 2.0 * s
@@ -293,8 +293,8 @@ def _check_operator(grid_size, cap, s=None) -> None:
 def transfer_apply(grid: OperatorGrid, s: float) -> OperatorGrid:
     """One application of L_s with the digit tail enclosed."""
     _check_operator(grid.values.size, grid.digit_cap, s)
-    nodes, M = _operator_matrix(float(s), grid.values.size, grid.digit_cap)
-    lo, hi = _step(M, grid.lower, grid.upper, _tail(s, nodes, grid.digit_cap))
+    M = _operator_matrix(float(s), grid.values.size, grid.digit_cap)
+    lo, hi = _step(M, grid.lower, grid.upper, _tail(s, grid.values.size, grid.digit_cap))
     return OperatorGrid(0.5 * (lo + hi), grid.digit_cap, lo, hi)
 
 
@@ -310,21 +310,17 @@ def pressure_eigen(
     has a larger modulus (grid 32: from s = 4.4-4.5; grid 64: from 4.5-5).
     Past that the spread stalls, giving converged=False with a bracket that
     still holds P(s) (s = 5-7 at grid 32), or the iterate leaves the positive
-    cone, which raises a DomainError (s = 8 and 10 at grid 32)."""
+    cone, which raises a DomainError (s = 8 and 10 at grid 32).  An iteration
+    that neither meets tol nor stalls within _MAX_ITER = 10 000 steps raises
+    a DomainError too."""
     _check_operator(grid_size, cap, s)
     if not 0.0 < tol < math.inf:  # nan fails too
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
-    nodes, M = _operator_matrix(float(s), grid_size, cap)
-    return _power_iterate([s], nodes, M[None], cap, tol)[0]
+    M = _operator_matrix(float(s), grid_size, cap)
+    return _power_iterate([s], M[None], cap, tol)[0]
 
 
-def _power_iterate(
-    s_values,
-    nodes: np.ndarray,
-    mats: np.ndarray,
-    cap: int,
-    tol: float = 1e-10,
-) -> list:
+def _power_iterate(s_values, mats: np.ndarray, cap: int, tol: float = 1e-10) -> list:
     """Power iteration of pressure_eigen on the (k, g, g) stack mats of
     collocation matrices of L_s, one per s in s_values, stepped together.
 
@@ -334,8 +330,8 @@ def _power_iterate(
     frozen: the later steps of the stack repeat its last, positive step.
     """
     s = np.asarray(s_values, dtype=float).reshape(-1)
-    grid_size = len(nodes)
-    tail = _tail(s, nodes, cap)
+    grid_size = mats.shape[-1]
+    tail = _tail(s, grid_size, cap)
     f = np.ones((s.size, grid_size))
     spread_prev = np.full(s.size, math.inf)
     live = np.ones(s.size, dtype=bool)
@@ -371,10 +367,8 @@ def _power_iterate(
         np.divide(g, g.max(axis=-1, keepdims=True), out=f, where=live[:, None])
         spread_prev = spread
     k = int(np.flatnonzero(live)[0])
-    raise RuntimeError(
-        f"power iteration did not stabilize in {_MAX_ITER} steps "
-        f"(s={s[k]}, last spread={spread_prev[k]:.3e})"
-    )
+    raise DomainError(f"power iteration did not stabilize in {_MAX_ITER} steps (s={s[k]}, "
+                      f"grid {grid_size}, last spread={spread_prev[k]:.3e})")
 
 
 def pressure_cylinder(
@@ -394,8 +388,8 @@ def pressure_cylinder(
     """
     _check_operator(grid_size, cap, s)
     _require_int("depth", depth, 1)
-    nodes, M = _operator_matrix(float(s), grid_size, cap)
-    tail = _tail(s, nodes, cap)
+    M = _operator_matrix(float(s), grid_size, cap)
+    tail = _tail(s, grid_size, cap)
     flo = np.ones(grid_size)
     fhi = np.ones(grid_size)
     log_scale = 0.0
@@ -424,29 +418,33 @@ def pressure_cylinder(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
 class PressureCurve:
     """P(s) tabulated at Chebyshev nodes in tau = ln(s - 1/2), where the
     blow-up at s = 1/2 flattens out; evaluated by barycentric interpolation.
-    The domain is [S_FLOOR, S_CEIL] with CURVE_NODES nodes."""
+    The domain is [S_FLOOR, S_CEIL] with CURVE_NODES nodes.  default_curve
+    shares one curve with every caller, so a built curve is frozen and its
+    arrays tau, s_nodes, bw, values and converged are read-only."""
 
+    grid_size: int = DEFAULT_GRID
+    cap: int = CURVE_CAP
     s_floor, s_ceil = S_FLOOR, S_CEIL
 
-    def __init__(self, grid_size: int = DEFAULT_GRID, cap: int = CURVE_CAP):
-        _check_operator(grid_size, cap)
+    def __post_init__(self):
+        _check_operator(self.grid_size, self.cap)
         t_lo, t_hi = math.log(S_FLOOR - 0.5), math.log(S_CEIL - 0.5)
-        x, self.bw = chebyshev_lobatto(CURVE_NODES)
-        self.tau = t_lo + x * (t_hi - t_lo)
-        self.s_nodes = 0.5 + np.exp(self.tau)
-        self.grid_size = grid_size
-        self.cap = cap
-        nodes, mats = _operator_matrices(self.s_nodes, grid_size, cap)
-        estimates = _power_iterate(self.s_nodes, nodes, mats, cap)
-        self.values = np.array([e.value for e in estimates])
+        x, bw = chebyshev_lobatto(CURVE_NODES)
+        tau = t_lo + x * (t_hi - t_lo)
+        s_nodes = 0.5 + np.exp(tau)
+        _, mats = _operator_matrices(s_nodes, self.grid_size, self.cap)
+        estimates = _power_iterate(s_nodes, mats, self.cap)
+        values = np.array([e.value for e in estimates])
         # whether each node's eigen spread met its tol (see PressureEstimate)
-        self.converged = np.array([e.converged for e in estimates])
-        # default_curve shares one curve with every caller
-        for a in (self.tau, self.s_nodes, self.bw, self.values, self.converged):
+        converged = np.array([e.converged for e in estimates])
+        arrays = dict(tau=tau, s_nodes=s_nodes, bw=bw, values=values, converged=converged)
+        for name, a in arrays.items():
             a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def eval(self, s: float) -> float:
         if not self.s_floor <= s <= self.s_ceil:
@@ -473,19 +471,16 @@ _cached_curve = functools.lru_cache(maxsize=None)(PressureCurve)
 def _root(g, s_floor: float, tol: float) -> tuple[float, tuple]:
     """Root of a decreasing g on [s_floor, 1] by bisection, to within tol.
 
-    The upper end is 1 and the lower end 0.501, or s_floor when g(0.501) <= 0,
-    so a root at or above 1 (B too close to 1) or at or below s_floor is
-    refused.  Returns the root and the trace of (midpoint, g(midpoint)) pairs."""
-    hi = 1.0
+    g is read at 1, then at s_floor, then at the midpoints: a root at or above
+    1 (B too close to 1) or at or below s_floor is refused.  Returns the root
+    and the trace of (midpoint, g(midpoint)) pairs."""
+    lo, hi = s_floor, 1.0
     if g(hi) >= 0.0:
         raise DomainError("B is too close to 1 for the cached curve accuracy")
-    lo = 0.5 + 1e-3
     if g(lo) <= 0.0:
-        lo = s_floor
-        if g(lo) <= 0.0:
-            raise DomainError(
-                "root sits below the cached curve domain; rebuild with a smaller s floor"
-            )
+        raise DomainError(
+            "root sits below the cached curve domain; rebuild with a smaller s floor"
+        )
     trace = []
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

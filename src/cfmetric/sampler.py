@@ -85,7 +85,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._threads import spans, thread_map
-from .cfcore import DomainError, _require_int, continuant_tail
+from .cfcore import LOG2, DomainError, _require_int, continuant_tail
 
 U64 = np.uint64
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -100,7 +100,6 @@ _DOM_VBITS = 0x9D8F0A6B42E1C753
 _DOM_IID = 0x6A09E667F3BCC909
 
 TWO_NEG53 = 2.0**-53
-_LN2 = float(np.log(2.0))
 # half the relative widening of F's band, applied once to each bound as
 # 1 +/- 2 _SLOP: it dominates the state's radius 2^-50 (F moves by at most
 # 2^-49) and the float rounding of F in shift form (a few u)
@@ -510,7 +509,7 @@ def sample_iid_gauss_kuzmin(seed: int, n_streams: int, depth: int,
         # (w rounds to 1 at the top), so every digit floor(1/x) is an int64
         # in [1, 2^55)
         x += TWO_NEG53 * 0.5
-        x *= _LN2
+        x *= LOG2
         np.expm1(x, out=x)
         np.divide(1.0, x, out=x)
         out[:, k] = np.floor(x, out=x)  # whole floats, cast as astype does

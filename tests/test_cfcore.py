@@ -243,6 +243,11 @@ class TestCylinder:
         with pytest.raises(DomainError):
             cylinder(DigitWord(()))
 
+    def test_contains_ends(self):
+        # [2] is (1/3, 1/2], so 1 lies outside it; [1] is (1/2, 1], closed at 1
+        assert not cylinder(word(2)).contains(Fraction(1))
+        assert cylinder(word(1)).contains(Fraction(1))
+
 
 def removed_digit_ratio(w, k):
     """q_n(w) / q_{n-1}(w without its k-th digit), k 1-based."""
@@ -273,6 +278,13 @@ class TestRemoveDigitRatio:
 class TestGaussMeasure:
     def test_normalization(self):
         assert gauss_measure(0, 1) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("measure, a, b", [
+        (gauss_measure, 0.5, 0.2), (ln_gauss_measure, 0, 2),
+    ])
+    def test_not_a_subinterval(self, measure, a, b):
+        with pytest.raises(DomainError, match=rf"\[{a}, {b}\] is not a subinterval of \[0, 1\]"):
+            measure(a, b)
 
     def test_digit_law(self):
         # integrate the density over I_1(k) = (1/(k+1), 1/k]

@@ -15,6 +15,7 @@ from cfmetric.pressure import (
     DimensionResult,
     OperatorGrid,
     PressureCurve,
+    PressureEstimate,
     chebyshev_lobatto,
     default_curve,
     dimension_dispatch,
@@ -65,7 +66,7 @@ def capped_cylinder_sum(s: float, depth: int, cap: int) -> float:
 def tail_free_sum(s, depth, cap, grid_size=DEFAULT_GRID):
     """(L_s^depth 1)(0) over the digits 1..cap only: the operator's value of
     the capped cylinder sum, by the enclosure step without its tail."""
-    nodes, M = _operator_matrix(float(s), grid_size, cap)
+    M = _operator_matrix(float(s), grid_size, cap)
     f = np.ones(grid_size)
     for _ in range(depth):
         f, _ = _step(M, f, f, None)
@@ -179,7 +180,7 @@ class TestOperatorKernel:
 class TestStepAndCaches:
     def test_step_matches_clipped_form_and_encloses(self):
         s, cap = 0.7, 64
-        nodes, M = _operator_matrices([s], 12, cap)
+        _, M = _operator_matrices([s], 12, cap)
         M = M[0]
         rng = np.random.default_rng(20261018)
         mid = 1.0 + rng.random(12)
@@ -194,7 +195,7 @@ class TestStepAndCaches:
             g = M @ f
             assert np.all(lo <= g) and np.all(g <= hi)
         # the tail only widens the enclosure
-        tlo, thi = _step(M, flo, fhi, _tail(s, nodes, cap))
+        tlo, thi = _step(M, flo, fhi, _tail(s, 12, cap))
         assert np.all(tlo >= lo) and np.all(thi > hi)
 
     def test_matrix_cache_is_bounded_and_counts(self):
@@ -210,11 +211,10 @@ class TestStepAndCaches:
         # every caller shares the cached arrays; M *= 2 once moved
         # pressure_eigen(0.7, 8, 16).value from 0.988 to 1.496
         before = pressure_eigen(0.7, 8, 16)
-        nodes, M = _operator_matrix(0.7, 8, 16)
-        for a in (nodes, M):
-            with pytest.raises(ValueError, match="read-only"):
-                a *= 2.0
-        # a grid's nodes are its own array, not the cached one
+        M = _operator_matrix(0.7, 8, 16)
+        with pytest.raises(ValueError, match="read-only"):
+            M *= 2.0
+        # a grid's nodes are its own array, made on each read
         transfer_apply(OperatorGrid.ones(8, 16), 0.7).nodes[:] = 0.0
         assert pressure_eigen(0.7, 8, 16) == before
 
@@ -231,6 +231,19 @@ class TestStepAndCaches:
             assert not getattr(curve, name).flags.writeable, name
         assert solve_dimension(2, 2.0) == before
         assert before.value == pytest.approx(0.73354, abs=1e-4)
+
+    def test_built_curve_refuses_rebinding(self):
+        # on the shared curve, values = values * 2 once moved solve_dimension(2, 2.0)
+        # from 0.73354 to 0.81912, and s_floor = 0.9 made solve_dimension(1, 1e6)
+        # refuse; a private curve keeps the shared one out of it
+        c = PressureCurve(8, 64)
+        before = [solve_dimension(2, 2.0, curve=c), solve_dimension(1, 1e6, curve=c)]
+        for name, value in (("values", c.values * 2), ("s_floor", 0.9), ("grid_size", 16)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(c, name, value)
+            with pytest.raises(FrozenInstanceError):
+                delattr(c, name)
+        assert [solve_dimension(2, 2.0, curve=c), solve_dimension(1, 1e6, curve=c)] == before
 
     def test_threads_match_serial(self):
         s_values = [0.6, 0.9] * 2
@@ -258,10 +271,10 @@ class TestPressureEigen:
         # column rounds differently from one over 33, so its values and
         # brackets match to 1e-13, and its iterations and flag exactly.
         curve = default_curve(32, 2048)
-        nodes, mats = _operator_matrices(curve.s_nodes, 32, 2048)
-        batched = _power_iterate(curve.s_nodes, nodes, mats, 2048)
+        _, mats = _operator_matrices(curve.s_nodes, 32, 2048)
+        batched = _power_iterate(curve.s_nodes, mats, 2048)
         for k, s in enumerate(curve.s_nodes):
-            assert batched[k] == _power_iterate([s], nodes, mats[k:k + 1], 2048)[0]
+            assert batched[k] == _power_iterate([s], mats[k:k + 1], 2048)[0]
             alone = pressure_eigen(s, 32, 2048)
             assert batched[k].params["iterations"] == alone.params["iterations"]
             assert curve.converged[k] == batched[k].converged == alone.converged
@@ -302,11 +315,21 @@ class TestPressureEigen:
         # at grid 32 the collocation matrix has a negative eigenvalue whose
         # modulus exceeds e^P(s) from s = 4.4-4.5 (18x at s = 8), so power
         # iteration leaves the positive cone
-        ev = np.linalg.eigvals(_operator_matrix(s, 32, 10_000)[1]).real
+        ev = np.linalg.eigvals(_operator_matrix(s, 32, 10_000)).real
         assert -ev.min() > ev.max()
         with pytest.raises(DomainError, match=rf"left the positive cone at step \d+ \(s={s}, "
                                               r"grid 32\): .* negative eigenvalue"):
             pressure_eigen(s)
+
+    def test_step_limit_raises_domain_error(self, monkeypatch):
+        # 5 steps reach neither tol nor the stall rule, which starts after step 12
+        monkeypatch.setattr(pressure, "_MAX_ITER", 5)
+        with pytest.raises(DomainError, match=r"did not stabilize in 5 steps \(s=0\.7, grid 8, "):
+            pressure_eigen(0.7, 8, 16)
+
+    def test_estimate_refuses_a_bracket_that_misses_its_value(self):
+        with pytest.raises(RuntimeError, match="bracket does not contain its value"):
+            PressureEstimate(1.0, 2.0, (0.0, 1.0), {})
 
     def test_converges_below_the_limit(self):
         # s = 4: the negative eigenvalue is 0.71 of e^P(s)
@@ -443,8 +466,8 @@ class TestSolveDimension:
             solve_dimension(1, B, curve=curve)
 
     @pytest.mark.parametrize("root, calls", [
-        (0.7, [1.0, 0.501]),              # a root above 0.501: the floor is never read
-        (0.5005, [1.0, 0.501, S_FLOOR]),  # between the floor and 0.501
+        (0.7, [1.0, S_FLOOR]),     # a root far above the floor
+        (0.5005, [1.0, S_FLOOR]),  # a root just above it
     ])
     def test_root_reads_its_two_lower_ends_before_bisecting(self, root, calls):
         seen = []
@@ -461,8 +484,8 @@ class TestSolveDimension:
 
     @pytest.mark.parametrize("root, calls, message", [
         (1.0, [1.0], "B is too close to 1"),
-        (S_FLOOR, [1.0, 0.501, S_FLOOR], "root sits below the cached curve domain"),
-        (0.5001, [1.0, 0.501, S_FLOOR], "root sits below the cached curve domain"),
+        (S_FLOOR, [1.0, S_FLOOR], "root sits below the cached curve domain"),
+        (0.5001, [1.0, S_FLOOR], "root sits below the cached curve domain"),
     ])
     def test_root_refusals_read_no_further(self, root, calls, message):
         seen = []

@@ -184,3 +184,12 @@ def test_spans_cut_as_each_caller_did(cpus):
                 count = w * -(-n // (most * w))
                 want = [n * k // count for k in range(count + 1)]
             assert b == want, (c, n, least, most)
+
+
+def test_cpus_falls_back_to_cpu_count(monkeypatch):
+    # os.sched_getaffinity is missing on some platforms (macOS, Windows)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert _threads.cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _threads.cpus() == 1

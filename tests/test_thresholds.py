@@ -154,6 +154,9 @@ class TestEnvelope:
         assert env.exact
         assert env.log_values == tuple(psi.log_value(n) for n in range(1, 51))
 
+    def test_length_is_the_horizon(self):
+        assert len(envelope(poly_log(1, 0), 7)) == 7
+
     def test_table_suffix_min(self):
         env = envelope(table([5, 3, 4, 4]), 4)
         assert [round(math.exp(v), 9) for v in env.log_values] == [3, 3, 4, 4]
@@ -322,6 +325,10 @@ class TestSeriesClassify:
             v = series_classify(2, double_exp(2.0, 4.0))
         assert v.verdict == "convergent"
         assert v.partial_sums[-1] == (512, v.partial_sums[0][1])
+
+    def test_verdict_has_no_truth_value(self):
+        with pytest.raises(TypeError, match="compare SeriesVerdict.verdict explicitly"):
+            bool(series_classify(1, geometric(2.0)))
 
     def test_partial_sums_recorded(self):
         v = series_classify(2, poly_log(1, 0.6))
@@ -611,6 +618,12 @@ class TestParse:
     def test_bad_spec(self):
         with pytest.raises(DomainError):
             parse_psi("powerlaw(2)")
+        with pytest.raises(DomainError, match=r"cannot parse psi spec 'geometric 2'$"):
+            parse_psi("geometric 2")
+
+    def test_describe_table(self):
+        assert table([1, 2]).describe() == "table[2]"
+        assert scaled_geometric(2.0, table([1, 2])).describe() == "scaled_geometric(2.0,table[2])"
 
     @pytest.mark.parametrize("spec, arg", [
         ("geometric(x)", "x"), ("poly_log(1, y)", "y"), ("double_exp(2, 1.5e)", "1.5e"),
