@@ -59,6 +59,13 @@ def _require_int(name: str, value, least: int | None = None, most: int | None = 
     raise DomainError(f"{name} must be an integer{limit}, got {value!r}")
 
 
+def _is_real(value) -> bool:
+    """Whether value is a real number; a bool is not."""
+    # isinstance of float first: it covers numpy's float64 at a fraction of
+    # the abstract-class check's cost
+    return isinstance(value, float) or isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DigitWord:
     """A finite block of partial quotients a_1..a_n (all >= 1).

@@ -25,10 +25,10 @@ between flo and fhi it writes f = mid +- rad in midpoint-radius form, so the
 digits 1..cap give M @ mid +- |M| @ rad; the digits beyond the cap add the
 monotone integral bounds int_{A}^inf and int_{A+1}^inf applied to the inf
 and sup of f near 0.  _tail builds the parts that do not depend on f once
-per run.  transfer_apply, the power iteration and the cylinder sums all use
-_step, so every estimate carries a bracket.  The power iteration steps a
-whole stack of s values at once: the curve runs its 33 nodes as one stack,
-and pressure_eigen runs a stack of one.
+per run.  transfer_apply, the eigen bracket and the cylinder sums all use
+_step, so every estimate carries a bracket.  P(s) comes from one dense
+eigensolve of a whole stack of s values: the curve solves its 33 nodes as one
+stack, and pressure_eigen a stack of one.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from ._threads import spans, thread_map
-from .cfcore import DomainError, _require_int
+from .cfcore import DomainError, _is_real, _require_int
 from .thresholds import ThresholdFn, growth_exponents
 
 # The eigenfunction of L_s is analytic on Re x > -1, so its Chebyshev
@@ -60,7 +60,6 @@ CURVE_CAP = 2048
 CURVE_NODES = 33
 S_FLOOR = 0.5 + 2.5e-4
 S_CEIL = 1.02
-_MAX_ITER = 10_000
 LN4 = math.log(4.0)
 
 
@@ -267,8 +266,8 @@ class PressureEstimate:
     bracket: tuple
     params: dict
     ratio_refined: Optional[float] = None
-    # eigen: whether the spread met tol before the iteration stalled;
-    # None for the cylinder sums, which have no tol
+    # eigen: whether the bracket is narrower than tol; None for the
+    # cylinder sums, which have no tol
     converged: Optional[bool] = None
 
     def __post_init__(self):
@@ -282,6 +281,8 @@ def _check_operator(grid_size, cap, s=None) -> None:
     least two nodes, at least one digit before the tail and, if given, a
     finite s > 1/2, below which the digit sum of L_s diverges."""
     if s is not None:
+        if not _is_real(s):
+            raise DomainError(f"s must be a real number, got {s!r}")
         if not math.isfinite(s):
             raise DomainError(f"s must be finite, got {s!r}")
         if s <= 0.5:
@@ -304,71 +305,68 @@ def pressure_eigen(
     cap: int = DEFAULT_CAP,
     tol: float = 1e-10,
 ) -> PressureEstimate:
-    """P(s) as the log leading eigenvalue, by power iteration on the positive
-    cone with a nodewise Collatz-Wielandt bracket.  It needs e^P(s) to lead
-    the collocation matrix's spectrum, and at large s a negative eigenvalue
-    has a larger modulus (grid 32: from s = 4.4-4.5; grid 64: from 4.5-5).
-    Past that the spread stalls, giving converged=False with a bracket that
-    still holds P(s) (s = 5-7 at grid 32), or the iterate leaves the positive
-    cone, which raises a DomainError (s = 8 and 10 at grid 32).  An iteration
-    that neither meets tol nor stalls within _MAX_ITER = 10 000 steps raises
-    a DomainError too."""
+    """P(s) as the log leading eigenvalue of the collocation operator, from
+    one dense eigensolve, with a nodewise Collatz-Wielandt bracket;
+    converged says whether the bracket is narrower than tol.  The domain runs
+    from s > 1/2 to the first s where no eigenvector of the operator is
+    positive at every node, which raises a DomainError: s = 41.05 at grid 32
+    and 38.8 at grid 64 (cap 10 000, s scanned in steps of 0.05; a few larger
+    s answer).  The bracket widens long before: at grid 32 it is 2e-13 wide
+    at s = 10, 4e-8 at s = 20 and 1e-2 at s = 30, and from s = 33.85 its
+    lower end is -inf."""
     _check_operator(grid_size, cap, s)
-    if not 0.0 < tol < math.inf:  # nan fails too
+    if not (_is_real(tol) and 0.0 < tol < math.inf):  # nan fails too
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     M = _operator_matrix(float(s), grid_size, cap)
-    return _power_iterate([s], M[None], cap, tol)[0]
+    return _eigensolve([s], M[None], cap, tol)[0]
 
 
-def _power_iterate(s_values, mats: np.ndarray, cap: int, tol: float = 1e-10) -> list:
-    """Power iteration of pressure_eigen on the (k, g, g) stack mats of
-    collocation matrices of L_s, one per s in s_values, stepped together.
+def _eigensolve(s_values, mats: np.ndarray, cap: int, tol: float = 1e-10) -> list:
+    """pressure_eigen for every s in s_values, with mats the (k, g, g) stack
+    of the collocation matrices of L_s, one per s, in one batched solve.
 
-    Each s stops at the step where its own rule stops it: the spread of its
-    bracket falls below tol, or after step 12 stalls.  Its estimate is taken
-    at that step, so it is the one it would get alone.  Its iterate is then
-    frozen: the later steps of the stack repeat its last, positive step.
+    The model operator is A = M + diag(c) R: c is the midpoint of _tail's two
+    integral bounds, and R holds the interpolation rows of the points
+    u_i = (2s-1)/(2s)/(cap + 1/2 + x_i), the tail's weighted mean of
+    1/(a + x_i), so the model's tail is exact for any f linear near 0.  P(s)
+    is the log of A's real eigenvalue of largest real part whose eigenvector
+    phi is positive at every node.  Every f > 0 brackets e^P(s) between the
+    min and max over the nodes of (L f)/f: the bracket is the narrower of
+    phi's and, where it is positive, its image's, the midpoint of L phi.
     """
     s = np.asarray(s_values, dtype=float).reshape(-1)
     grid_size = mats.shape[-1]
+    nodes, bw = chebyshev_lobatto(grid_size)
     tail = _tail(s, grid_size, cap)
-    f = np.ones((s.size, grid_size))
-    spread_prev = np.full(s.size, math.inf)
-    live = np.ones(s.size, dtype=bool)
-    estimates = [None] * s.size
-    for it in range(_MAX_ITER):
-        g_lo, g_hi = _step(mats, f, f, tail)
-        # a frozen iterate repeats the step at which it stopped, which passed
-        if (g_lo <= 0).any():
-            k = int(np.flatnonzero((g_lo <= 0).any(axis=-1))[0])
-            raise DomainError(f"power iteration left the positive cone at step {it} (s={s[k]}, "
-                              f"grid {grid_size}): the collocation matrix has a negative "
-                              "eigenvalue larger in modulus than e^P(s)")
-        g = 0.5 * (g_lo + g_hi)
-        value = np.log((f * g).sum(axis=-1) / (f * f).sum(axis=-1))
-        r_lo = np.log((g_lo / f).min(axis=-1))
-        r_hi = np.log((g_hi / f).max(axis=-1))
-        spread = r_hi - r_lo
-        stop = spread < tol
-        if it > 12:
-            stop |= spread >= spread_prev * 0.999
-        stop &= live
-        if stop.any():
-            for k in np.flatnonzero(stop):
-                estimates[k] = PressureEstimate(
-                    float(s[k]), float(value[k]), (float(r_lo[k]), float(r_hi[k])),
-                    {"grid": grid_size, "cap": cap, "iterations": it + 1,
-                     "spread": float(spread[k])},
-                    converged=bool(spread[k] < tol),
-                )
-            live &= ~stop
-            if not live.any():
-                return estimates
-        np.divide(g, g.max(axis=-1, keepdims=True), out=f, where=live[:, None])
-        spread_prev = spread
-    k = int(np.flatnonzero(live)[0])
-    raise DomainError(f"power iteration did not stabilize in {_MAX_ITER} steps (s={s[k]}, "
-                      f"grid {grid_size}, last spread={spread_prev[k]:.3e})")
+    u = ((2.0 * s - 1.0) / (2.0 * s))[:, None] / (cap + 0.5 + nodes)
+    A = mats + (0.5 * (tail[1] + tail[2]))[..., None] * _bary_rows(u, nodes, bw)
+    w, V = np.linalg.eig(A)
+    # a real eigenvalue has a real eigenvector, positive up to its sign
+    ok = (w.imag == 0.0) & ((V.real > 0.0).all(axis=-2) | (V.real < 0.0).all(axis=-2))
+    if not ok.any(axis=-1).all():
+        k = int(np.flatnonzero(~ok.any(axis=-1))[0])
+        raise DomainError(f"no eigenvector of the collocation matrix is positive at every node "
+                          f"(s={s[k]}, grid {grid_size}): the grid cannot resolve P(s) here")
+    best = np.where(ok, w.real, -np.inf).argmax(axis=-1)
+    value = np.log(np.take_along_axis(w.real, best[:, None], axis=-1)[:, 0])
+    phi = np.abs(np.take_along_axis(V.real, best[:, None, None], axis=-1)[..., 0])
+    image = 0.5 * sum(_step(mats, phi, phi, tail))
+    f = np.stack([phi, np.where((image > 0.0).all(axis=-1, keepdims=True), image, phi)])
+    lo, hi = _step(mats, f, f, tail)
+    with np.errstate(divide="ignore"):  # a lower end at or below 0 reads -inf
+        r_lo = np.log(np.maximum((lo / f).min(axis=-1).max(axis=0), 0.0))
+    r_hi = np.log((hi / f).max(axis=-1).min(axis=0))
+    # where the bracket is a few ulps wide (s = 3 at grid 32), rounding can
+    # leave ln(lambda) an ulp outside it
+    value = np.clip(value, r_lo, r_hi)
+    return [
+        PressureEstimate(
+            float(s[k]), float(value[k]), (float(r_lo[k]), float(r_hi[k])),
+            {"grid": grid_size, "cap": cap, "iterations": 1, "spread": float(r_hi[k] - r_lo[k])},
+            converged=bool(r_hi[k] - r_lo[k] < tol),
+        )
+        for k in range(s.size)
+    ]
 
 
 def pressure_cylinder(
@@ -437,9 +435,9 @@ class PressureCurve:
         tau = t_lo + x * (t_hi - t_lo)
         s_nodes = 0.5 + np.exp(tau)
         _, mats = _operator_matrices(s_nodes, self.grid_size, self.cap)
-        estimates = _power_iterate(s_nodes, mats, self.cap)
+        estimates = _eigensolve(s_nodes, mats, self.cap)
         values = np.array([e.value for e in estimates])
-        # whether each node's eigen spread met its tol (see PressureEstimate)
+        # whether each node's eigen bracket is narrower than tol
         converged = np.array([e.converged for e in estimates])
         arrays = dict(tau=tau, s_nodes=s_nodes, bw=bw, values=values, converged=converged)
         for name, a in arrays.items():
@@ -503,8 +501,9 @@ class DimensionResult:
 
 
 def _check_tol(tol: float) -> None:
-    """A DomainError unless tol is in [5e-6, inf), the cached curve's accuracy."""
-    if not 5e-6 <= tol < math.inf:  # nan fails too
+    """A DomainError unless tol is a real number (a bool is not) in [5e-6, inf),
+    the cached curve's accuracy."""
+    if not (_is_real(tol) and 5e-6 <= tol < math.inf):  # nan fails too
         raise DomainError(
             f"tol must be in [5e-6, inf), the cached curve's accuracy; got {tol!r}"
         )

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cfcore import DomainError, _require_int
+from .cfcore import DomainError, _is_real, _require_int
 
 INF = math.inf
 
@@ -146,8 +146,16 @@ def _ln_psi(psi: ThresholdFn, n: np.ndarray) -> np.ndarray:
     return logs if delta == 1 else n * math.log(delta) + logs
 
 
+def _require_psi(psi) -> None:
+    if not isinstance(psi, ThresholdFn):
+        raise DomainError(f"psi must be a ThresholdFn, got {psi!r}")
+
+
 def _param(family: str, name: str, value: float, lo: float = -INF) -> float:
-    """value as a float, or a DomainError naming it unless lo < value < inf."""
+    """value as a float, or a DomainError naming it unless it is a real number
+    (a bool is not) with lo < value < inf."""
+    if not _is_real(value):
+        raise DomainError(f"{family} needs a real number {name}; got {name} = {value!r}")
     value = float(value)
     if not lo < value < INF:  # nan fails too
         raise DomainError(f"{family} needs {lo:g} < {name} < inf; got {name} = {value!r}")
@@ -168,6 +176,7 @@ def geometric(B: float) -> ThresholdFn:
 def scaled_geometric(delta: float, inner: ThresholdFn) -> ThresholdFn:
     """psi(n) = delta^n * inner(n), with delta folded into inner's B or delta."""
     delta = _param("scaled_geometric", "delta", delta, 0.0)
+    _require_psi(inner)
     if inner.kind == "exp_poly_log":
         B, alpha, c = inner.params
         # the normal form folds delta into B, so the product must be a base too
@@ -185,9 +194,16 @@ def double_exp(c: float, b: float) -> ThresholdFn:
 
 
 def table(values: Sequence[float]) -> ThresholdFn:
-    vals = tuple(float(v) for v in values)
+    # a str or bytes is a sequence too, of characters or of small ints
+    if isinstance(values, (str, bytes, bytearray)):
+        raise DomainError(f"table values must be a sequence of numbers, got {values!r}")
+    vals = tuple(values)
     if not vals:
         raise DomainError("table must be nonempty")
+    bad = next((i for i, v in enumerate(vals) if not _is_real(v)), None)
+    if bad is not None:
+        raise DomainError(f"table values must be real numbers; values[{bad}] = {vals[bad]!r}")
+    vals = tuple(map(float, vals))
     # 0 < v < inf is False for nan, so nan is caught with the rest
     bad = next((i for i, v in enumerate(vals) if not 0 < v < INF), None)
     if bad is not None:
@@ -273,6 +289,7 @@ def _envelope_logs(psi: ThresholdFn, horizon: int) -> tuple[np.ndarray, bool, st
     """The envelope as (ln psi~(1..horizon) array, exact, note): the suffix
     minimum of ln psi(1..n) cut to the horizon, with n past psi's turning
     point n0 if it has one; an upper bound when psi's monotonicity is unknown."""
+    _require_psi(psi)
     horizon = _require_int("horizon", horizon, 1)
     if psi.domain_limit is not None and horizon > psi.domain_limit:
         raise DomainError(
@@ -348,8 +365,11 @@ def series_classify(r: int, psi: ThresholdFn, horizon: int = 4096) -> SeriesVerd
     add the terms of psi~; on the analytic path they add n^{r-1} psi(n)^{-r}
     for psi itself up to n = 512, which the verdict does not read (for
     2^n n^-3 at r = 2 the sum to n = 8 is 333.32, and 386.90 over psi~).
+    The horizon is checked on every path, though only a table reads it.
     """
     _require_int("r", r, 1)
+    _require_psi(psi)
+    horizon = _require_int("horizon", horizon, 1)
     if psi.kind != "table":
         verdict = "convergent"  # double_exp
         if psi.kind == "exp_poly_log":
@@ -359,7 +379,6 @@ def series_classify(r: int, psi: ThresholdFn, horizon: int = 4096) -> SeriesVerd
                 verdict = "divergent"
         _, sums = _partial_sums(r, _log_psi(psi, 512))
         return SeriesVerdict(verdict, "analytic", sums, 512)
-    horizon = _require_int("horizon", horizon, 1)
     logs, _, _ = _envelope_logs(psi, min(horizon, psi.domain_limit))
     n_max = len(logs)
     terms, sums = _partial_sums(r, logs)
@@ -404,6 +423,7 @@ def dyadic_equivalence_check(r: int, psi: ThresholdFn, J: int) -> DyadicReport:
     """
     r = _require_int("r", r, 1)
     J = _require_int("J", J, 1, 21)
+    _require_psi(psi)
     hint, _ = psi.monotone_hint
     if hint == "limit":
         raise DomainError("dyadic check requires a nondecreasing psi")
@@ -455,8 +475,11 @@ def growth_exponents(psi: ThresholdFn, horizon: int = 4096) -> GrowthExponents:
     double_exp gives (inf, ln b).  A table's estimate, on delta^n values[n-1]
     itself, is read off its envelope as one float64 array: log_B is the minimum of ln psi~(n) / n and log_b that of
     ln ln psi~(n) / n over the n where ln psi~(n) > 0 (the others are
-    skipped and flagged).  A tie goes to the first minimising index.
+    skipped and flagged).  A tie goes to the first minimising index.  The
+    horizon is checked on every path, and must be at least 10.
     """
+    _require_psi(psi)
+    horizon = _require_int("horizon", horizon, 10)
     if psi.kind == "exp_poly_log":
         if _collapses(*psi.params):
             return GrowthExponents(-INF, -INF, True, ("envelope collapses to 0",))
@@ -464,7 +487,6 @@ def growth_exponents(psi: ThresholdFn, horizon: int = 4096) -> GrowthExponents:
     if psi.kind == "double_exp":
         return GrowthExponents(INF, math.log(psi.params[1]), True)
     # tables: numeric liminf over the horizon
-    horizon = _require_int("horizon", horizon, 10)
     logs, exact, note = _envelope_logs(psi, min(horizon, psi.domain_limit))
     flags = [] if exact else [note]
     n = np.arange(1, len(logs) + 1)

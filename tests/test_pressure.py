@@ -26,7 +26,7 @@ from cfmetric.pressure import (
     transfer_apply,
 )
 from cfmetric.pressure import (
-    _operator_matrices, _operator_matrix, _power_iterate, _root, _step, _tail,
+    _eigensolve, _operator_matrices, _operator_matrix, _root, _step, _tail,
 )
 from cfmetric.thresholds import (
     double_exp, geometric, poly_log, scaled_geometric, series_classify, table,
@@ -265,18 +265,17 @@ class TestPressureEigen:
         assert pressure_eigen(0.6, 32, 2048, tol=1e-3).converged is True
 
     def test_curve_nodes_match_single_s_runs(self):
-        # The curve steps all 33 nodes as one stack; each node freezes where
-        # its own rule stops it, so it gets the estimate of a stack of one.
-        # pressure_eigen builds its matrix alone, and a GEMM over one s
-        # column rounds differently from one over 33, so its values and
-        # brackets match to 1e-13, and its iterations and flag exactly.
+        # The curve solves all 33 nodes as one stack; each node gets the
+        # estimate of a stack of one.  pressure_eigen builds its matrix alone,
+        # and a GEMM over one s column rounds differently from one over 33, so
+        # its values and brackets match to 1e-13, and its flag exactly.
         curve = default_curve(32, 2048)
         _, mats = _operator_matrices(curve.s_nodes, 32, 2048)
-        batched = _power_iterate(curve.s_nodes, mats, 2048)
+        batched = _eigensolve(curve.s_nodes, mats, 2048)
         for k, s in enumerate(curve.s_nodes):
-            assert batched[k] == _power_iterate([s], mats[k:k + 1], 2048)[0]
+            assert batched[k] == _eigensolve([s], mats[k:k + 1], 2048)[0]
             alone = pressure_eigen(s, 32, 2048)
-            assert batched[k].params["iterations"] == alone.params["iterations"]
+            assert batched[k].params["iterations"] == alone.params["iterations"] == 1
             assert curve.converged[k] == batched[k].converged == alone.converged
             assert abs(curve.values[k] - alone.value) <= 1e-13
             assert max(abs(a - b) for a, b in zip(batched[k].bracket, alone.bracket)) <= 1e-13
@@ -310,22 +309,34 @@ class TestPressureEigen:
         dp1 = (pressure_eigen(1.0 + h).value - pressure_eigen(1.0 - h).value) / (2.0 * h)
         assert abs(dp1 + PI2_6 / math.log(2.0)) <= 1e-7
 
-    @pytest.mark.parametrize("s", [8.0, 10.0])
-    def test_negative_eigenvalue_past_the_limit_raises(self, s):
+    @pytest.mark.parametrize("s, value", [
+        (5.0, -4.7858615005), (6.0, -5.7622921505), (8.0, -7.6966563976), (10.0, -9.6236182586),
+    ])
+    def test_large_s_answers_past_the_negative_eigenvalue(self, s, value):
         # at grid 32 the collocation matrix has a negative eigenvalue whose
-        # modulus exceeds e^P(s) from s = 4.4-4.5 (18x at s = 8), so power
-        # iteration leaves the positive cone
+        # modulus exceeds e^P(s) from s = 4.4-4.5 (18x at s = 8), where power
+        # iteration lost the leading eigenvalue; the dense solve picks it by its
+        # positive eigenvector
         ev = np.linalg.eigvals(_operator_matrix(s, 32, 10_000)).real
         assert -ev.min() > ev.max()
-        with pytest.raises(DomainError, match=rf"left the positive cone at step \d+ \(s={s}, "
-                                              r"grid 32\): .* negative eigenvalue"):
-            pressure_eigen(s)
+        est = pressure_eigen(s)
+        assert est.converged and est.params["spread"] < 1e-9
+        assert est.value == pytest.approx(value, abs=1e-9)
 
-    def test_step_limit_raises_domain_error(self, monkeypatch):
-        # 5 steps reach neither tol nor the stall rule, which starts after step 12
-        monkeypatch.setattr(pressure, "_MAX_ITER", 5)
-        with pytest.raises(DomainError, match=r"did not stabilize in 5 steps \(s=0\.7, grid 8, "):
-            pressure_eigen(0.7, 8, 16)
+    @pytest.mark.parametrize("s", [3.0, 3.5])
+    def test_value_kept_inside_a_bracket_a_few_ulps_wide(self, s):
+        # there rounding put ln(lambda) an ulp outside the bracket, which the
+        # estimate refuses with a RuntimeError
+        est = pressure_eigen(s)
+        assert est.params["spread"] < 1e-14
+        assert est.bracket[0] <= est.value <= est.bracket[1]
+
+    @pytest.mark.parametrize("s, grid", [(41.05, 32), (50.0, 32), (38.8, 64)])
+    def test_no_positive_eigenvector_raises(self, s, grid):
+        # the first refusals measured on a scan in steps of 0.05, and s = 50
+        with pytest.raises(DomainError, match=rf"no eigenvector .* positive at every node "
+                                              rf"\(s={s}, grid {grid}\)"):
+            pressure_eigen(s, grid)
 
     def test_estimate_refuses_a_bracket_that_misses_its_value(self):
         with pytest.raises(RuntimeError, match="bracket does not contain its value"):
@@ -444,7 +455,7 @@ class TestSolveDimension:
         assert res.inputs["r"] == 2
 
     def test_tol_guard(self, curve):
-        for tol in (1e-9, 4.9e-6, 0.0, -1.0, math.nan, math.inf):
+        for tol in (1e-9, 4.9e-6, 0.0, -1.0, math.nan, math.inf, True):
             with pytest.raises(DomainError, match=r"tol must be in \[5e-6, inf\)"):
                 solve_dimension(2, 2.0, tol=tol, curve=curve)
 
@@ -454,10 +465,10 @@ class TestSolveDimension:
         assert fine.value == pytest.approx(0.73354, abs=1e-4)
 
     def test_B_too_close_to_1_refused(self, curve):
-        # the curve's P(1) is about +1.3e-8, above ln(1 + 1e-9), so g(1) > 0
-        assert 0.0 < curve.eval(1.0) - math.log(1.0 + 1e-9)
+        # the curve's P(1) is about +4.2e-11, above ln(1 + 1e-12), so g(1) > 0
+        assert 0.0 < curve.eval(1.0) - math.log(1.0 + 1e-12)
         with pytest.raises(DomainError, match="B is too close to 1"):
-            solve_dimension(1, 1.0 + 1e-9, curve=curve)
+            solve_dimension(1, 1.0 + 1e-12, curve=curve)
 
     @pytest.mark.parametrize("B", [1e8, 1e12])
     def test_root_below_the_curve_floor_refused(self, curve, B):
@@ -634,7 +645,7 @@ class TestArgumentRules:
         with pytest.raises(DomainError, match="r must be an integer >= 1, got "):
             call(r)
 
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, 1e-6, math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, 1e-6, math.inf, True])
     @pytest.mark.parametrize("psi", [poly_log(1, 0), double_exp(2, 3), geometric(2.0)],
                              ids=["B=1", "B=inf", "finite-B"])
     def test_tol_checked_in_every_regime(self, psi, tol):
@@ -659,6 +670,13 @@ class TestArgumentRules:
         (lambda: pressure_eigen(0.7, 32, 2048, -1.0), "tol must be finite and > 0, got -1.0"),
         (lambda: pressure_eigen(0.7, 32, 2048, 0.0), "tol must be finite and > 0, got 0.0"),
         (lambda: pressure_eigen(0.7, 32, 2048, math.inf), "tol must be finite and > 0, got inf"),
+        # a bool was read as 1: a bracket 0.40 wide counted as converged
+        (lambda: pressure_eigen(0.7, 8, 16, tol=True), "tol must be finite and > 0, got True"),
+        (lambda: pressure_eigen(True, 8, 10), "s must be a real number, got True"),
+        (lambda: solve_dimension(2, 2.0, tol=True), r"tol must be in \[5e-6, inf\), .* got True"),
+        # psi of the wrong type raised a bare AttributeError
+        (lambda: dimension_dispatch(2, 2.0), "psi must be a ThresholdFn, got 2.0"),
+        (lambda: series_classify(2, "geometric(2)"), "psi must be a ThresholdFn, got 'geometric"),
         (lambda: pressure_cylinder(0.8, 2, 0, 8), "cap must be an integer >= 1, got 0"),
         (lambda: pressure_cylinder(math.inf, 2, 10, 8), "s must be finite, got inf"),
         (lambda: pressure_cylinder(0.8, 2, 10, 1), "grid_size must be an integer >= 2"),

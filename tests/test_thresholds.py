@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import pytest
@@ -513,6 +514,8 @@ class TestTableValues:
         ([1.0, 2.0, 3.0, -math.inf, math.nan], 3),
         ([1.0, 0.0], 1),
         ([5.0, 6.0, -1.0], 2),
+        ([True, 2.0], 0),  # read as 1.0
+        ([1.0, "2"], 1),
     ])
     def test_non_finite_or_non_positive_rejected(self, values, bad):
         with pytest.raises(DomainError, match=rf"values\[{bad}\]"):
@@ -528,6 +531,12 @@ class TestTableValues:
         f.write_text("1.0\n2.0\nnan\n")
         with pytest.raises(DomainError, match=r"values\[2\]"):
             parse_psi(f"table:{f}")
+
+    @pytest.mark.parametrize("values", ["12", b"\x02\x03", bytearray(b"\x02")])
+    def test_text_is_not_a_table(self, values):
+        # each was read as its characters or bytes: "12" as [1, 2]
+        with pytest.raises(DomainError, match="table values must be a sequence of numbers, got"):
+            table(values)
 
     def test_empty_table_rejected(self):
         with pytest.raises(DomainError, match="table must be nonempty"):
@@ -571,6 +580,19 @@ class TestClosedFormParams:
     def test_non_finite_or_out_of_range_rejected(self, spec, name):
         with pytest.raises(DomainError, match=rf"; got {name} = "):
             parse_psi(spec)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: geometric(True), "geometric needs a real number B; got B = True"),
+        (lambda: poly_log(True, 0), "poly_log needs a real number alpha; got alpha = True"),
+        (lambda: poly_log(1, False), "poly_log needs a real number c; got c = False"),
+        (lambda: double_exp(2, "3"), "double_exp needs a real number b; got b = '3'"),
+        (lambda: scaled_geometric(True, geometric(2)), "needs a real number delta; got delta = True"),
+        (lambda: scaled_geometric(2, "geometric(2)"), "psi must be a ThresholdFn, got 'geometric"),
+    ])
+    def test_wrong_type_rejected(self, call, message):
+        # a bool was read as 1 or 0, and "3" as 3.0
+        with pytest.raises(DomainError, match=re.escape(message)):
+            call()
 
 
 @st.composite
@@ -661,6 +683,16 @@ class TestHorizonArguments:
         with pytest.raises(DomainError, match=rf"horizon must be an integer >= 10, got {horizon!r}"):
             growth_exponents(self.TBL, horizon)
 
-    def test_closed_form_growth_reads_no_horizon(self):
-        # the closed forms are exact, so no horizon is read or checked
-        assert growth_exponents(geometric(2.0), 20.5).log_B == math.log(2.0)
+    @pytest.mark.parametrize("psi", [geometric(2.0), poly_log(1, 0), double_exp(2, 2)])
+    def test_closed_forms_check_the_horizon(self, psi):
+        # the closed forms read no horizon, yet a bad one is refused there too,
+        # with each function's own minimum; each answered before
+        for horizon, least in ((0, 10), (9, 10), (20.5, 10), (True, 10)):
+            with pytest.raises(DomainError, match=rf"horizon must be an integer >= {least}, "
+                                                  rf"got {horizon!r}"):
+                growth_exponents(psi, horizon)
+        for horizon in (0, 2.5, True):
+            with pytest.raises(DomainError, match=rf"horizon must be an integer >= 1, "
+                                                  rf"got {horizon!r}"):
+                series_classify(2, psi, horizon)
+        assert growth_exponents(psi, 10).exact and series_classify(2, psi, 1).method == "analytic"
