@@ -15,21 +15,30 @@ bits of the uniform and raise the mpmath precision.  BulkDigitStream(seed, 1,
 stream_offset=j) is the scalar stream j; the exact enclosure of its point
 after n digits is cfcore.cylinder(word(*digits)).
 
-An engine owns its per-level scratch: uint64 words and their shifts, float64
-V, delta, L(1), guess and band, and two bool masks.  Every array operation
-of a step writes into them, so the one array a level makes is the digit
-row it returns.  The history keeps that row itself, made read-only, so a
-caller that needs a writable row copies it.  Only a step with a flat stream
-makes a few more arrays, in the flat branch.
+An engine owns its per-level scratch, six arrays of 8 bytes per stream: the
+uint64 words and their shifts, and the float64 delta, L(1), guess and band
+bottom; V is written over the shifts and the band's top over the words, each
+dead by then.  Two bool masks and the stream keys complete it.  Every array
+operation of a level writes into them or into the level's digit row, which
+the engine is given: sample_digit_matrix gives the result's column, so a
+block makes no array per level and its history is read-only views of the
+result; step() gives a new row, the one array a level makes there, and
+returns it.  The history keeps each row itself, made read-only, so a caller
+that needs a writable row copies it.  Only a step with a flat stream makes a
+few more arrays, in the flat branch.  Level 0 reads the start's exact state
+(beta_0, 0) as scalars, so it makes no delta or L(1) array and takes two
+log1p per digit, the band's, where later levels take three.
 
 sample_digit_matrix cuts its streams into equal contiguous blocks of at most
 _BLOCK streams by _threads.spans, which keeps at most one thread busy per
-_MIN_BLOCK streams.  Each block is its own BulkDigitStream, which runs every
-level and writes the block's rows of the result, as one task on the
-package's shared pool of one thread per available CPU; numpy releases the
-interpreter lock inside its array loops.  An engine makes one mpmath context
-at its first exact fallback and keeps it for the rest; one engine runs on one
-thread, so threads that overlap never change each other's working precision.
+_MIN_BLOCK streams, so a call of _MIN_BLOCK to _BLOCK streams per CPU runs
+one block per CPU.  Each block is its own BulkDigitStream, which runs every
+level and writes its digits straight into the block's rows of the result, as
+one task on the package's shared pool of one thread per available CPU; numpy
+releases the interpreter lock inside its array loops.  An engine makes one
+mpmath context at its first exact fallback and keeps it for the rest; one
+engine runs on one thread, so threads that overlap never change each other's
+working precision.
 _exact_digit called on its own makes a context per call.
 
 The band and the guess work in shift form: with delta = b - g and
@@ -137,10 +146,15 @@ def _word_scalar(seed: int, stream: int, ctr: int, rnd: int = 0) -> int:
     return h
 
 
-def _stream_keys(seed: int, streams: np.ndarray, domain: int = _DOM_VBITS) -> np.ndarray:
-    """The level-free part of each int64 stream's word hash, computed once."""
-    h = U64(_mix_scalar((seed ^ domain) & _M64))
-    return _mix(h ^ streams.view(U64))
+def _stream_keys(seed: int, streams: range, domain: int = _DOM_VBITS,
+                 tmp: np.ndarray | None = None) -> np.ndarray:
+    """The level-free part of the word hash of each stream of the range
+    streams, computed once and in place: the int64 index's bits are
+    offset + j modulo 2^64.  tmp is _mix's scratch, a new array when None."""
+    keys = np.arange(len(streams), dtype=U64)
+    keys += U64(streams.start & _M64)
+    keys ^= U64(_mix_scalar((seed ^ domain) & _M64))
+    return _mix(keys, keys, tmp)
 
 
 def _words(ctr: int, keys: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -153,10 +167,12 @@ def _words(ctr: int, keys: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.n
 def _uniforms(ctr: int, keys: np.ndarray, w: np.ndarray, tmp: np.ndarray,
               v: np.ndarray) -> np.ndarray:
     """V = (word >> 11) 2^-53 of counter ctr for each key, in the float64 v;
-    w and tmp are _words' uint64 scratch.  Both samplers draw through it."""
+    w and tmp are _words' uint64 scratch, and v may be tmp's memory.  The
+    shifted words are below 2^53, so their int64 view converts to floats
+    exactly, and faster than uint64 does.  Both samplers draw through it."""
     w = _words(ctr, keys, w, tmp)
     w >>= U64(11)
-    return np.multiply(w, TWO_NEG53, out=v)
+    return np.multiply(w.view(np.int64), TWO_NEG53, out=v)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +355,18 @@ class BulkDigitStream:
                  start: str = "gauss"):
         self.seed = _require_int("seed", seed, 0, _M64)
         n, offset = _stream_range(n_streams, stream_offset)
-        self.streams = np.arange(n, dtype=np.int64) + offset
-        self._keys = _stream_keys(self.seed, self.streams)
+        # immutable: the keys hash the indices once, and the exact fallback
+        # reads them again
+        self.streams = range(offset, offset + n)
         # each level's scratch, written in place: the words and their shifts,
-        # then V, delta, L(1), the guess, the band and two masks
+        # then delta, L(1), the guess, the band's bottom and two masks; V is
+        # written over the shifts and the band's top over the words, each
+        # dead by then
         self._w, self._tmp = np.empty((2, n), dtype=U64)
-        self._v, self._delta, self._l1, self._guess, self._top, self._bottom = np.empty((6, n))
+        self._v, self._top = self._tmp.view(np.float64), self._w.view(np.float64)
+        self._delta, self._l1, self._guess, self._bottom = np.empty((4, n))
         self._mask, self._ok = np.empty((2, n), dtype=bool)
+        self._keys = _stream_keys(self.seed, self.streams, tmp=self._tmp)
         self.level = 0
         # the exact start: gamma_0 = 0, and beta_0 = 1 (Gauss) or 0 (Lebesgue)
         self._b0 = _start_beta(start)
@@ -358,20 +379,34 @@ class BulkDigitStream:
         self._mp = None  # the exact fallback's mpmath context, made on first use
 
     def step(self) -> np.ndarray:
-        """Sample the next digit of every stream."""
+        """Sample the next digit of every stream, as a new read-only row that
+        the history keeps."""
+        row = np.empty(len(self.streams), dtype=np.int64)
+        self._step_into(row)
+        return row
+
+    def _step_into(self, row: np.ndarray) -> None:
+        """Write the next digit of every stream into the int64 array row (a
+        column of the caller's result, or a new row), then make row read-only
+        and keep it in the history."""
         v = _uniforms(self.level, self._keys, self._w, self._tmp, self._v)
-        b, g = self._beta, self._gamma
-        delta = np.subtract(b, g, out=self._delta)
-        # the flat mask, None when no stream is flat; once the band is made,
-        # its buffer takes the band's second test
-        flat = np.equal(delta, 0.0, out=self._mask)
-        if not np.count_nonzero(flat):
-            flat = None
-        # L(1) = log1p(delta/(1 + g)), 0 where flat; the band and the guess
-        # overwrite the flat streams
-        l1 = np.add(1.0, g, out=self._l1)
-        np.divide(delta, l1, out=l1)
-        np.log1p(l1, out=l1)
+        if self.level:
+            b, g = self._beta, self._gamma
+            delta = np.subtract(b, g, out=self._delta)
+            # the flat mask, None when no stream is flat; once the band is
+            # made, its buffer takes the band's second test
+            flat = None if delta.all() else np.equal(delta, 0.0, out=self._mask)
+            # L(1) = log1p(delta/(1 + g)), 0 where flat; the band and the
+            # guess overwrite the flat streams
+            l1 = np.add(1.0, g, out=self._l1)
+            np.divide(delta, l1, out=l1)
+            np.log1p(l1, out=l1)
+        else:
+            # the exact start (beta_0, 0) as scalars: L(1) = ln 2 at the Gauss
+            # start, and at the Lebesgue one every stream is flat
+            g, delta = np.float64(0.0), np.float64(self._b0)
+            flat = None if self._b0 else True
+            l1 = np.log1p(delta / (1.0 + g))
         # aim at the middle of V's 2^-53 interval; the band around F is about
         # 2e-13 wide, relative, so the guess is almost always right
         mid = np.add(v, TWO_NEG53 * 0.5, out=self._top)  # top is free until the band
@@ -385,17 +420,21 @@ class BulkDigitStream:
         ok = np.greater_equal(v, top, out=self._ok)  # the digit is at most d
         v += TWO_NEG53  # the top of V's interval; V is not read again
         ok &= np.less_equal(v, bottom, out=self._mask)  # and at least d
-        digits = d.astype(np.int64)  # the level's one new array
-        for j in np.flatnonzero(np.logical_not(ok, out=ok)):
-            digits[j] = self._fallback(int(j))
-        self._advance(digits)
-        return digits
+        row[:] = d  # whole floats below 2^51, cast exactly
+        if not ok.all():
+            for j in np.flatnonzero(np.logical_not(ok, out=ok)):
+                # the float digit rounds as a cast of the int64 one would
+                row[j] = d[j] = self._fallback(int(j))
+        self._advance(d)
+        row.flags.writeable = False
+        self.hist.append(row)
+        self.level += 1
 
     def _fallback(self, j: int) -> int:
         self.fallbacks += 1
         if self._mp is None:
             self._mp = _new_context()
-        return _exact_digit(self.seed, int(self.streams[j]), self.level,
+        return _exact_digit(self.seed, self.streams[j], self.level,
                             self._history(j), mp=self._mp, b0=self._b0)
 
     def _history(self, j: int) -> list:
@@ -403,25 +442,27 @@ class BulkDigitStream:
         return [int(row[j]) for row in reversed(self.hist)]
 
     def _advance(self, digits: np.ndarray) -> None:
-        """beta, gamma <- 1/(d + beta), 1/(d + gamma) in place, each within
-        relative 2^-50 of the exact state (see the module docstring).  The
-        history keeps the row itself, made read-only."""
+        """beta, gamma <- 1/(d + beta), 1/(d + gamma) in place, from the
+        level's digits as floats, each within relative 2^-50 of the exact
+        state (see the module docstring)."""
         for z in (self._beta, self._gamma):
-            z += digits  # each digit rounds to float64 as astype does
+            z += digits
             np.divide(1.0, z, out=z)
-        digits.flags.writeable = False
-        self.hist.append(digits)
-        self.level += 1
 
 
-# Most streams per engine, a measured choice.  An engine keeps about 12
-# arrays of 8 bytes per stream (scratch, state, keys and stream indices),
-# 3 MB at this size.  On 1e5 x 4 digits (2 vCPUs, best of 20 per round, 3
-# rounds), blocks of at most 16384, 32768 and 65536 streams took 13.4-14.3,
-# 11.3-11.8 and 11.1-12.1 ms on two workers; 8192 lost to one worker
-# (15.4-24.4 against 13.3-14.3 ms), and 65536 took 21.5-28.8 ms on one.
-_BLOCK = 32_768
+# Most streams per engine, a measured choice and the memory bound of one
+# engine: 74 bytes per stream (nine 8-byte arrays of scratch, state and keys,
+# and two masks), 4.8 MB at this size.  On 1e5 x 4 digits (2-vCPU AMD EPYC,
+# one BLAS thread, medians of 30 calls, 6 rounds), blocks of at most 32768,
+# 65536 and 131072 streams took 3.13-3.34, 3.06-3.19 and 3.06-3.25 ms on one
+# worker, and 2.04-3.54, 1.75-2.57 and 1.72-2.42 ms on two, where 65536 and
+# 131072 make the same two blocks of 50000; blocks of 8192 still lose on two
+# workers (4.27-4.41 against 3.84-3.89 ms on one), as the workers hand the
+# interpreter lock back and forth around each numpy call of a level.
+_BLOCK = 65_536
 _MIN_BLOCK = 8_192  # fewest streams per worker thread
+# most digits per call, the result's 8 bytes each; the history of
+# sample_digit_matrix's engines holds views of the result's columns, not copies
 _MAX_DIGITS = 80_000_000
 
 
@@ -454,7 +495,6 @@ def _check_shape(seed, n_streams, depth, stream_offset) -> tuple[int, int, int]:
     seed = _require_int("seed", seed, 0, _M64)  # the hash reads 64 bits of it
     n, offset = _stream_range(n_streams, stream_offset)
     depth = _require_int("depth", depth, 0)
-    # also bounds the engine's history, n_streams * min(depth, 160) digits
     if n * depth > _MAX_DIGITS:
         raise DomainError(f"digit budget exceeded: n_streams * depth is over "
                           f"{_MAX_DIGITS:.0e}; sample fewer streams or digits")
@@ -473,7 +513,8 @@ def sample_digit_matrix(
     Row j is stream stream_offset + j.  The rows are cut by
     _threads.spans(n_streams, _MIN_BLOCK, _BLOCK) into equal contiguous
     blocks of at most _BLOCK streams, each sampled by its own BulkDigitStream
-    as one task on the shared pool of one thread per CPU.  A digit the
+    as one task on the shared pool of one thread per CPU, which writes each
+    level's digits straight into its rows of the result.  A digit the
     float bounds cannot settle goes to _exact_digit, which works in its block
     engine's own mpmath context.  Each uniform is keyed by (seed, stream,
     level, round) and no state is shared between streams, so the digits are
@@ -488,7 +529,7 @@ def sample_digit_matrix(
     def run(lo: int, hi: int) -> None:
         eng = BulkDigitStream(seed, hi - lo, stream_offset + lo, start)
         for k in range(depth):
-            out[lo:hi, k] = eng.step()
+            eng._step_into(out[lo:hi, k])
 
     thread_map(run, bounds, bounds[1:])
     return out
@@ -499,8 +540,8 @@ def sample_iid_gauss_kuzmin(seed: int, n_streams: int, depth: int,
     """i.i.d. digits with the Gauss-Kuzmin marginal (speed-over-exactness
     mode; the digit process loses its cross-position dependence)."""
     seed, n_streams, stream_offset = _check_shape(seed, n_streams, depth, stream_offset)
-    keys = _stream_keys(seed, np.arange(n_streams, dtype=np.int64) + stream_offset, _DOM_IID)
     w, tmp = np.empty((2, n_streams), dtype=U64)
+    keys = _stream_keys(seed, range(stream_offset, stream_offset + n_streams), _DOM_IID, tmp)
     x = np.empty(n_streams)
     out = np.empty((n_streams, depth), dtype=np.int64)
     for k in range(depth):

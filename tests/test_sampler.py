@@ -552,16 +552,25 @@ class TestBulkDigitStream:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # measured 13.07 MB: the engine's scratch, state and keys (about 10 MB),
-        # four rows (3.2 MB) and the key hash's temporaries
-        assert peak < 14e6, peak
+        # measured 10.67 MB: the engine's scratch, state and keys (74 bytes a
+        # stream, 7.4 MB), four rows (3.2 MB) and the uniforms' cast buffer
+        assert peak < 11e6, peak
         assert len(eng.hist) == 4
+
+    def test_streams_are_immutable(self):
+        # the keys hash the stream indices once and the exact fallback reads
+        # them again; a writable array once let a write move only the
+        # fallback's digits, so stream 0 drew stream 555's
+        eng = BulkDigitStream(4, 3, stream_offset=-1)
+        assert eng.streams == range(-1, 2)
+        with pytest.raises(TypeError):
+            eng.streams[0] = 555
 
     def test_steps_allocate_only_their_row(self):
         # no stream of seed 1 is flat at levels 2-4 from the Gauss start, so a
         # step there writes into the engine's scratch and makes only the row
         # it returns; measured: 66.9 KB more, 64 KB of it numpy's buffer for
-        # the row's cast to float64 in _advance
+        # the cast of the shifted words' int64 view to float64 in _uniforms
         import tracemalloc
 
         eng = BulkDigitStream(1, 100_000)
@@ -602,7 +611,7 @@ class TestBulkDigitStream:
                 if level in (1, 16, 40):
                     states.append(state + (eng._l1.copy(),))
         assert any(np.any(b != g) and np.any(b == g) for _, b, g, _ in states)
-        keys = _stream_keys(11, np.arange(64, dtype=np.int64))
+        keys = _stream_keys(11, range(64))
         for level, b, g, step_l1 in states:
             delta, l1, flat = _shift(b, g)
             assert np.array_equal(l1, step_l1)
@@ -658,9 +667,11 @@ class TestBlocks:
     """sample_digit_matrix's split into stream blocks and worker threads."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_golden_digits_multi_block(self, cpus, workers):
-        # 70 000 streams make 3 blocks on one worker and 4 on two; the digests
-        # are those of one engine over all the streams
+    def test_golden_digits_multi_block(self, monkeypatch, cpus, workers):
+        # at blocks of at most 32 768 streams, 70 000 streams make 3 blocks on
+        # one worker and 4 on two (at the default 65 536, 2 on either); the
+        # digests are those of one engine over all the streams
+        monkeypatch.setattr(sampler, "_BLOCK", 32_768)
         cpus(workers)
         assert _digest(sample_digit_matrix(2024, 70_000, 3)) == (
             "eff5c8d8e69c14fef9a902d7d72d911a413b5a7f2df7372135cc65f05bcfc8f2")
@@ -690,6 +701,39 @@ class TestBlocks:
         for j in range(100):
             eng = BulkDigitStream(77, 1, stream_offset=1000 + j)
             assert [int(eng.step()[0]) for _ in range(6)] == m[j].tolist(), j
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_history_is_views_of_the_result(self, monkeypatch, cpus, workers):
+        # 1e5 streams make two blocks of 50 000 on one worker or two; each
+        # level's digits go straight into the result's column, and the
+        # engine's history keeps read-only views of those columns
+        made = []
+
+        class Recorded(BulkDigitStream):
+            def __init__(self, *args):
+                made.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(sampler, "BulkDigitStream", Recorded)
+        cpus(workers)
+        m = sample_digit_matrix(9, 100_000, 3)
+        assert sorted((eng.streams for eng in made), key=lambda r: r.start) == [
+            range(0, 50_000), range(50_000, 100_000)]
+        assert m.flags.writeable
+        for eng in made:
+            assert len(eng.hist) == 3
+            for k, row in enumerate(eng.hist):
+                assert np.shares_memory(row, m)
+                assert np.array_equal(row, m[eng.streams.start:eng.streams.stop, k])
+                assert not row.flags.writeable
+
+    @pytest.mark.parametrize("start, b0", [("gauss", 1), ("lebesgue", 0)])
+    def test_level_zero_from_the_exact_start(self, start, b0):
+        # level 0 reads the start's exact state (beta_0, 0) as scalars, not
+        # the engine's state arrays; its digits are the exact ones
+        mp = sampler._new_context()
+        got = sample_digit_matrix(12, 256, 1, start=start)[:, 0].tolist()
+        assert got == [_exact_digit(12, j, 0, [], mp=mp, b0=b0) for j in range(256)]
 
     def test_threaded_fallback_matches_serial(self, monkeypatch, cpus):
         want = sample_digit_matrix(5, 48, 3)
@@ -722,16 +766,18 @@ class TestBlocks:
         lock = threading.Lock()
         running = set()
 
+        # sample_digit_matrix runs each level through the engine's row
+        # writer, not through step()
         class Failing(BulkDigitStream):
-            def step(self):
-                first = int(self.streams[0])
+            def _step_into(self, row):
+                first = self.streams[0]
                 with lock:
                     running.add(first)
                 try:
                     if first == 50:
                         raise RuntimeError("block at stream 50 failed")
                     time.sleep(0.02)
-                    return super().step()
+                    super()._step_into(row)
                 finally:
                     with lock:
                         running.discard(first)
