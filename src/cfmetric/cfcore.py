@@ -66,6 +66,13 @@ def _is_real(value) -> bool:
     return isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
+def _require_real(name: str, value) -> None:
+    """A DomainError that names value unless it is a real number: an int, a
+    float, a Fraction or a numpy number, not a bool or a string."""
+    if not _is_real(value):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DigitWord:
     """A finite block of partial quotients a_1..a_n (all >= 1).
@@ -213,11 +220,13 @@ def gauss_measure(a: RationalLike | float, b: RationalLike | float) -> float:
     cylinder keep full relative accuracy instead of cancelling.  A nonempty
     interval whose measure falls below the normal float range (a cylinder
     deeper than about 300 digits) raises DomainError; ln_gauss_measure gives
-    its logarithm instead.
+    its logarithm instead.  a and b are real numbers, not bools.
     """
+    _require_real("a", a)
+    _require_real("b", b)
     if not (0 <= a <= b <= 1):
         raise DomainError(f"[{a}, {b}] is not a subinterval of [0, 1]")
-    if isinstance(a, float) or isinstance(b, float):
+    if not (isinstance(a, numbers.Rational) and isinstance(b, numbers.Rational)):
         delta = (float(b) - float(a)) / (1.0 + float(a))
     else:
         delta = float(Fraction(b - a) / (1 + Fraction(a)))
@@ -235,11 +244,14 @@ def ln_gauss_measure(a: RationalLike | float, b: RationalLike | float) -> float:
     ln(ln(1 + delta) / ln 2) with delta = (b-a)/(1+a) taken exactly from the
     rational endpoints (floats are read as the binary rationals they are), so
     it stays finite where gauss_measure underflows.  An empty interval gives
-    -inf.
+    -inf.  a and b are real numbers, not bools.
     """
+    _require_real("a", a)
+    _require_real("b", b)
     if not (0 <= a <= b <= 1):
         raise DomainError(f"[{a}, {b}] is not a subinterval of [0, 1]")
-    a, b = Fraction(a), Fraction(b)
+    # a float that is not a Python float (numpy's float32) goes through float
+    a, b = (Fraction(x if isinstance(x, (numbers.Rational, float)) else float(x)) for x in (a, b))
     if a == b:
         return -math.inf
     delta = (b - a) / (1 + a)
@@ -266,7 +278,9 @@ def gauss_digit_tail(t: float) -> float:
     t = inf (the value of a threshold that overflows) gives 0.0: no digit
     reaches it.  Otherwise it is log1p of the integer quotient 1/ceil(t),
     rounded once without converting ceil(t) to a float, so an integer t past
-    float range gives 0.0 and a large one keeps full relative accuracy."""
+    float range gives 0.0 and a large one keeps full relative accuracy.  t is
+    a real number, not a bool."""
+    _require_real("t", t)
     if t != t:
         raise DomainError("threshold t is nan")
     if t < 1:

@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from ._threads import spans, thread_map
-from .cfcore import DomainError, _is_real, _require_int
+from .cfcore import DomainError, _is_real, _require_int, _require_real
 from .thresholds import ThresholdFn, growth_exponents
 
 # The eigenfunction of L_s is analytic on Re x > -1, so its Chebyshev
@@ -86,6 +86,16 @@ def _bary_rows(u: np.ndarray, nodes: np.ndarray, bw: np.ndarray) -> np.ndarray:
     return d
 
 
+def _floats(name: str, a) -> np.ndarray:
+    """a as a new float array, or a DomainError that names a's first entry
+    that is not a real number (a bool or a string, which numpy would
+    convert)."""
+    if not (isinstance(a, np.ndarray) and a.dtype.kind in "iuf"):
+        for x in np.asarray(a, dtype=object).flat:
+            _require_real(f"every entry of {name}", x)
+    return np.array(a, dtype=float)
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorGrid:
     """A function on the Chebyshev-Lobatto nodes of len(values), the only grid
@@ -100,13 +110,13 @@ class OperatorGrid:
     upper: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        values = _floats("values", self.values)
         shape = values.shape
         if len(shape) != 1 or shape[0] < 2:
             raise DomainError(f"values must be at least 2 numbers on one axis; got shape {shape}")
         object.__setattr__(self, "digit_cap", _require_int("digit_cap", self.digit_cap, 1))
-        lower, upper = (values if a is None else np.array(a, dtype=float)
-                        for a in (self.lower, self.upper))
+        lower, upper = (values if a is None else _floats(name, a)
+                        for name, a in (("lower", self.lower), ("upper", self.upper)))
         for name, a in (("values", values), ("lower", lower), ("upper", upper)):
             if a.shape != shape or not np.all(np.isfinite(a)):
                 raise DomainError(f"{name} must be {shape[0]} finite numbers, one per node; "
@@ -259,16 +269,20 @@ def _step(M, flo, fhi, tail):
 
 @dataclass(frozen=True)
 class PressureEstimate:
-    """A pressure value in natural-log units with a rigorous-direction bracket."""
+    """A pressure value in natural-log units and the bracket (lo, hi) around
+    it that states its error; a caller that wants a flag compares
+    bracket[1] - bracket[0] with its own tolerance.  pressure_eigen's bracket
+    encloses the collocation operator's leading eigenvalue with its digit
+    tail enclosed, not P(s): the grid's error is outside it, so at grid 2,
+    cap 10 it reads (0.0503, 0.0707) at s = 1, against P(1) = 0.
+    pressure_cylinder's encloses (1/n) ln of the depth-n cylinder sum, its
+    lower end lowered by (ln 4^s)/n."""
 
     s: float
     value: float
     bracket: tuple
     params: dict
     ratio_refined: Optional[float] = None
-    # eigen: whether the bracket is narrower than tol; None for the
-    # cylinder sums, which have no tol
-    converged: Optional[bool] = None
 
     def __post_init__(self):
         lo, hi = self.bracket
@@ -281,8 +295,7 @@ def _check_operator(grid_size, cap, s=None) -> None:
     least two nodes, at least one digit before the tail and, if given, a
     finite s > 1/2, below which the digit sum of L_s diverges."""
     if s is not None:
-        if not _is_real(s):
-            raise DomainError(f"s must be a real number, got {s!r}")
+        _require_real("s", s)
         if not math.isfinite(s):
             raise DomainError(f"s must be finite, got {s!r}")
         if s <= 0.5:
@@ -303,36 +316,38 @@ def pressure_eigen(
     s: float,
     grid_size: int = DEFAULT_GRID,
     cap: int = DEFAULT_CAP,
-    tol: float = 1e-10,
 ) -> PressureEstimate:
     """P(s) as the log leading eigenvalue of the collocation operator, from
-    one dense eigensolve, with a nodewise Collatz-Wielandt bracket;
-    converged says whether the bracket is narrower than tol.  The domain runs
-    from s > 1/2 to the first s where no eigenvector of the operator is
-    positive at every node, which raises a DomainError: s = 41.05 at grid 32
-    and 38.8 at grid 64 (cap 10 000, s scanned in steps of 0.05; a few larger
-    s answer).  The bracket widens long before: at grid 32 it is 2e-13 wide
-    at s = 10, 4e-8 at s = 20 and 1e-2 at s = 30, and from s = 33.85 its
-    lower end is -inf."""
+    one dense eigensolve, with a nodewise Collatz-Wielandt bracket on that
+    eigenvalue (see PressureEstimate).  The domain runs from s > 1/2 to the
+    first s where no eigenvector of the operator is positive at every node,
+    which raises a DomainError: s = 41.05 at grid 32 and 38.8 at grid 64 (cap
+    10 000, s scanned in steps of 0.05; a few larger s answer).  The bracket
+    widens long before: at grid 32 it is 2e-13 wide at s = 10, 4e-8 at s = 20
+    and 1e-2 at s = 30.  Its lower end is -inf at 33.85, 34.55, 34.65 and most
+    s from 34.75, but finite at 33.9-34.5, 34.6, 34.7, 35.4-35.45, 35.75 and
+    37.3 (at grid 64 first -inf at 33.3): a bracket (-inf, hi] is returned,
+    as it still states the error, and refusing it would not leave one
+    interval of s."""
     _check_operator(grid_size, cap, s)
-    if not (_is_real(tol) and 0.0 < tol < math.inf):  # nan fails too
-        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     M = _operator_matrix(float(s), grid_size, cap)
-    return _eigensolve([s], M[None], cap, tol)[0]
+    return _eigensolve([s], M[None], cap)[0]
 
 
-def _eigensolve(s_values, mats: np.ndarray, cap: int, tol: float = 1e-10) -> list:
+def _eigensolve(s_values, mats: np.ndarray, cap: int) -> list:
     """pressure_eigen for every s in s_values, with mats the (k, g, g) stack
     of the collocation matrices of L_s, one per s, in one batched solve.
 
     The model operator is A = M + diag(c) R: c is the midpoint of _tail's two
     integral bounds, and R holds the interpolation rows of the points
     u_i = (2s-1)/(2s)/(cap + 1/2 + x_i), the tail's weighted mean of
-    1/(a + x_i), so the model's tail is exact for any f linear near 0.  P(s)
-    is the log of A's real eigenvalue of largest real part whose eigenvector
-    phi is positive at every node.  Every f > 0 brackets e^P(s) between the
-    min and max over the nodes of (L f)/f: the bracket is the narrower of
-    phi's and, where it is positive, its image's, the midpoint of L phi.
+    1/(a + x_i), so the model's tail is exact for any f linear near 0.  The
+    value is the log of A's real eigenvalue of largest real part whose
+    eigenvector phi is positive at every node.  Every f > 0 brackets the
+    leading eigenvalue of the collocation operator with its tail enclosed
+    between the min and max over the nodes of (L f)/f: the bracket is the
+    narrower of phi's and, where it is positive, its image's, the midpoint
+    of L phi.  It says nothing of the grid's own error.
     """
     s = np.asarray(s_values, dtype=float).reshape(-1)
     grid_size = mats.shape[-1]
@@ -359,14 +374,9 @@ def _eigensolve(s_values, mats: np.ndarray, cap: int, tol: float = 1e-10) -> lis
     # where the bracket is a few ulps wide (s = 3 at grid 32), rounding can
     # leave ln(lambda) an ulp outside it
     value = np.clip(value, r_lo, r_hi)
-    return [
-        PressureEstimate(
-            float(s[k]), float(value[k]), (float(r_lo[k]), float(r_hi[k])),
-            {"grid": grid_size, "cap": cap, "iterations": 1, "spread": float(r_hi[k] - r_lo[k])},
-            converged=bool(r_hi[k] - r_lo[k] < tol),
-        )
-        for k in range(s.size)
-    ]
+    return [PressureEstimate(float(s[k]), float(value[k]), (float(r_lo[k]), float(r_hi[k])),
+                             {"grid": grid_size, "cap": cap, "iterations": 1})
+            for k in range(s.size)]
 
 
 def pressure_cylinder(
@@ -422,7 +432,7 @@ class PressureCurve:
     blow-up at s = 1/2 flattens out; evaluated by barycentric interpolation.
     The domain is [S_FLOOR, S_CEIL] with CURVE_NODES nodes.  default_curve
     shares one curve with every caller, so a built curve is frozen and its
-    arrays tau, s_nodes, bw, values and converged are read-only."""
+    arrays tau, s_nodes, bw and values are read-only."""
 
     grid_size: int = DEFAULT_GRID
     cap: int = CURVE_CAP
@@ -435,11 +445,8 @@ class PressureCurve:
         tau = t_lo + x * (t_hi - t_lo)
         s_nodes = 0.5 + np.exp(tau)
         _, mats = _operator_matrices(s_nodes, self.grid_size, self.cap)
-        estimates = _eigensolve(s_nodes, mats, self.cap)
-        values = np.array([e.value for e in estimates])
-        # whether each node's eigen bracket is narrower than tol
-        converged = np.array([e.converged for e in estimates])
-        arrays = dict(tau=tau, s_nodes=s_nodes, bw=bw, values=values, converged=converged)
+        values = np.array([e.value for e in _eigensolve(s_nodes, mats, self.cap)])
+        arrays = dict(tau=tau, s_nodes=s_nodes, bw=bw, values=values)
         for name, a in arrays.items():
             a.flags.writeable = False
             object.__setattr__(self, name, a)

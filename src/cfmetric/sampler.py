@@ -460,7 +460,16 @@ class BulkDigitStream:
 # workers (4.27-4.41 against 3.84-3.89 ms on one), as the workers hand the
 # interpreter lock back and forth around each numpy call of a level.
 _BLOCK = 65_536
-_MIN_BLOCK = 8_192  # fewest streams per worker thread
+# Fewest streams per worker thread, half the measured crossover: a call runs
+# on two workers from 2 _MIN_BLOCK streams, where the second starts to win.
+# One against two workers (patched _threads.cpus, 2-vCPU AMD EPYC, one BLAS
+# thread, medians of alternated calls, 4-6 rounds): at depth 4 two took
+# 1.00-1.07 of one's time at 14 336 streams and 0.93-0.98 at 16 384, at
+# depth 32 1.05-1.09 and 0.96, and at depth 256 crossed near 12 000 (0.85-0.87
+# at 16 384), so 16 384 is past the crossover at every depth measured.  While
+# the other CPU is busy with other work, two lose by 40-80% at any count.  It
+# stays at most 50 000, so 1e5 streams run two blocks of 50 000 on two CPUs.
+_MIN_BLOCK = 8_192
 # most digits per call, the result's 8 bytes each; the history of
 # sample_digit_matrix's engines holds views of the result's columns, not copies
 _MAX_DIGITS = 80_000_000

@@ -343,6 +343,34 @@ class TestGaussMeasure:
         else:
             assert gauss_digit_tail(t) == want
 
+    @pytest.mark.parametrize("call, name, bad", [
+        # a bool was read as 0 or 1: gauss_digit_tail(True) gave 1.0,
+        # gauss_measure(False, True) 1.0 and ln_gauss_measure(False, True) 0.0;
+        # a string raised a bare TypeError
+        (lambda: gauss_digit_tail(True), "t", "True"),
+        (lambda: gauss_digit_tail("5"), "t", "'5'"),
+        (lambda: gauss_measure(False, True), "a", "False"),
+        (lambda: gauss_measure(0, True), "b", "True"),
+        (lambda: gauss_measure("0", "1"), "a", "'0'"),
+        (lambda: ln_gauss_measure(False, True), "a", "False"),
+        (lambda: ln_gauss_measure(Fraction(1, 3), "1"), "b", "'1'"),
+    ])
+    def test_bools_and_strings_are_not_numbers(self, call, name, bad):
+        with pytest.raises(DomainError, match=rf"^{name} must be a real number, got {bad}$"):
+            call()
+
+    @pytest.mark.parametrize("a, b", [
+        (0, 1), (Fraction(1, 3), Fraction(1, 2)), (0.25, 0.75), (np.int64(0), np.int64(1)),
+        (np.float64(0.25), np.float64(0.75)), (Fraction(1, 4), 0.75), (np.float32(0.25), np.float32(0.75)),
+    ])
+    def test_every_real_type_is_a_number(self, a, b):
+        # np.float32 raised a bare TypeError, as Fraction() refuses it; it is
+        # read as the float it holds
+        want = math.log2((1 + float(b)) / (1 + float(a)))
+        assert gauss_measure(a, b) == pytest.approx(want, rel=1e-15)
+        assert ln_gauss_measure(a, b) == pytest.approx(math.log(want), abs=1e-15)
+        assert gauss_digit_tail(b * 4) == gauss_digit_tail(float(b * 4))
+
     def test_additivity_over_digit_partition(self):
         total = sum(gauss_digit_law(k) for k in range(1, 2000))
         total += gauss_measure(0, Fraction(1, 2000))

@@ -702,6 +702,28 @@ class TestBlocks:
             eng = BulkDigitStream(77, 1, stream_offset=1000 + j)
             assert [int(eng.step()[0]) for _ in range(6)] == m[j].tolist(), j
 
+    @pytest.mark.parametrize("n_streams, blocks", [
+        (2 * sampler._MIN_BLOCK - 1, [(0, 2 * sampler._MIN_BLOCK - 1)]),
+        (2 * sampler._MIN_BLOCK, [(0, sampler._MIN_BLOCK), (sampler._MIN_BLOCK, sampler._MIN_BLOCK)]),
+        (100_000, [(0, 50_000), (50_000, 50_000)]),
+    ])
+    def test_two_cpus_split_from_twice_the_least_block(self, monkeypatch, cpus, n_streams, blocks):
+        # a second worker joins at 2 _MIN_BLOCK streams, about the measured
+        # crossover; below it one block runs on one worker, and 1e5 streams
+        # stay two blocks of 50 000, the split of the benchmark's calls
+        made = []
+
+        class Recorded(BulkDigitStream):
+            def __init__(self, seed, n_streams, stream_offset=0, start="gauss"):
+                made.append((stream_offset, n_streams))
+                super().__init__(seed, n_streams, stream_offset, start)
+
+        monkeypatch.setattr(sampler, "BulkDigitStream", Recorded)
+        cpus(2)
+        assert sampler._MIN_BLOCK <= 50_000
+        sample_digit_matrix(5, n_streams, 1)
+        assert sorted(made) == blocks
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_history_is_views_of_the_result(self, monkeypatch, cpus, workers):
         # 1e5 streams make two blocks of 50 000 on one worker or two; each
