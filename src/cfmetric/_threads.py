@@ -32,7 +32,10 @@ if hasattr(os, "register_at_fork"):  # where os.fork exists
 
 
 def cpus() -> int:
-    """CPUs this process may run on."""
+    """CPUs this process may run on, counted whether or not other work keeps
+    them busy: the count does not fall while a neighbour loads one.  The bulk
+    sampler's measured cost of that (two workers against one with the other
+    CPU busy) is in the comment on sampler._MIN_BLOCK."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform

@@ -15,7 +15,13 @@ collocation row at a time: it forms the reciprocals 1/(u - x_j) of a block of
 digits once and contracts them with the weights of every s in one matrix
 product.  The rows are independent: _threads.spans cuts them into one
 contiguous span per thread, and each span reuses one set of block buffers
-for all its rows.  The cached P(s) curve gets all its nodes from one pass,
+for all its rows.  The second row thread pays only where BLAS runs one
+thread: the default PressureCurve(32, 2048) build took 0.031 s on two row
+workers against 0.042-0.044 s on one with one OpenBLAS thread, but
+0.037-0.040 s against 0.035 s with OpenBLAS's default of one thread per CPU,
+whose threads already keep both CPUs busy in each matrix product (medians of
+16 alternated builds, 2-vCPU Intel Xeon, _threads.cpus patched for one
+worker).  The cached P(s) curve gets all its nodes from one pass,
 and the single-s callers use the same kernel with one s.  L_s is fixed by s,
 the grid size and the cap alone, and _operator_matrix, the one operator
 cache, keeps a read-only M per (s, grid, cap) for those callers.
@@ -452,6 +458,8 @@ class PressureCurve:
             object.__setattr__(self, name, a)
 
     def eval(self, s: float) -> float:
+        if type(s) is not float:  # one type test on the solvers' float queries
+            _require_real("s", s)
         if not self.s_floor <= s <= self.s_ceil:
             raise DomainError(
                 f"s={s} outside cached curve domain [{self.s_floor}, {self.s_ceil}]"

@@ -11,9 +11,11 @@ accepted only when V lies inside its rigorous float band (an upper bound of
 F(1/(d+1)) and a lower bound of F(1/d)), and every digit that one band test
 does not accept is settled exactly by _exact_digit: the window's exact state
 from one continuant recursion, then one ladder of rounds that each read more
-bits of the uniform and raise the mpmath precision.  BulkDigitStream(seed, 1,
-stream_offset=j) is the scalar stream j; the exact enclosure of its point
-after n digits is cfcore.cylinder(word(*digits)).
+bits of the uniform, raise the mpmath precision and bound x = 1/u by the same
+closed form at two corners of the box of (V, beta, gamma), as F rises in beta
+and in gamma.  BulkDigitStream(seed, 1, stream_offset=j) is the scalar stream
+j; the exact enclosure of its point after n digits is
+cfcore.cylinder(word(*digits)).
 
 An engine owns its per-level scratch, six arrays of 8 bytes per stream: the
 uint64 words and their shifts, and the float64 delta, L(1), guess and band
@@ -263,58 +265,44 @@ def _window_state_bounds(rev_digits, full_history, b0=1):
     return lo, hi, lo, hi
 
 
+def _digit_variable(mp, v, b, g):
+    """x = 1/u with F(u) = v > 0 at the state (b, g), at mp's precision, by
+    _inverse_cdf's closed form."""
+    if b == g:
+        return (1 + g) / v - g
+    return (b - g) / mp.expm1(v * mp.log1p((b - g) / (1 + g))) - g
+
+
 def _search_digit(mp, state, v_num: int, v_bits: int):
-    """The digit that V in [v_num, v_num + 1] / 2^v_bits selects, from CDF
-    enclosures at mp's precision; None if a comparison is undecided."""
+    """The digit d that V in [v_num, v_num + 1] / 2^v_bits selects, when one
+    enclosure [x_lo, x_hi] of x = 1/u at mp's precision lies in [d, d + 1);
+    None if it does not.
+
+    F rises in beta and in gamma, as d/dbeta ln h = -y/(1 + beta y) falls in
+    y for the density h, and likewise for gamma.  So x rises in beta and gamma
+    and falls in V, and the corners (V_hi, beta_lo, gamma_lo) and (V_lo,
+    beta_hi, gamma_hi) of the box give x_lo and x_hi, each widened by eps."""
     mpf = mp.mpf
     eps = mpf(10) ** (8 - mp.dps)  # dominates the rounding of every step
     blo, bhi, glo, ghi = (mpf(x.numerator) / mpf(x.denominator) for x in state)
     v_lo, v_hi = (mpf(v) / mpf(2) ** v_bits for v in (v_num, v_num + 1))
-
-    def phi(p, q):
-        return 1 / (1 + p) if p == q else mp.log1p((p - q) / (1 + q)) / (p - q)
-
-    z_lo = phi(bhi, ghi) * (1 - eps)
-    z_hi = phi(blo, glo) * (1 + eps)
-
-    def below(m: int):
-        """True if V < F(1/m); False if V > F(1/m); None if undecided."""
-        u = 1 / mpf(m)
-        if v_lo >= u * phi(blo * u, glo * u) * (1 + eps) / z_lo:
-            return False
-        if v_hi <= u * phi(bhi * u, ghi * u) * (1 - eps) / z_hi:
-            return True
-        return None
-
-    # doubling to bracket the digit, then bisection
-    hi = 2
-    while verdict := below(hi):
-        hi *= 2
-        if hi > 1 << 200:
-            raise RuntimeError("runaway digit search")
-    lo = hi // 2  # V <= F(1/lo) held (or lo == 1, where F(1) = 1 > V)
-    while verdict is not None and hi - lo > 1:
-        mid = (lo + hi) // 2
-        verdict = below(mid)
-        lo, hi = (mid, hi) if verdict else (lo, mid)
-    return None if verdict is None else lo
+    x_lo = _digit_variable(mp, v_hi, blo, glo) * (1 - eps)
+    x_hi = _digit_variable(mp, v_lo, bhi, ghi) * (1 + eps) if v_num else mp.inf
+    d = max(1, int(mp.floor(x_lo)))  # x >= 1, since V <= 1
+    return d if x_hi < d + 1 else None
 
 
-def _exact_digit(
-    seed: int,
-    stream: int,
-    level: int,
-    rev_digits: list,
-    mp=None,
-    b0: int = 1,
-) -> int:
-    """Draw one digit exactly: rigorous mpmath CDF enclosures against a lazily
-    refined dyadic uniform.  Used for every digit the float band cannot settle.
+def _exact_digit(seed: int, stream: int, level: int, rev_digits: list,
+                 mp=None, b0: int = 1) -> int:
+    """Draw one digit exactly from mpmath enclosures of x = 1/u and a lazily
+    refined dyadic uniform, for every digit the float band cannot settle.
 
     Each round of _ROUNDS extends V by 64-bit words (extra word k hashes
-    (seed, stream, level, k)) and searches again at a higher precision.  A
-    comparison gives a verdict only when its bounds separate V from F(1/m),
-    so the digit does not depend on the round that decides it.  rev_digits
+    (seed, stream, level, k)) and encloses x at a higher precision, between
+    the closed form's values at two corners of the box of V and the state,
+    as x rises in beta and gamma and falls in V (see _search_digit).  A round
+    gives a digit d only when its enclosure lies in [d, d + 1), so the digit
+    does not depend on the round that decides it.  rev_digits
     is the window of the last min(level, _HIST_WINDOW) digits, most recent
     first, so it is the full history when it holds level digits.  mp is an
     mpmath context that no other thread uses (its precision is set here);
@@ -551,16 +539,13 @@ def sample_iid_gauss_kuzmin(seed: int, n_streams: int, depth: int,
     seed, n_streams, stream_offset = _check_shape(seed, n_streams, depth, stream_offset)
     w, tmp = np.empty((2, n_streams), dtype=U64)
     keys = _stream_keys(seed, range(stream_offset, stream_offset + n_streams), _DOM_IID, tmp)
-    x = np.empty(n_streams)
     out = np.empty((n_streams, depth), dtype=np.int64)
     for k in range(depth):
-        _uniforms(k, keys, w, tmp, x)  # V, which becomes x in place
-        # x = 2^w - 1 at the middle w of V's 2^-53 interval lies in (0, 1]
-        # (w rounds to 1 at the top), so every digit floor(1/x) is an int64
-        # in [1, 2^55)
-        x += TWO_NEG53 * 0.5
-        x *= LOG2
-        np.expm1(x, out=x)
-        np.divide(1.0, x, out=x)
+        mid = _uniforms(k, keys, w, tmp, tmp.view(np.float64))
+        mid += TWO_NEG53 * 0.5  # the middle w of V's 2^-53 interval
+        # the Gauss start's inverse CDF, x = 1/(2^w - 1), in the free words:
+        # 2^w - 1 lies in (0, 1] (w rounds to 1 at the top), so every digit
+        # floor(x) is an int64 in [1, 2^55)
+        x = _inverse_cdf(mid, 1.0, 0.0, LOG2, None, out=w.view(np.float64))
         out[:, k] = np.floor(x, out=x)  # whole floats, cast as astype does
     return out

@@ -703,6 +703,13 @@ class TestArgumentRules:
                                               r"curve's accuracy; got "):
             dimension_dispatch(2, psi, tol)
 
+    def test_curve_reads_every_real_s(self, curve):
+        # a float skips the type check; every other real number passes it
+        # and reads the same value
+        want = curve.eval(1.0)
+        for s in (1, np.int64(1), np.float64(1.0), np.float32(1.0), Fraction(1)):
+            assert curve.eval(s) == want, s
+
     def test_numpy_integer_r(self, curve):
         assert dimension_dispatch(np.int64(2), poly_log(1, 0)).value == 1.0
         assert solve_dimension(np.int64(2), 2.0, curve=curve).value == \
@@ -743,6 +750,10 @@ class TestArgumentRules:
         (lambda: default_curve().eval(S_FLOOR - 1e-9), "outside cached curve domain"),
         (lambda: default_curve().eval(0.5), "outside cached curve domain"),
         (lambda: default_curve().eval(pressure.S_CEIL + 1e-9), "outside cached curve domain"),
+        # True read as s = 1 (P = 4.2e-11), and a string raised a bare TypeError
+        (lambda: default_curve().eval(True), "s must be a real number, got True"),
+        (lambda: default_curve().eval("0.7"), "s must be a real number, got '0.7'"),
+        (lambda: default_curve().eval(None), "s must be a real number, got None"),
     ])
     def test_operator_arguments_refused_at_once(self, call, message):
         with pytest.raises(DomainError, match=message):

@@ -362,6 +362,63 @@ class TestBulkDigitStream:
             want = 2 if mp.mpf(v) / mp.mpf(2) ** bits < mp.log(1.5, 2) else 1
         assert got == want
 
+    def test_digit_variable_is_monotone(self):
+        # _search_digit bounds x = 1/u by its values at two corners of the box
+        # of (V, beta, gamma), which needs x to rise in beta and in gamma and
+        # fall in V over states in [0, 1]^2, flat states (beta == gamma) too
+        from mpmath import MPContext
+
+        mp = MPContext()
+        mp.dps = 50
+        rng = np.random.default_rng(35)
+        x = sampler._digit_variable
+        tol = mp.mpf(10) ** -40  # far above the rounding at 50 digits
+
+        def draw(least=0):
+            # a third from {0, 1/2, 1}, so that ties and the box's ends occur
+            if rng.random() < 1 / 3:
+                return mp.mpf(int(rng.integers(least, 3))) / 2
+            return 1 - mp.mpf(rng.random())  # in (0, 1]
+
+        for _ in range(1000):
+            (b1, b2), (g1, g2), (v1, v2) = (sorted((draw(least), draw(least)))
+                                            for least in (0, 0, 1))
+            b, g, v = draw(), draw(), draw(1)
+            assert x(mp, v, b1, g) <= x(mp, v, b2, g) * (1 + tol), (v, b1, b2, g)
+            assert x(mp, v, b, g1) <= x(mp, v, b, g2) * (1 + tol), (v, b, g1, g2)
+            assert x(mp, v2, b, g) <= x(mp, v1, b, g) * (1 + tol), (v1, v2, b, g)
+        # so a digit that _search_digit settles holds at every corner of a
+        # wide box: the truncated window [1] pins beta and gamma in [1/2, 1]
+        state = _window_state_bounds([1], False)  # (lo, hi, lo, hi)
+        lo, hi = (mp.mpf(z.numerator) / z.denominator for z in state[:2])
+        corners = [(b, g) for b in (lo, hi) for g in (lo, hi)]
+        settled = 0
+        for v_num in rng.integers(1, 2**53, 300).tolist():
+            d = sampler._search_digit(mp, state, v_num, 53)
+            settled += d is not None
+            for v in (mp.mpf(v_num) / 2**53, mp.mpf(v_num + 1) / 2**53):
+                assert d is None or all(d <= x(mp, v, b, g) < d + 1 for b, g in corners)
+        assert 0 < settled < 300
+
+    def test_fallback_past_two_to_the_200(self, monkeypatch):
+        # V's first 53 bits and its first three extension words are 0 and
+        # every later word is c, so V is near 2^-246 and its digit has 247
+        # bits; a doubling search once gave up above 2^200
+        from mpmath import mp
+
+        c = 0x9E3779B97F4A7C15
+        monkeypatch.setattr(sampler, "_word_scalar",
+                            lambda seed, stream, level, rnd=0: 0 if rnd <= 3 else c)
+        d = _exact_digit(1, 0, 0, [])
+        assert d.bit_length() == 247
+        # V's 501-bit interval lies in the Gauss start's interval of digit d,
+        # [log2(1 + 1/(d + 1)), log2(1 + 1/d)], compared at 2000 digits
+        v_num, bits = sum(c << 64 * k for k in range(4)), 53 + 64 * 7
+        with mp.workdps(2000):
+            lo, hi = (mp.log(1 + 1 / mp.mpf(m), 2) for m in (d + 1, d))
+            assert lo <= mp.mpf(v_num) / 2**bits
+            assert mp.mpf(v_num + 1) / 2**bits <= hi
+
     def test_digit_word_from_step_rows(self):
         eng = BulkDigitStream(9, 3)
         rows = [eng.step() for _ in range(40)]
