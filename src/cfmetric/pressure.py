@@ -492,7 +492,7 @@ def _root(g, s_floor: float, tol: float) -> tuple[float, tuple]:
         raise DomainError("B is too close to 1 for the cached curve accuracy")
     if g(lo) <= 0.0:
         raise DomainError(
-            "root sits below the cached curve domain; rebuild with a smaller s floor"
+            f"root sits below the cached curve domain, whose floor is s = {s_floor}"
         )
     trace = []
     while hi - lo > tol:
@@ -535,7 +535,7 @@ def solve_dimension(
     g is strictly decreasing on (1/2, 1]: P decreases while the linear term
     increases, so the root is unique.
     """
-    _require_int("r", r, 1)
+    r = _require_int("r", r, 1)
     if not (_is_real(B) and 1.0 < B < math.inf):
         raise DomainError("solve_dimension needs 1 < B < inf")
     _check_tol(tol)
@@ -561,7 +561,7 @@ def hussain_shulga_exponent(
     beta_i = B^{i+1}.  That is P(s) - (s + (2s-1) i) ln B, so d_i is
     solve_dimension with r = i + 1, and the minimum sits at i = r-1.
     """
-    _require_int("r", r, 1)
+    r = _require_int("r", r, 1)
     roots = [solve_dimension(i + 1, B, tol, curve).value for i in range(r)]
     best = min(range(r), key=lambda i: roots[i])
     return DimensionResult(
@@ -585,7 +585,7 @@ def dimension_dispatch(
     full-dimension regime.  tol is checked in every regime, by
     solve_dimension's rule.
     """
-    _require_int("r", r, 1)
+    r = _require_int("r", r, 1)
     _check_tol(tol)
     g = growth_exponents(psi)
     flags = g.flags

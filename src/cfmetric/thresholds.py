@@ -364,7 +364,7 @@ def series_classify(r: int, psi: ThresholdFn, horizon: int = 4096) -> SeriesVerd
     2^n n^-3 at r = 2 the sum to n = 8 is 333.32, and 386.90 over psi~).
     The horizon is checked on every path, though only a table reads it.
     """
-    _require_int("r", r, 1)
+    r = _require_int("r", r, 1)
     _require_psi(psi)
     horizon = _require_int("horizon", horizon, 1)
     if psi.kind != "table":

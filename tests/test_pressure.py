@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError
@@ -12,6 +13,7 @@ from cfmetric import pressure
 from cfmetric.cfcore import DomainError, _require_int
 from cfmetric.pressure import (
     CURVE_CAP,
+    DEFAULT_CAP,
     DEFAULT_GRID,
     S_FLOOR,
     DimensionResult,
@@ -87,28 +89,23 @@ def tail_free_sum(s, depth, cap, grid_size=DEFAULT_GRID):
 
 
 class TestTransferApply:
-    def test_telescoping_eigenfunction(self):
-        x, _ = chebyshev_lobatto(DEFAULT_GRID)
-        g = OperatorGrid(1.0 / (1.0 + x))
-        out = transfer_apply(g, 1.0)
-        f = 1.0 / (1.0 + out.nodes)
-        # f lies inside the bracket at every node
-        dist = np.maximum(out.lower - f, f - out.upper)
-        assert float(dist.max()) <= 1e-10
-        assert float(np.abs(out.values - f).max()) <= 1e-8
+    """transfer_apply's own contract: one tailed _step of the cached operator,
+    whose midpoint is the new grid's values."""
 
-    def test_basel_value_at_zero(self):
-        g = OperatorGrid.ones()
-        out = transfer_apply(g, 1.0)
-        assert out.lower[0] <= PI2_6 <= out.upper[0]
-        assert out.values[0] == pytest.approx(PI2_6, abs=1e-8)
-
-    def test_triple_apply_matches_enumeration(self):
-        # L^3 1 (0) with digits capped at 20 equals the explicit word sum
-        s = 0.8
-        expected = capped_cylinder_sum(s, 3, 20)
-        got = tail_free_sum(s, 3, 20)
-        assert got == pytest.approx(expected, rel=1e-11)
+    @pytest.mark.parametrize("grid_size, cap, s, radius", [
+        (DEFAULT_GRID, DEFAULT_CAP, 1.0, 0.0),  # a point function
+        (8, 16, 0.7, 0.25),                     # a bracket
+        (2, 1, 1.0, 0.0),                       # the smallest operator allowed
+    ])
+    def test_equals_one_tailed_step(self, grid_size, cap, s, radius):
+        x, _ = chebyshev_lobatto(grid_size)
+        f = 1.0 / (1.0 + x)
+        g = OperatorGrid(f, cap) if radius == 0.0 else OperatorGrid(f, cap, f - radius, f + radius)
+        out = transfer_apply(g, s)
+        lo, hi = _step(_operator_matrix(s, grid_size, cap), g.lower, g.upper, _tail(s, grid_size, cap))
+        assert np.array_equal(out.lower, lo) and np.array_equal(out.upper, hi)
+        assert np.array_equal(out.values, 0.5 * (lo + hi)) and out.digit_cap == cap
+        assert np.all(out.lower <= out.upper)
 
     def test_divergence_guard(self):
         with pytest.raises(DomainError):
@@ -211,13 +208,37 @@ class TestStepAndCaches:
         tlo, thi = _step(M, flo, fhi, _tail(s, 12, cap))
         assert np.all(tlo >= lo) and np.all(thi > hi)
 
+    def test_telescoping_eigenfunction(self):
+        # sum_a 1/((a + x)(a + 1 + x)) telescopes: L_1 maps 1/(1 + x) to itself
+        x, _ = chebyshev_lobatto(DEFAULT_GRID)
+        f = 1.0 / (1.0 + x)
+        lo, hi = _step(_operator_matrix(1.0, DEFAULT_GRID, DEFAULT_CAP), f, f,
+                       _tail(1.0, DEFAULT_GRID, DEFAULT_CAP))
+        # f lies inside the bracket at every node
+        dist = np.maximum(lo - f, f - hi)
+        assert float(dist.max()) <= 1e-10
+        assert float(np.abs(0.5 * (lo + hi) - f).max()) <= 1e-8
+
+    def test_basel_value_at_zero(self):
+        one = np.ones(DEFAULT_GRID)
+        lo, hi = _step(_operator_matrix(1.0, DEFAULT_GRID, DEFAULT_CAP), one, one,
+                       _tail(1.0, DEFAULT_GRID, DEFAULT_CAP))
+        assert lo[0] <= PI2_6 <= hi[0]
+        assert 0.5 * (lo[0] + hi[0]) == pytest.approx(PI2_6, abs=1e-8)
+
+    def test_triple_apply_matches_enumeration(self):
+        # L^3 1 (0) with digits capped at 20 equals the explicit word sum
+        s = 0.8
+        expected = capped_cylinder_sum(s, 3, 20)
+        got = tail_free_sum(s, 3, 20)
+        assert got == pytest.approx(expected, rel=1e-11)
+
     def test_matrix_cache_is_bounded_and_counts(self):
-        grid = OperatorGrid.ones(8, 16)
         for k in range(70):
-            transfer_apply(grid, 0.6 + 0.005 * k)
+            _operator_matrix(0.6 + 0.005 * k, 8, 16)
         info = _operator_matrix.cache_info()
         assert info.maxsize == info.currsize == 64
-        transfer_apply(grid, 0.6 + 0.005 * 69)
+        _operator_matrix(0.6 + 0.005 * 69, 8, 16)
         assert _operator_matrix.cache_info().hits == info.hits + 1
 
     def test_cached_operator_is_read_only(self):
@@ -227,8 +248,6 @@ class TestStepAndCaches:
         M = _operator_matrix(0.7, 8, 16)
         with pytest.raises(ValueError, match="read-only"):
             M *= 2.0
-        # a grid's nodes are its own array, made on each read
-        transfer_apply(OperatorGrid.ones(8, 16), 0.7).nodes[:] = 0.0
         assert pressure_eigen(0.7, 8, 16) == before
 
     def test_default_curve_shared_across_call_forms(self, curve):
@@ -382,13 +401,13 @@ class TestPressureEigen:
         assert np.all(diffs < 0)
         assert np.all(np.diff(diffs) > 0)  # convex
 
+
+class TestPressureCylinder:
     def test_single_level_sum(self):
         # first cylinder sum: ln sum a^{-2} = ln(pi^2/6)
         est = pressure_cylinder(1.0, 1)
         assert est.value == pytest.approx(math.log(PI2_6), abs=1e-7)
 
-
-class TestPressureCylinder:
     def test_exact_small_enumeration(self):
         s2 = capped_cylinder_sum(1.0, 2, 10)
         explicit = sum((a * b + 1) ** -2.0 for a in range(1, 11) for b in range(1, 11))
@@ -498,8 +517,10 @@ class TestSolveDimension:
 
     @pytest.mark.parametrize("B", [1e8, 1e12])
     def test_root_below_the_curve_floor_refused(self, curve, B):
-        # dim_sweep's beyond_floor queries: r = 1 and B in [1e8, 1e12]
-        with pytest.raises(DomainError, match="root sits below the cached curve domain"):
+        # dim_sweep's beyond_floor queries: r = 1 and B in [1e8, 1e12]; no
+        # call takes another floor, so the refusal names S_FLOOR's value
+        with pytest.raises(DomainError, match=r"root sits below the cached curve domain, "
+                                              rf"whose floor is s = {re.escape(str(S_FLOOR))}$"):
             solve_dimension(1, B, curve=curve)
 
     @pytest.mark.parametrize("root, calls", [
@@ -657,7 +678,7 @@ class TestGridBasics:
         for a in (g.values, g.lower, g.upper):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 2.0
-        assert np.all(transfer_apply(g, 1.0).lower > 0.0)
+        assert g.lower is g.values and g.upper is g.values and np.all(g.values == 1.0)
 
     def test_operator_grid_copies_the_callers_arrays(self):
         values, lower, upper = np.ones(8), np.zeros(8), np.full(8, 2.0)
@@ -673,6 +694,9 @@ class TestGridBasics:
         g = OperatorGrid.ones(8, 16)
         assert np.array_equal(g.nodes, chebyshev_lobatto(8)[0])
         assert g.lower is g.values and g.upper is g.values
+        # the nodes are made on each read, so writing to them changes no grid
+        g.nodes[:] = 0.0
+        assert np.array_equal(g.nodes, chebyshev_lobatto(8)[0])
         with pytest.raises(TypeError):
             OperatorGrid(values=np.ones(8), nodes=chebyshev_lobatto(8)[0])
 
@@ -710,10 +734,23 @@ class TestArgumentRules:
         for s in (1, np.int64(1), np.float64(1.0), np.float32(1.0), Fraction(1)):
             assert curve.eval(s) == want, s
 
-    def test_numpy_integer_r(self, curve):
-        assert dimension_dispatch(np.int64(2), poly_log(1, 0)).value == 1.0
-        assert solve_dimension(np.int64(2), 2.0, curve=curve).value == \
-            solve_dimension(2, 2.0, curve=curve).value
+    @pytest.mark.parametrize("call", [
+        lambda r, curve: dimension_dispatch(r, poly_log(1, 0)),
+        lambda r, curve: dimension_dispatch(r, double_exp(2, 2)),
+        lambda r, curve: dimension_dispatch(r, geometric(2.0), curve=curve),
+        lambda r, curve: solve_dimension(r, 2.0, curve=curve),
+        lambda r, curve: hussain_shulga_exponent(r, 2.0, curve=curve),
+    ], ids=["dispatch-B=1", "dispatch-B=inf", "dispatch-finite-B", "solve", "hussain-shulga"])
+    def test_numpy_integer_r(self, curve, call):
+        # the result keeps the int that the check returns, not the numpy integer
+        for r in (np.int64(2), np.uint8(2)):
+            got, want = call(r, curve), call(2, curve)
+            assert type(got.inputs["r"]) is int and got == want
+
+    def test_numpy_integer_r_classifies_the_series(self):
+        for psi in (poly_log(1, 0), table(np.arange(1.0, 129.0) ** 2)):
+            got, want = series_classify(np.int64(2), psi), series_classify(2, psi)
+            assert (got.verdict, got.partial_sums) == (want.verdict, want.partial_sums)
 
     @pytest.mark.parametrize("call, message", [
         (lambda: pressure_eigen(math.nan, 8, 10), "s must be finite, got nan"),
@@ -765,6 +802,4 @@ class TestArgumentRules:
         est = pressure_eigen(1.0, 2, 1)
         assert est.bracket[0] <= 0.0 <= est.bracket[1]
         assert width(est) >= 1e-10  # 0.52 wide when measured
-        applied = transfer_apply(OperatorGrid.ones(2, 1), 1.0)
-        assert np.all(applied.lower <= applied.upper)
         assert PressureCurve(2, 1).values.shape == (33,)
