@@ -29,9 +29,15 @@ from cfmetric.sampler import sample_digit_matrix, sample_iid_gauss_kuzmin
 LN2 = math.log(2.0)
 LEVY = math.pi**2 / (12.0 * LN2)
 GRID, CAP = 32, 10_000
+# the identity's cells, from STREAMS streams of max(LEVELS) digits
 S_VALUES = (0.9, 1.0, 1.25, 2.0)
 LEVELS = (1, 2, 4, 8, 16)
 STREAMS = 100_000
+# the increments ln q_{2n} - ln q_n for n in HALVES, from INC_STREAMS streams
+# of DEPTH digits: the i.i.d. control's Lévy z grows like sqrt(n INC_STREAMS),
+# and reads 10.6 at n = 128
+HALVES = (32, 64, 128)
+DEPTH, INC_STREAMS = 2 * HALVES[-1], 20_000
 
 
 def convergents(digits, levels):
@@ -142,15 +148,11 @@ class TestFiniteIdentity:
         assert worst(z)[0] >= 8.0, worst(z)
 
 
-DEPTH, INC_STREAMS = 256, 20_000
-HALVES = (32, 64, 128)
-
-
 def increments(digits):
     """ln q_{2n} - ln q_n of every stream for n in HALVES, as a (len(HALVES),
     n_streams) array: the difference cancels the start's O(1) offset of
     ln q_n, where ln q_n / n itself reads z = -4.6 against Lévy at n = 64."""
-    lnq = convergents(digits, HALVES + (2 * HALVES[-1],))[0]
+    lnq = convergents(digits, HALVES + (DEPTH,))[0]
     return lnq[1:] - lnq[:-1]
 
 
