@@ -1,22 +1,6 @@
-import os
-
 import pytest
-from hypothesis import settings
-from hypothesis.errors import InvalidArgument
 
 from cfmetric import _threads
-
-# A CI runner keeps no example database, so a failing property test there
-# must print the @reproduce_failure line that replays it.  Recent Hypothesis
-# versions register a "ci" profile that does, and load it when CI is set;
-# this one extends it, or the defaults where a version has none.
-try:
-    _ci_parent = settings.get_profile("ci")
-except InvalidArgument:
-    _ci_parent = None
-settings.register_profile("ci", _ci_parent, print_blob=True)
-if os.environ.get("CI"):
-    settings.load_profile("ci")
 
 
 @pytest.fixture

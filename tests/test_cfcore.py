@@ -1,5 +1,4 @@
 import math
-import os
 import random
 from fractions import Fraction
 
@@ -27,14 +26,6 @@ from cfmetric.cfcore import (
     word,
 )
 from cfmetric.sampler import _window_state_bounds
-
-
-def test_ci_profile_prints_the_reproduce_line():
-    # conftest.py registers the profile; a CI runner keeps no example
-    # database, so only the printed line replays a failure found there
-    assert settings.get_profile("ci").print_blob
-    if os.environ.get("CI"):
-        assert settings().print_blob
 
 
 def _ref_evaluate(digits):
