@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -438,7 +438,10 @@ class PressureCurve:
     blow-up at s = 1/2 flattens out; evaluated by barycentric interpolation.
     The domain is [S_FLOOR, S_CEIL] with CURVE_NODES nodes.  default_curve
     shares one curve with every caller, so a built curve is frozen and its
-    arrays tau, s_nodes, bw and values are read-only."""
+    arrays tau, s_nodes, bw and values are read-only.  The build also stores
+    the two ends of every dimension solve's bracket, _p_floor = P(S_FLOOR),
+    node 0's value, and _p_one = P(1), one eval(1.0): the solvers take them
+    from there rather than from two curve reads per query."""
 
     grid_size: int = DEFAULT_GRID
     cap: int = CURVE_CAP
@@ -456,6 +459,8 @@ class PressureCurve:
         for name, a in arrays.items():
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+        object.__setattr__(self, "_p_floor", float(values[0]))
+        object.__setattr__(self, "_p_one", self.eval(1.0))
 
     def eval(self, s: float) -> float:
         if type(s) is not float:  # one type test on the solvers' float queries
@@ -481,23 +486,25 @@ def default_curve(grid_size: int = DEFAULT_GRID, cap: int = CURVE_CAP) -> Pressu
 _cached_curve = functools.lru_cache(maxsize=None)(PressureCurve)
 
 
-def _root(g, s_floor: float, tol: float) -> tuple[float, tuple]:
-    """Root of a decreasing g on [s_floor, 1] by bisection, to within tol.
+def _root(curve: PressureCurve, line, tol: float) -> tuple[float, tuple]:
+    """Root of the decreasing g(s) = P(s) - line(s) on [s_floor, 1] by
+    bisection, to within tol, with P the curve.
 
-    g is read at 1, then at s_floor, then at the midpoints: a root at or above
-    1 (B too close to 1) or at or below s_floor is refused.  Returns the root
-    and the trace of (midpoint, g(midpoint)) pairs."""
-    lo, hi = s_floor, 1.0
-    if g(hi) >= 0.0:
+    g is taken at 1, then at s_floor, from the curve's stored P(1) and
+    P(s_floor): a root at or above 1 (B too close to 1) or at or below
+    s_floor is refused without a curve read.  Each midpoint reads the curve
+    once.  Returns the root and the trace of (midpoint, g(midpoint)) pairs."""
+    lo, hi = curve.s_floor, 1.0
+    if curve._p_one - line(hi) >= 0.0:
         raise DomainError("B is too close to 1 for the cached curve accuracy")
-    if g(lo) <= 0.0:
+    if curve._p_floor - line(lo) <= 0.0:
         raise DomainError(
-            f"root sits below the cached curve domain, whose floor is s = {s_floor}"
+            f"root sits below the cached curve domain, whose floor is s = {lo}"
         )
     trace = []
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        gm = g(mid)
+        gm = curve.eval(mid) - line(mid)
         trace.append((mid, gm))
         if gm > 0.0:
             lo = mid
@@ -524,6 +531,25 @@ def _check_tol(tol: float) -> None:
         )
 
 
+def _check_B(B: float) -> None:
+    """A DomainError unless B is a real number (a bool is not) in (1, inf)."""
+    if not (_is_real(B) and 1.0 < B < math.inf):
+        raise DomainError("solve_dimension needs 1 < B < inf")
+
+
+def _solve(r: int, B: float, tol: float, curve: PressureCurve, flags: tuple = ()
+           ) -> DimensionResult:
+    """solve_dimension on checked arguments and a built curve, its result
+    carrying the caller's flags."""
+    ln_b = math.log(B)
+
+    def line(s):
+        return (s + (2.0 * s - 1.0) * (r - 1)) * ln_b
+
+    value, trace = _root(curve, line, tol)
+    return DimensionResult("finite-B", value, {"r": r, "B": B, "tol": tol}, trace, flags)
+
+
 def solve_dimension(
     r: int,
     B: float,
@@ -536,17 +562,9 @@ def solve_dimension(
     increases, so the root is unique.
     """
     r = _require_int("r", r, 1)
-    if not (_is_real(B) and 1.0 < B < math.inf):
-        raise DomainError("solve_dimension needs 1 < B < inf")
+    _check_B(B)
     _check_tol(tol)
-    curve = curve or default_curve()
-    ln_b = math.log(B)
-
-    def g(s):
-        return curve.eval(s) - (s + (2.0 * s - 1.0) * (r - 1)) * ln_b
-
-    value, trace = _root(g, curve.s_floor, tol)
-    return DimensionResult("finite-B", value, {"r": r, "B": B, "tol": tol}, trace)
+    return _solve(r, B, tol, curve or default_curve())
 
 
 def hussain_shulga_exponent(
@@ -562,7 +580,10 @@ def hussain_shulga_exponent(
     solve_dimension with r = i + 1, and the minimum sits at i = r-1.
     """
     r = _require_int("r", r, 1)
-    roots = [solve_dimension(i + 1, B, tol, curve).value for i in range(r)]
+    _check_B(B)
+    _check_tol(tol)
+    curve = curve or default_curve()
+    roots = [_solve(i + 1, B, tol, curve).value for i in range(r)]
     best = min(range(r), key=lambda i: roots[i])
     return DimensionResult(
         "finite-B",
@@ -596,5 +617,6 @@ def dimension_dispatch(
         return DimensionResult("B=inf", 1.0 / (1.0 + b), {"r": r, "b": b}, flags=flags)
     if g.log_B <= 0.0:
         return DimensionResult("B=1", 1.0, {"r": r, "log_B": g.log_B}, flags=flags)
-    res = solve_dimension(r, math.exp(g.log_B), tol, curve)
-    return replace(res, flags=flags)
+    B = math.exp(g.log_B)
+    _check_B(B)
+    return _solve(r, B, tol, curve or default_curve(), flags)

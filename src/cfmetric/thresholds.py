@@ -358,11 +358,12 @@ def series_classify(r: int, psi: ThresholdFn, horizon: int = 4096) -> SeriesVerd
     """Convergence of sum n^{r-1} psi~(n)^{-r}.
 
     exp_poly_log and double_exp are decided by the integral test; tables by
-    the slope of the log terms over the last half.  A table's partial_sums
-    add the terms of psi~; on the analytic path they add n^{r-1} psi(n)^{-r}
-    for psi itself up to n = 512, which the verdict does not read (for
-    2^n n^-3 at r = 2 the sum to n = 8 is 333.32, and 386.90 over psi~).
-    The horizon is checked on every path, though only a table reads it.
+    the slope of the log terms over the last half.  partial_sums add the
+    terms of psi~, on the analytic path up to n = 512, which the verdict does
+    not read (for 2^n n^-3 at r = 2 the sum to n = 8 is 386.90).  Where the
+    envelope refuses, because psi turns upward only past _TURN_SCAN_CAP, the
+    analytic verdict stands with no partial sums and horizon 0.  The horizon
+    is checked on every path, though only a table reads it.
     """
     r = _require_int("r", r, 1)
     _require_psi(psi)
@@ -374,7 +375,11 @@ def series_classify(r: int, psi: ThresholdFn, horizon: int = 4096) -> SeriesVerd
             converges = B > 1 or alpha > 1 or (alpha == 1 and c > 1.0 / r)
             if not converges or _collapses(B, alpha, c):
                 verdict = "divergent"
-        _, sums = _partial_sums(r, _log_psi(psi, 512))
+        try:
+            logs, _, _ = _envelope_logs(psi, 512)
+        except DomainError:
+            return SeriesVerdict(verdict, "analytic")
+        _, sums = _partial_sums(r, logs)
         return SeriesVerdict(verdict, "analytic", sums, 512)
     logs, _, _ = _envelope_logs(psi, min(horizon, psi.domain_limit))
     n_max = len(logs)

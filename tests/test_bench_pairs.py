@@ -68,6 +68,7 @@ def test_summary_bound_headroom():
     assert s["work_per_s"]["worse_by"] == pytest.approx(0.06)
     assert s["work_per_s"]["bound"] == 0.1
     assert s["near_bound"] == ["work_per_s"]
+    assert s["op_p50_us"]["within_bound"] and s["work_per_s"]["within_bound"]
     # a better change reads negative; a parent median of 0 has no fraction
     runs = [_run("parent", 1, 7, 10, 5), _run("change", 1, 7, 8, 6)]
     s = bench_pairs.summarize(runs, METRICS)["w"]
@@ -77,7 +78,93 @@ def test_summary_bound_headroom():
     assert bench_pairs.worse_by(0.0, 0.0, "higher") == 0.0
     assert bench_pairs.worse_by(0.0, 0.5, "higher") is None
     runs = [_run("parent", 1, 7, 10, 0.0), _run("change", 1, 7, 10, 0.5)]
-    assert bench_pairs.summarize(runs, METRICS)["w"]["near_bound"] == ["work_per_s"]
+    s = bench_pairs.summarize(runs, METRICS)["w"]
+    assert s["near_bound"] == ["work_per_s"]
+    assert s["work_per_s"]["worse_by"] is None and not s["work_per_s"]["within_bound"]
+    # past the bound, and exactly at it
+    runs = [_run("parent", 1, 7, 100, 10), _run("change", 1, 7, 126, 9)]
+    s = bench_pairs.summarize(runs, METRICS)["w"]
+    assert not s["op_p50_us"]["within_bound"]
+    assert s["work_per_s"]["worse_by"] == pytest.approx(0.1)
+    assert s["work_per_s"]["within_bound"] == (s["work_per_s"]["worse_by"] <= 0.1)
+
+
+# parent op_p50_us 100..109 (quartiles 102.25 and 106.75, a spread of 4.5)
+PARENT_P50 = [100.0 + i for i in range(10)]
+
+
+@pytest.mark.parametrize("change, pairs, met", [
+    ([p - 5 for p in PARENT_P50], 10, True),                # 10 wins, 5 > 4.5 apart
+    ([p - 5 for p in PARENT_P50[:9]] + [120.0], 10, True),  # 9 wins
+    ([p - 5 for p in PARENT_P50[:8]] + [120.0] * 2, 10, False),  # 8 wins
+    ([p - 4 for p in PARENT_P50], 10, False),               # 4 apart, inside the spread
+    ([p - 5 for p in PARENT_P50], 9, False),                # fewer than ten pairs
+    ([p - 5 for p in PARENT_P50[:9]] + [109.0], 10, True),  # 9 wins and a tie
+    ([p - 5 for p in PARENT_P50[:8]] + [108.0, 109.0], 10, False),  # ties win for neither
+])
+def test_claim_met(change, pairs, met):
+    runs = []
+    for i, (pp, cp) in enumerate(zip(PARENT_P50[:pairs], change[:pairs]), 1):
+        # work_per_s mirrors op_p50_us, so the rule reads it higher-is-better
+        runs += [_run("parent", i, 40 + i, pp, 1000 - pp),
+                 _run("change", i, 40 + i, cp, 1000 - cp)]
+    s = bench_pairs.summarize(runs, METRICS)["w"]
+    assert s["op_p50_us"]["claim_met"] is met
+    assert s["work_per_s"]["claim_met"] is met
+    # the same values read as higher-is-better claim no gain
+    worse = [{**m, "better": "higher"} for m in METRICS if m["name"] == "op_p50_us"]
+    assert not bench_pairs.summarize(runs, worse)["w"]["op_p50_us"]["claim_met"]
+
+
+def test_summarize_traced():
+    runs = [_run("parent", 1, 5, 1, 1), _run("change", 1, 5, 1, 1, exit_code=1),
+            _run("change", 2, 6, 1, 1), _run("parent", 2, 6, 1, 1)]
+    runs[2]["workload"] = runs[3]["workload"] = "v"
+    s = bench_pairs.summarize_traced(runs)
+    assert s["w"] == {"runs": [{"pair": 1, "side": "parent", "seed": 5, "exit_code": 0},
+                               {"pair": 1, "side": "change", "seed": 5, "exit_code": 1}],
+                      "all_gates_passed": False}
+    assert [r["side"] for r in s["v"]["runs"]] == ["change", "parent"]
+    assert s["v"]["all_gates_passed"]
+    assert bench_pairs.summarize_traced([]) == {}
+
+
+@pytest.mark.parametrize("traced_exit, status", [(0, 0), (1, 1)])
+def test_main_exits_1_after_writing_when_a_run_failed(monkeypatch, tmp_path, traced_exit,
+                                                      status):
+    # a traced run that fails a gate fails the tool too, and the file that
+    # records it is written first
+    spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    env = {"python": "3", "numpy": "2", "scipy": "1", "nproc": 2, "blas_threads": 1,
+           "seconds": 15.0}
+
+    def export(commit, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(json.dumps(spec))
+        return dest
+
+    def run_pair(trees, workload, seed, pair, trace):
+        records = []
+        for side in ("parent", "change"):
+            rec = _run(side, pair, seed, 10, 5, exit_code=traced_exit * trace * (side == "change"))
+            rec["result"]["metrics"] = {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}
+            rec.update(workload=workload, env=env, gates="gates: ...")
+            records.append(rec)
+        return records
+
+    monkeypatch.setattr(bench_pairs, "rev_parse", lambda rev: rev * 8)
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_pair", run_pair)
+    out = tmp_path / "BENCH.json"
+    got = bench_pairs.main(["--parent", "a", "--change", "b", "--pairs", "dim_sweep=7",
+                            "--traced", "sample_bulk=1", "--what", "test", "--out", str(out),
+                            "--scratch", str(tmp_path / "trees")])
+    assert got == status
+    doc = json.loads(out.read_text())
+    assert doc["summary"]["dim_sweep"]["all_gates_passed"]
+    assert doc["traced_summary"]["sample_bulk"]["all_gates_passed"] is (status == 0)
+    assert [r["exit_code"] for r in doc["traced_summary"]["sample_bulk"]["runs"]] == [
+        0, traced_exit]
 
 
 RSS_METRICS = METRICS + [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]

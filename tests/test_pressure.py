@@ -33,7 +33,7 @@ from cfmetric.pressure import (
     _eigensolve, _operator_matrices, _operator_matrix, _root, _step, _tail,
 )
 from cfmetric.thresholds import (
-    double_exp, geometric, poly_log, scaled_geometric, series_classify, table,
+    double_exp, geometric, growth_exponents, poly_log, scaled_geometric, series_classify, table,
 )
 
 PI2_6 = math.pi**2 / 6.0
@@ -528,15 +528,17 @@ class TestSolveDimension:
         (0.5005, [1.0, S_FLOOR]),  # a root just above it
     ])
     def test_root_reads_its_two_lower_ends_before_bisecting(self, root, calls):
-        seen = []
+        # g = P - line with P = 0: the ends take P from the stored values,
+        # and only the midpoints read the curve
+        seen, curve = [], _ZeroCurve()
 
-        def g(s):
+        def line(s):
             seen.append(s)
-            return root - s
+            return s - root
 
-        value, trace = _root(g, S_FLOOR, 1e-4)
+        value, trace = _root(curve, line, 1e-4)
         assert seen[:len(calls)] == calls
-        assert seen[len(calls):] == [mid for mid, _ in trace]
+        assert seen[len(calls):] == curve.reads == [mid for mid, _ in trace]
         assert trace[0][0] == 0.5 * (calls[-1] + 1.0)
         assert abs(value - root) <= 1e-4
 
@@ -546,15 +548,129 @@ class TestSolveDimension:
         (0.5001, [1.0, S_FLOOR], "root sits below the cached curve domain"),
     ])
     def test_root_refusals_read_no_further(self, root, calls, message):
-        seen = []
+        seen, curve = [], _ZeroCurve()
 
-        def g(s):
+        def line(s):
             seen.append(s)
-            return root - s
+            return s - root
 
         with pytest.raises(DomainError, match=message):
-            _root(g, S_FLOOR, 1e-4)
-        assert seen == calls
+            _root(curve, line, 1e-4)
+        assert seen == calls and curve.reads == []
+
+
+class _ZeroCurve:
+    """A curve with P = 0 that records the points its eval reads."""
+
+    s_floor = S_FLOOR
+    _p_floor = _p_one = 0.0
+
+    def __init__(self):
+        self.reads = []
+
+    def eval(self, s):
+        self.reads.append(s)
+        return 0.0
+
+
+def _reference_root(g, s_floor, tol):
+    """The bisection that reads g at both ends from the curve, then at the
+    midpoints: the solvers' results must match it bit for bit."""
+    lo, hi = s_floor, 1.0
+    if g(hi) >= 0.0:
+        raise DomainError("B is too close to 1 for the cached curve accuracy")
+    if g(lo) <= 0.0:
+        raise DomainError(
+            f"root sits below the cached curve domain, whose floor is s = {s_floor}"
+        )
+    trace = []
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        trace.append((mid, gm))
+        if gm > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), tuple(trace)
+
+
+# taken at import, so that a test that counts the solvers' reads through a
+# patched PressureCurve.eval does not count the reference's
+_CURVE_EVAL = PressureCurve.eval
+
+
+def _reference_solve(r, B, tol, curve, flags=()):
+    ln_b = math.log(B)
+
+    def g(s):
+        return _CURVE_EVAL(curve, s) - (s + (2.0 * s - 1.0) * (r - 1)) * ln_b
+
+    value, trace = _reference_root(g, curve.s_floor, tol)
+    return DimensionResult("finite-B", value, {"r": r, "B": B, "tol": tol}, trace, flags)
+
+
+def _reference_hs(r, B, tol, curve):
+    roots = [_reference_solve(i + 1, B, tol, curve).value for i in range(r)]
+    best = min(range(r), key=lambda i: roots[i])
+    return DimensionResult(
+        "finite-B", roots[best],
+        {"r": r, "B": B, "tol": tol, "per_offset": tuple(roots), "argmin": best})
+
+
+def _reference_dispatch(r, B, tol, curve):
+    g = growth_exponents(geometric(B))
+    flags = g.flags + (() if g.exact else ("exponents are finite-horizon estimates",))
+    return _reference_solve(r, math.exp(g.log_B), tol, curve, flags)
+
+
+def _outcome(f, *args):
+    """repr of f's result, or its refusal's message: repr writes each float
+    by its shortest round trip, so equal reprs are equal bits."""
+    try:
+        return repr(f(*args))
+    except DomainError as exc:
+        return f"refused: {exc}"
+
+
+class TestStoredEnds:
+    def test_ends_are_the_curves_own_reads(self, curve):
+        assert curve._p_floor == curve.values[0] == curve.eval(S_FLOOR)
+        assert curve._p_one == curve.eval(1.0)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_solvers_match_a_bisection_that_reads_both_ends(self, curve, monkeypatch, r):
+        # every value, trace, regime, flag, inputs dict and refusal message is
+        # the bisection's that reads g at both ends; an answered query at tol
+        # 1e-4 reads the curve 13 times, at its midpoints, and a refusal never
+        reads = []
+
+        def counted(self, s):
+            reads.append(s)
+            return _CURVE_EVAL(self, s)
+
+        monkeypatch.setattr(PressureCurve, "eval", counted)
+        tol = 1e-4
+        refusals = set()
+        for B in [1.0 + 1e-12, *np.geomspace(1.05, 1e12, 25).tolist()]:
+            for f, ref, args, per_solve in (
+                (solve_dimension, _reference_solve, (r, B, tol, curve), 1),
+                (dimension_dispatch, _reference_dispatch, (r, geometric(B), tol, curve), 1),
+                (hussain_shulga_exponent, _reference_hs, (r, B, tol, curve), r),
+            ):
+                want = _outcome(ref, r, B, tol, curve)
+                assert reads == []  # the reference reads through _CURVE_EVAL
+                got = _outcome(f, *args)
+                assert got == want, (f.__name__, B)
+                if got.startswith("refused: "):
+                    refusals.add(got)
+                    assert reads == [], (f.__name__, B)
+                else:
+                    assert len(reads) == 13 * per_solve, (f.__name__, B)
+                reads.clear()
+        assert "refused: B is too close to 1 for the cached curve accuracy" in refusals
+        floor = f"refused: root sits below the cached curve domain, whose floor is s = {S_FLOOR}"
+        assert floor in refusals
 
 
 class TestHussainShulga:

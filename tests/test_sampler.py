@@ -735,6 +735,15 @@ class TestBlocks:
         assert _digest(sample_digit_matrix(2024, 70_000, 3, start="lebesgue")) == (
             "a18b9ca144f43d02aa543926d8434433a900aa88a15d83cd9a091b332fe145da")
 
+    def test_one_engine_past_a_block_matches_the_blocks(self):
+        # perfbench's traced sample_bulk steps one engine over 1e5 streams,
+        # more than _BLOCK; sample_digit_matrix cuts as many into two blocks
+        n = sampler._BLOCK + 8
+        eng = BulkDigitStream(31, n)
+        got = np.stack([eng.step() for _ in range(2)], axis=1)
+        assert np.array_equal(got, sample_digit_matrix(31, n, 2))
+        assert type(eng.fallbacks) is int
+
     @pytest.mark.parametrize("workers, n_blocks", [(1, 7), (2, 8), (3, 9)])
     def test_blocks_match_scalar_streams(self, monkeypatch, cpus, workers, n_blocks):
         made = []

@@ -331,6 +331,28 @@ class TestSeriesClassify:
         with pytest.raises(TypeError, match="compare SeriesVerdict.verdict explicitly"):
             bool(series_classify(1, geometric(2.0)))
 
+    def test_analytic_partial_sums_add_the_envelope(self):
+        # 2^n n^-3 falls to n = 4 and rises after: over psi itself the sum to
+        # n = 8 read 333.32, over psi~ it is 386.90
+        psi = scaled_geometric(2.0, poly_log(-3, 0))
+        v = series_classify(2, psi)
+        envelope_8 = [min(2.0**k / k**3 for k in range(n, 40)) for n in range(1, 9)]
+        want = sum(n / p**2 for n, p in enumerate(envelope_8, 1))
+        assert v.partial_sums[0][0] == 8
+        assert v.partial_sums[0][1] == pytest.approx(want, rel=1e-12)
+        assert v.partial_sums[0][1] == pytest.approx(386.90, abs=5e-3)
+        assert (v.verdict, v.method, v.horizon) == ("convergent", "analytic", 512)
+
+    def test_analytic_verdict_stands_where_the_envelope_refuses(self):
+        # 1.0000001^n n^-3 turns upward only at n0 = 40 000 004, past the
+        # envelope's scan cap: the verdict comes with no partial sums
+        psi = scaled_geometric(1.0000001, poly_log(-3, 0))
+        with pytest.raises(DomainError, match="turns upward only at n0 = 40000004"):
+            envelope(psi, 512)
+        v = series_classify(2, psi)
+        assert (v.verdict, v.method, v.partial_sums, v.horizon) == (
+            "convergent", "analytic", (), 0)
+
     def test_partial_sums_recorded(self):
         v = series_classify(2, poly_log(1, 0.6))
         assert v.partial_sums

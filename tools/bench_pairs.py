@@ -22,12 +22,17 @@ interleaved samples put both sides on the same stretch of it.
 The output keeps every run's env line, final JSON line (its `attempted`
 count included), gate line, figures and interleaved set-up samples, and a
 summary per workload: median and quartiles of each end-to-end metric on
-each side, in how many pairs the change did better, and how much of the
-metric's bound from BENCHMARK.json the change of the median uses; the same
-quartiles of the interleaved set-ups; and the RSS that each 1000 ops add,
-with the change of the RSS net of them.  The machine block and the run
-length in the command text come from the env lines, so they say what
-run.py used.
+each side, in how many pairs the change did better, how much of the
+metric's bound from BENCHMARK.json the change of the median uses and
+whether it stays within it, and whether the pairs meet the rule for
+claiming a gain; the same quartiles of the interleaved set-ups; and the RSS
+that each 1000 ops add, with the change of the RSS net of them.  The traced
+runs get their own summary: each run's exit code, and whether all of them
+passed.  The machine block and the run length in the command text come
+from the env lines, so they say what run.py used.
+
+The tool exits 1, after writing the file, when any run, traced or not,
+exited non-zero, that is when a gate failed.
 """
 
 from __future__ import annotations
@@ -49,6 +54,9 @@ COMMAND = "python3 perfbench/run.py --workload <w> --seed <s> --trace <0|1> (run
 MACHINE_FIELDS = ("nproc", "blas_threads", "python", "numpy", "scipy")
 # fresh-interpreter set-ups of each side after each end-to-end pair
 SETUP_SAMPLES = 3
+# a gain is claimed from at least this many pairs, of which the change wins
+# at least nine tenths
+CLAIM_PAIRS = 10
 
 
 def seed_list(text: str) -> list[int]:
@@ -84,6 +92,18 @@ def worse_by(parent: float, change: float, better: str) -> float | None:
     return worse / abs(parent)
 
 
+def claim_met(pairs: int, wins: int, parent: dict, change: dict, better: str) -> bool:
+    """The rule for claiming a gain on one metric: at least CLAIM_PAIRS
+    pairs, the change better in at least nine tenths of them, and its median
+    better than the parent's by more than the parent's own quartile spread,
+    q3 - q1.  parent and change are the quartiles of each side's values."""
+    gain = parent["median"] - change["median"]
+    if better == "higher":
+        gain = -gain
+    return (pairs >= CLAIM_PAIRS and 10 * wins >= 9 * pairs
+            and gain > parent["q3"] - parent["q1"])
+
+
 def rss_per_kop(runs: list[dict]) -> float | None:
     """Least-squares slope of peak_rss_mb on attempted/1000 over `runs`, in MB
     per 1000 ops; None when the runs hold fewer than two attempted counts."""
@@ -101,8 +121,11 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     end_to_end list (name, better and bound).  A pair counts as a change win
     on a metric when the change's value is strictly better than the parent's.
     Each metric also gets `worse_by`, the change of the median toward worse as
-    a fraction of the parent's median, next to its `bound`; `near_bound`
-    lists the metrics whose worse_by is over half their bound, or None.
+    a fraction of the parent's median, next to its `bound`; `within_bound`,
+    whether worse_by is at most the bound (not when worse_by is None); and
+    `claim_met`, whether the pairs meet claim_met's rule for a gain.
+    `near_bound` lists the metrics whose worse_by is over half their bound,
+    or None.
 
     A workload with a peak_rss_mb metric also gets `rss_mb_per_kop`, the RSS
     that each 1000 ops add (rss_per_kop over every run of both sides), and
@@ -129,10 +152,12 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             wins = sum((c < p) if lower else (c > p)
                        for p, c in zip(value["parent"], value["change"]))
             stats = {side: quartiles(v) for side, v in value.items()}
+            worse = worse_by(stats["parent"]["median"], stats["change"]["median"], m["better"])
             summary[name] = {"better": m["better"], **stats, "change_wins": wins,
-                             "worse_by": worse_by(stats["parent"]["median"],
-                                                  stats["change"]["median"], m["better"]),
-                             "bound": m["bound"]}
+                             "worse_by": worse, "bound": m["bound"],
+                             "within_bound": worse is not None and worse <= m["bound"],
+                             "claim_met": claim_met(len(pairs), wins, stats["parent"],
+                                                    stats["change"], m["better"])}
         summary["near_bound"] = [
             m["name"] for m in metrics
             if summary[m["name"]]["worse_by"] is None
@@ -163,6 +188,18 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def summarize_traced(runs: list[dict]) -> dict:
+    """Per workload of the traced runs: each run's pair, side, seed and exit
+    code, in the order they ran, and whether every one exited 0."""
+    out = {}
+    for r in runs:
+        out.setdefault(r["workload"], {"runs": []})["runs"].append(
+            {k: r[k] for k in ("pair", "side", "seed", "exit_code")})
+    for summary in out.values():
+        summary["all_gates_passed"] = all(r["exit_code"] == 0 for r in summary["runs"])
+    return out
+
+
 def parse_output(stdout: str) -> tuple[dict, str, dict, dict]:
     """(env, gate line, figures, final JSON object) of one run.py output."""
     lines = stdout.strip().splitlines()
@@ -174,6 +211,11 @@ def parse_output(stdout: str) -> tuple[dict, str, dict, dict]:
             key, _, value = ln.strip()[len("figure "):].partition(" = ")
             figures[key] = value
     return env, gates, figures, json.loads(lines[-1])
+
+
+def rev_parse(rev: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", rev], check=True,
+                          capture_output=True, text=True).stdout.strip()
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -272,9 +314,7 @@ def main(argv=None) -> int:
     p.add_argument("--scratch", type=Path, help="where the copies go (default: a temp dir)")
     args = p.parse_args(argv)
 
-    commits = {side: subprocess.run(["git", "-C", str(ROOT), "rev-parse", rev], check=True,
-                                    capture_output=True, text=True).stdout.strip()
-               for side, rev in (("parent", args.parent), ("change", args.change))}
+    commits = {"parent": rev_parse(args.parent), "change": rev_parse(args.change)}
     scratch = Path(args.scratch or tempfile.mkdtemp(prefix="bench_pairs_"))
     trees = {side: export(c, scratch / side) for side, c in commits.items()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
@@ -304,12 +344,20 @@ def main(argv=None) -> int:
         "machine": machine(envs[0]),
         "protocol": protocol(runs, traced_runs),
         "summary": summarize(runs, spec["end_to_end"]),
+        "traced_summary": summarize_traced(traced_runs),
         "runs": runs,
         "traced_runs": traced_runs,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
-    return 0
+    failed = 0
+    for kind, done in (("", runs), ("traced ", traced_runs)):
+        for r in done:
+            if r["exit_code"]:
+                failed += 1
+                print(f"{kind}{r['workload']} pair {r['pair']} seed {r['seed']} {r['side']} "
+                      f"exited {r['exit_code']}: {r['gates']}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
