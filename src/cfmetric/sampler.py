@@ -26,10 +26,10 @@ the engine is given: sample_digit_matrix gives the result's column, so a
 block makes no array per level and its history is read-only views of the
 result; step() gives a new row, the one array a level makes there, and
 returns it.  The history keeps each row itself, made read-only, so a caller
-that needs a writable row copies it.  Only a step with a flat stream makes a
-few more arrays, in the flat branch.  Level 0 reads the start's exact state
-(beta_0, 0) as scalars, so it makes no delta or L(1) array and takes two
-log1p per digit, the band's, where later levels take three.
+that needs a writable row copies it.  A step with flat streams makes no more
+arrays than any other.  Level 0 reads the start's exact state (beta_0, 0) as
+scalars, so it makes no delta or L(1) array and takes two log1p per digit,
+the band's, where later levels take three.
 
 sample_digit_matrix cuts its streams into equal contiguous blocks of at most
 _BLOCK streams by _threads.spans, which keeps at most one thread busy per
@@ -46,11 +46,20 @@ _exact_digit called on its own makes a context per call.
 The band and the guess work in shift form: with delta = b - g and
 L(m) = log1p(delta/(m + g)) = ln((m + b)/(m + g)), F(1/m) = L(m)/L(1), one
 log1p of one quotient per bound, and the guess inverts it for x = 1/u.
-Where delta == 0 a stream is flat, L(1) is 0 and F(1/m) = (1 + g)/(m + g);
-a step finds its flat streams once, and only a step with one pays for that
-branch.  No stream is flat on the Gauss start's first levels; deeper, the
-float beta and gamma coincide (in all streams from level 32 on), and the
-Lebesgue start keeps them equal.
+Where delta == 0 a stream is flat, and the shift form reads 0/0; its limit
+is F(1/m) = (1 + g)/(m + g).  A step folds each flat stream into the shift
+form by writing delta = _FLAT_DELTA = 2^-900 there, so every digit takes one
+float path.  At that delta, F(1/m) is the flat limit times a factor within
+2^-900 of 1, as ln(1 + a)/a = 1 - a/2 + ... with a = delta/(m + g) <= delta;
+and a stays a normal float for every m <= 2^50 + 1, so log1p returns it to
+an ulp and the shift form rounds F by a few u (see the error budget), far
+inside the band's slop.  The fold writes only where delta == 0: delta < 0 in
+every Gauss-start stream at level 1, so a floor such as max(delta, 2^-900)
+would move those streams' bands and guesses.  It writes into the level's
+delta, so a flat step makes no array of its own.  No stream is flat on the
+Gauss start's first levels; deeper, the float beta and gamma coincide (in
+all streams from level 32 on), and the Lebesgue start keeps them equal,
+level 0 included.
 
 A step is one pass over the block: the guess, clipped to [1, 2^50], one band
 test at the guess, and the exact fallback for each stream it does not accept:
@@ -71,7 +80,8 @@ z -> 1/(d + z), and the error budget of the float band is:
   [(1 - rho)/(1 + rho), (1 + rho)/(1 - rho)]: at most 2^-49, 16 u.
   Evaluating F in shift form at the float state rounds it by a few u more
   (at most 4.61 u, measured against mpmath over 740 engine states and
-  digits 1 to 2^50).
+  digits 1 to 2^50; at most 3.54 u at 1486 folded flat states, against
+  (1 + g)/(m + g)).
 - The slop.  The band multiplies F's ratio by 1 +/- 2 _SLOP once: about
   1800 u, well above the two sources together (the smallest margin measured
   over those states and the corners of their radius is 1793 u), so the band
@@ -115,6 +125,9 @@ TWO_NEG53 = 2.0**-53
 # 1 +/- 2 _SLOP: it dominates the state's radius 2^-50 (F moves by at most
 # 2^-49) and the float rounding of F in shift form (a few u)
 _SLOP = 1e-13
+# delta of a flat stream (float beta == gamma), folded into the shift form:
+# far inside the state's radius, and delta/(m + g) is normal up to m = 2^51
+_FLAT_DELTA = 2.0**-900
 
 
 def _mix_scalar(x: int) -> int:
@@ -182,12 +195,12 @@ def _uniforms(ctr: int, keys: np.ndarray, w: np.ndarray, tmp: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _digit_band(d, delta, g, l1, flat, top=None, bottom=None):
+def _digit_band(d, delta, g, l1, top=None, bottom=None):
     """(top, bottom): a rigorous upper bound of F(1/(d+1)) and a rigorous lower
     bound of F(1/d) at an exact state within relative 2^-50 of the float state
     (b, g), in shift form: F(1/m) = L(m)/l1 with L(m) = log1p(delta/(m + g)),
-    delta = b - g and l1 = L(1).  flat is the mask of delta == 0, where
-    F(1/m) = (1 + g)/(m + g), or None if none is 0.
+    delta = b - g and l1 = L(1).  A flat stream comes with delta folded to
+    _FLAT_DELTA, where the same form gives (1 + g)/(m + g) to a few u.
 
     A uniform known to lie in [V, V + 2^-53] selects digit d when V >= top
     and V + 2^-53 <= bottom.  Each bound is the ratio times 1 +/- 2 _SLOP,
@@ -196,35 +209,24 @@ def _digit_band(d, delta, g, l1, flat, top=None, bottom=None):
     bottom = np.add(d, g, out=bottom)  # m + g at m = d
     top = np.add(bottom, 1.0, out=top)  # and at m = d + 1
     for s, slop in ((top, 2.0 * _SLOP), (bottom, -2.0 * _SLOP)):
-        f_flat = None if flat is None else (1.0 + g) / s
         np.divide(delta, s, out=s)
         np.log1p(s, out=s)
-        if flat is None:
-            s /= l1
-        else:
-            with np.errstate(invalid="ignore"):  # 0/0 where flat, overwritten
-                s /= l1
-            np.copyto(s, f_flat, where=flat)
+        s /= l1
         s *= 1.0 + slop
     return top, bottom
 
 
-def _inverse_cdf(w, delta, g, l1, flat, out=None):
+def _inverse_cdf(w, delta, g, l1, out=None):
     """The digit variable x = 1/u with F(u) = w at the point state (b, g), in
-    closed form, given delta, l1 and flat as _digit_band takes them.
+    closed form, given delta and l1 as _digit_band takes them.
 
     F(1/x) = w means log1p(delta/(x + g)) = w l1, so x = delta/expm1(w l1) - g;
-    where flat, (1 + g)/(x + g) = w gives x = (1 + g)/w - g.  w, delta, g
-    and l1 are arrays of one shape.  out, if given, holds x; it must not be
-    w, which the flat branch reads again."""
+    at a folded flat stream, w l1 and expm1 of it are normal floats, and x is
+    the flat limit (1 + g)/w - g to a few u.  w, delta, g and l1 are arrays
+    of one shape or scalars.  out, if given, holds x."""
     x = np.multiply(w, l1, out=out)
     np.expm1(x, out=x)
-    if flat is None:
-        np.divide(delta, x, out=x)
-    else:
-        with np.errstate(invalid="ignore"):  # 0/0 where flat, overwritten
-            np.divide(delta, x, out=x)
-        np.copyto(x, (1.0 + g) / w, where=flat)
+    np.divide(delta, x, out=x)
     x -= g
     return x
 
@@ -381,30 +383,30 @@ class BulkDigitStream:
         if self.level:
             b, g = self._beta, self._gamma
             delta = np.subtract(b, g, out=self._delta)
-            # the flat mask, None when no stream is flat; once the band is
-            # made, its buffer takes the band's second test
-            flat = None if delta.all() else np.equal(delta, 0.0, out=self._mask)
-            # L(1) = log1p(delta/(1 + g)), 0 where flat; the band and the
-            # guess overwrite the flat streams
+            # fold the flat streams into the shift form, and only them: every
+            # other delta keeps its value and sign (the mask's buffer takes
+            # the band's second test later)
+            if not delta.all():
+                np.copyto(delta, _FLAT_DELTA, where=np.equal(delta, 0.0, out=self._mask))
+            # L(1) = log1p(delta/(1 + g))
             l1 = np.add(1.0, g, out=self._l1)
             np.divide(delta, l1, out=l1)
             np.log1p(l1, out=l1)
         else:
             # the exact start (beta_0, 0) as scalars: L(1) = ln 2 at the Gauss
-            # start, and at the Lebesgue one every stream is flat
-            g, delta = np.float64(0.0), np.float64(self._b0)
-            flat = None if self._b0 else True
+            # start; at the Lebesgue one every stream is flat, and folded
+            g, delta = np.float64(0.0), np.float64(self._b0 or _FLAT_DELTA)
             l1 = np.log1p(delta / (1.0 + g))
         # aim at the middle of V's 2^-53 interval; the band around F is about
         # 2e-13 wide, relative, so the guess is almost always right
         mid = np.add(v, TWO_NEG53 * 0.5, out=self._top)  # top is free until the band
-        d = _inverse_cdf(mid, delta, g, l1, flat, self._guess)
+        d = _inverse_cdf(mid, delta, g, l1, self._guess)
         np.floor(d, out=d)
         np.clip(d, 1.0, 2.0**50, out=d)
         # one band test: the guess is the digit where V's interval lies in its
         # band; every other stream, a guess off by a digit, one clipped at
         # 2^50 or a V too close to a boundary, goes to the exact fallback
-        top, bottom = _digit_band(d, delta, g, l1, flat, self._top, self._bottom)
+        top, bottom = _digit_band(d, delta, g, l1, self._top, self._bottom)
         ok = np.greater_equal(v, top, out=self._ok)  # the digit is at most d
         v += TWO_NEG53  # the top of V's interval; V is not read again
         ok &= np.less_equal(v, bottom, out=self._mask)  # and at least d
@@ -546,6 +548,6 @@ def sample_iid_gauss_kuzmin(seed: int, n_streams: int, depth: int,
         # the Gauss start's inverse CDF, x = 1/(2^w - 1), in the free words:
         # 2^w - 1 lies in (0, 1] (w rounds to 1 at the top), so every digit
         # floor(x) is an int64 in [1, 2^55)
-        x = _inverse_cdf(mid, 1.0, 0.0, LOG2, None, out=w.view(np.float64))
+        x = _inverse_cdf(mid, 1.0, 0.0, LOG2, out=w.view(np.float64))
         out[:, k] = np.floor(x, out=x)  # whole floats, cast as astype does
     return out

@@ -12,6 +12,7 @@ from cfmetric import sampler
 from cfmetric.cfcore import DomainError, cylinder, gauss_digit_law, gauss_measure, word
 from cfmetric.sampler import (
     BulkDigitStream,
+    _FLAT_DELTA,
     _digit_band,
     _exact_digit,
     _inverse_cdf,
@@ -43,17 +44,17 @@ def _mp_digit_variable(mp, w, b, g):
 
 
 def _shift(b, g):
-    """(delta, l1, flat) of the point state (b, g), as BulkDigitStream.step
-    makes them: l1 = L(1) = log1p(delta/(1 + g)), 0 where flat, and flat the
-    mask of delta == 0, or None where none is 0."""
-    delta = b - g
-    flat = np.equal(delta, 0.0)
-    return delta, np.log1p(delta / (1.0 + g)), (flat if np.any(flat) else None)
+    """(delta, l1) of the point state (b, g), as BulkDigitStream.step makes
+    them: delta = b - g folded to _FLAT_DELTA where it is 0, and
+    l1 = L(1) = log1p(delta/(1 + g))."""
+    delta = np.where(b == g, _FLAT_DELTA, b - g)
+    return delta, np.log1p(delta / (1.0 + g))
 
 
 class TestFlatGuard:
-    """_inverse_cdf takes the flat limit delta = 0 only when an element needs
-    it; both sides must give the same values."""
+    """_inverse_cdf at a folded flat state (delta == 0 made _FLAT_DELTA) gives
+    the flat limit (1 + g)/w - g, and the fold leaves every other element's
+    value as it was."""
 
     @staticmethod
     def _pairs(mix: bool):
@@ -73,17 +74,20 @@ class TestFlatGuard:
 
         b, g = self._pairs(mix)
         w = np.random.default_rng(18).uniform(0.0, 1.0, b.size) + 2.0**-54
-        delta, l1, flat = _shift(b, g)
-        assert (flat is not None) == mix
-        got = _inverse_cdf(w, delta, g, l1, flat)
+        delta, l1 = _shift(b, g)
+        assert np.any(b == g) == mix
+        got = _inverse_cdf(w, delta, g, l1)
+        # against the exact state's closed form, (1 + g)/w - g where b == g
         with mp.workdps(50):
             want = [_mp_digit_variable(mp, *x) for x in zip(w, b, g)]
         rel = [abs((mp.mpf(float(x)) - y) / y) for x, y in zip(got.tolist(), want)]
         assert max(rel) <= 1e-13
-        # the mixed input's distinct elements take the unguarded values
+        # the mixed input's distinct elements take the values of the
+        # unfolded b - g, alone
         distinct = b != g
-        assert np.array_equal(got[distinct], _inverse_cdf(w[distinct], delta[distinct],
-                                                          g[distinct], l1[distinct], None))
+        unfolded = b[distinct] - g[distinct]
+        assert np.array_equal(got[distinct], _inverse_cdf(
+            w[distinct], unfolded, g[distinct], np.log1p(unfolded / (1.0 + g[distinct]))))
 
     @pytest.mark.parametrize("p, q", [(0.3, 0.3), (0.5, 0.5 + 1e-14), (1.0, 0.0), (0.9, 0.2),
                                       (0.0, 0.0)])
@@ -93,8 +97,8 @@ class TestFlatGuard:
         from mpmath import mp
 
         w = 0.625
-        delta, l1, flat = _shift(np.array([p]), np.array([q]))
-        x = _inverse_cdf(np.array([w]), delta, np.array([q]), l1, flat)
+        delta, l1 = _shift(np.array([p]), np.array([q]))
+        x = _inverse_cdf(np.array([w]), delta, np.array([q]), l1)
         with mp.workdps(50):
             assert abs(float(x[0]) / _mp_digit_variable(mp, w, p, q) - 1) <= 1e-13
 
@@ -169,6 +173,27 @@ class TestBulkDigitStream:
         assert digest(deep) == (
             "d83038c7a3b9bbc842f9c2161cb6f90f136f1b7ed146609c5dd6815af2e56a3d")
         assert eng.fallbacks == 0
+
+    @pytest.mark.parametrize("start, want", [
+        ("gauss", "b9ad74e7af88bf0085c8745993666947b089502599c2b7d596a73ad4235987cc"),
+        ("lebesgue", "1510208021bf6c8af48d6f4f8352bb7e75a19ce1ac2e7a5dbbf6b7ed1a992b48"),
+    ], ids=["gauss", "lebesgue"])
+    def test_golden_digits_past_level_32(self, start, want):
+        # 64 levels, past level 32, from where every Gauss-start stream is
+        # flat; the Lebesgue start is flat at every level.  Some Gauss level
+        # mixes flat and other streams, so the fold's masked write runs
+        got = sample_digit_matrix(2024, 4000, 64, start=start)
+        assert _digest(got) == want
+        eng = BulkDigitStream(2024, 4000, start=start)
+        flat = []
+        for k in range(64):
+            flat.append(int(np.count_nonzero(eng._beta == eng._gamma)))
+            assert np.array_equal(eng.step(), got[:, k])
+        assert flat[-1] == 4000
+        if start == "gauss":
+            assert flat[0] == 0 and any(0 < f < 4000 for f in flat)
+        else:
+            assert set(flat) == {4000}
 
     def test_marginals(self, bulk_sample):
         m = bulk_sample
@@ -429,6 +454,56 @@ class TestBulkDigitStream:
             assert w == word(*(int(a) for a in digits))
             assert cylinder(w).contains(w.evaluate())
 
+    def test_fold_keeps_every_nonzero_delta(self):
+        # the fold writes _FLAT_DELTA where delta == 0 and nowhere else: at
+        # Gauss level 1 every delta is negative (beta_1 = 1/(a + 1) < gamma_1
+        # = 1/a) and stays so, a mixed level keeps its nonzero deltas, and
+        # every Lebesgue level is folded throughout
+        for start, levels in (("gauss", (1, 8, 12, 40)), ("lebesgue", (1, 2))):
+            eng = BulkDigitStream(5, 2000, start=start)
+            while eng.level <= max(levels):
+                level, diff = eng.level, eng._beta - eng._gamma
+                eng.step()
+                if level not in levels:
+                    continue
+                assert np.array_equal(eng._delta, np.where(diff == 0.0, _FLAT_DELTA, diff))
+                if (start, level) == ("gauss", 1):
+                    assert np.all(eng._delta < 0.0)
+                if start == "lebesgue":
+                    assert np.all(eng._delta == _FLAT_DELTA)
+        # a Gauss level of seed 5 mixes both kinds
+        eng = BulkDigitStream(5, 2000)
+        for _ in range(12):
+            eng.step()
+        assert 0 < np.count_nonzero(eng._beta == eng._gamma) < 2000
+
+    def test_folded_shift_form_rounding(self):
+        # at a folded flat state, F(1/m) = L(m)/L(1) evaluated as the band
+        # evaluates it (before its slop) is the flat limit (1 + g)/(m + g) to
+        # at most 3.54 u, the module docstring's figure, measured over 1486
+        # such states of which these are a part
+        from mpmath import mp
+
+        gs = []
+        for seed in range(4):
+            for start, levels in (("gauss", (40, 60, 200)), ("lebesgue", (0, 1, 2, 5, 40))):
+                eng = BulkDigitStream(seed, 8, start=start)
+                while eng.level <= max(levels):
+                    if eng.level in levels:
+                        gs += eng._gamma[eng._beta == eng._gamma].tolist()
+                    eng.step()
+        rng = np.random.default_rng(1)
+        gs += rng.uniform(0.0, 1.0, 200)[:20].tolist() + [0.0, 1.0, 0.5, 1.0 - 2.0**-53]
+        assert len(gs) > 250
+        ms = [1, 2, 3, 7, 10, 1000, 12345, 1e8, 2**30, 2**50 - 1, 2**50, 2**50 + 1]
+        ms = np.concatenate([ms, np.floor(np.exp(rng.uniform(0.0, np.log(2.0**50), 100)[:40]))])
+        g = np.array(gs)[:, None]
+        f = np.log1p(_FLAT_DELTA / (ms + g)) / np.log1p(_FLAT_DELTA / (1.0 + g))
+        with mp.workdps(40):
+            worst = max(abs(mp.mpf(x) * (mp.mpf(m) + gg) / (1 + mp.mpf(gg)) - 1)
+                        for gg, row in zip(gs, f.tolist()) for m, x in zip(ms.tolist(), row))
+        assert worst <= 3.54 * 2.0**-53
+
     def test_lebesgue_start(self):
         m = sample_digit_matrix(5, 40_000, 1, start="lebesgue")
         # uniform x: P(a_1 = k) = 1/(k(k+1))
@@ -445,8 +520,8 @@ class TestBulkDigitStream:
         b = np.concatenate([blo, glo, [0.0, 1.0, 0.37]])
         g = np.concatenate([glo, glo, [0.0, 0.0, 0.37]])  # glo, glo: delta == 0
         w = rng.uniform(0.0, 1.0, b.size) + 2.0**-54
-        delta, l1, flat = _shift(b, g)
-        x = _inverse_cdf(w, delta, g, l1, flat)
+        delta, l1 = _shift(b, g)
+        x = _inverse_cdf(w, delta, g, l1)
         assert np.max(np.abs(_cdf_mid(x, b, g) - w)) <= 1e-12
         # at the Gauss start F(1/x) = log2(1 + 1/x); 2^w - 1 in floats
         # cancels for small w, so the reference is mpmath's
@@ -454,8 +529,8 @@ class TestBulkDigitStream:
 
         w = np.concatenate([w[:200], [2.0**-54, 1e-9, 1.0 - 2.0**-53]])
         one, zero = np.ones_like(w), np.zeros_like(w)
-        delta, l1, flat = _shift(one, zero)
-        x = _inverse_cdf(w, delta, zero, l1, flat)
+        delta, l1 = _shift(one, zero)
+        x = _inverse_cdf(w, delta, zero, l1)
         with mp.workdps(40):
             want = [float(1 / (mp.power(2, mpf(t)) - 1)) for t in w.tolist()]
         assert np.allclose(x, want, rtol=1e-15, atol=0.0)
@@ -465,19 +540,22 @@ class TestBulkDigitStream:
         # radius of the engine's float state: the exact one and the corners
         # at relative +/-2^-50, for states the engine reaches from both starts
         # (the Lebesgue start keeps beta == gamma; at level 40 the float beta
-        # and gamma coincide) and one more point state with delta = 0.  The
-        # reference is F in shift form at the exact rational delta =
-        # beta - gamma, log1p(delta/(m + gamma)) / log1p(delta/(1 + gamma)):
-        # unlike a difference of two logs, it does not cancel at 50 digits
+        # and gamma coincide) and point states with delta = 0 across [0, 1],
+        # each folded as the step folds it.  The reference is F in shift form
+        # at the exact rational delta = beta - gamma,
+        # log1p(delta/(m + gamma)) / log1p(delta/(1 + gamma)): unlike a
+        # difference of two logs, it does not cancel at 50 digits
         from mpmath import mp
 
         states = []
         for seed, levels in [(11, (0, 1, 40))] + [(seed, (40,)) for seed in range(6)]:
             for start in ("gauss", "lebesgue"):
                 states += _engine_states(seed, 4, start, levels)
-        x = np.float64(0.37)
-        states.append((x, x, Fraction(x), Fraction(x)))
-        assert len(states) == 24 + 48 + 1
+        for x in (0.0, 2.0**-40, 0.37, 0.5, 1.0 - 2.0**-53, 1.0):
+            x = np.float64(x)
+            states.append((x, x, Fraction(x), Fraction(x)))
+        assert len(states) == 24 + 48 + 6
+        assert sum(b == g for b, g, _, _ in states) > 40
 
         ds = [1, 2, 7, 10**3, 10**8, 2**50]
         with mp.workdps(50):
@@ -493,8 +571,8 @@ class TestBulkDigitStream:
 
             shifts = [1 - _RADIUS, 1, 1 + _RADIUS]
             for b, g, beta, gamma in states:
-                delta, l1, flat = _shift(b, g)
-                top, bottom = _digit_band(np.array(ds, dtype=np.float64), delta, g, l1, flat)
+                delta, l1 = _shift(b, g)
+                top, bottom = _digit_band(np.array(ds, dtype=np.float64), delta, g, l1)
                 near = [(Fraction(b) * fb, Fraction(g) * fg) for fb in shifts for fg in shifts]
                 near.append((beta, gamma))
                 for k, d in enumerate(ds):
@@ -623,20 +701,25 @@ class TestBulkDigitStream:
         with pytest.raises(TypeError):
             eng.streams[0] = 555
 
-    def test_steps_allocate_only_their_row(self):
-        # no stream of seed 1 is flat at levels 2-4 from the Gauss start, so a
-        # step there writes into the engine's scratch and makes only the row
-        # it returns; measured: 66.9 KB more, 64 KB of it numpy's buffer for
-        # the cast of the shifted words' int64 view to float64 in _uniforms
+    @pytest.mark.parametrize("start, levels, flat", [
+        ("gauss", (2, 3, 4), False), ("lebesgue", (2,), True), ("gauss", (45,), True)])
+    def test_steps_allocate_only_their_row(self, start, levels, flat):
+        # with seed 1, no stream is flat at levels 2-4 from the Gauss start,
+        # and every stream is at Lebesgue level 2 and Gauss level 45; either
+        # way a step writes into the engine's scratch and makes only the row
+        # it returns, as the fold writes into delta.  Measured: 66.9 KB more,
+        # 64 KB of it numpy's buffer for the cast of the shifted words' int64
+        # view to float64 in _uniforms (an all-flat step made 1.6 MB more
+        # before the fold)
         import tracemalloc
 
-        eng = BulkDigitStream(1, 100_000)
-        eng.step()
-        eng.step()
+        eng = BulkDigitStream(1, 100_000, start=start)
+        while eng.level < levels[0]:
+            eng.step()
         tracemalloc.start()
         try:
-            for _ in range(3):
-                assert np.all(eng._beta != eng._gamma)
+            for _ in levels:
+                assert np.all((eng._beta == eng._gamma) == flat)
                 tracemalloc.reset_peak()
                 before, _ = tracemalloc.get_traced_memory()
                 row = eng.step()
@@ -658,7 +741,7 @@ class TestBulkDigitStream:
         # on states the engine reaches, none flat (level 1), some (16) and
         # all (40, and every Lebesgue level), each helper returns the same
         # values into the step's buffers as into new arrays, and _shift makes
-        # the L(1) that the step leaves in its buffer
+        # the folded delta and the L(1) that the step leaves in its buffers
         states = []
         for start in ("gauss", "lebesgue"):
             eng = BulkDigitStream(11, 64, start=start)
@@ -666,22 +749,24 @@ class TestBulkDigitStream:
                 state = (eng.level, eng._beta.copy(), eng._gamma.copy())
                 eng.step()
                 if level in (1, 16, 40):
-                    states.append(state + (eng._l1.copy(),))
-        assert any(np.any(b != g) and np.any(b == g) for _, b, g, _ in states)
+                    states.append(state + (eng._delta.copy(), eng._l1.copy()))
+        assert any(np.any(b != g) and np.any(b == g) for _, b, g, _, _ in states)
         keys = _stream_keys(11, range(64))
-        for level, b, g, step_l1 in states:
-            delta, l1, flat = _shift(b, g)
+        for level, b, g, step_delta, step_l1 in states:
+            delta, l1 = _shift(b, g)
+            assert np.array_equal(delta, step_delta)
             assert np.array_equal(l1, step_l1)
-            assert np.all(l1[b == g] == 0.0)
+            # a folded L(1) is delta/(1 + g), a normal float
+            assert np.all(l1[b == g] == _FLAT_DELTA / (1.0 + g[b == g]))
             v = _uniforms(level, keys, *np.empty((2, 64), dtype=np.uint64), np.empty(64))
             # V from the scalar word hash of each stream, as the exact fallback reads it
             assert v.tolist() == [(_word_scalar(11, j, level) >> 11) * 2.0**-53 for j in range(64)]
             mid = v + 2.0**-54
-            x = _inverse_cdf(mid, delta, g, l1, flat)
-            assert np.array_equal(_inverse_cdf(mid, delta, g, l1, flat, np.empty(64)), x)
+            x = _inverse_cdf(mid, delta, g, l1)
+            assert np.array_equal(_inverse_cdf(mid, delta, g, l1, np.empty(64)), x)
             d = np.clip(np.floor(x), 1.0, 2.0**50)
-            got = _digit_band(d, delta, g, l1, flat, np.empty(64), np.empty(64))
-            for a, want in zip(got, _digit_band(d, delta, g, l1, flat)):
+            got = _digit_band(d, delta, g, l1, np.empty(64), np.empty(64))
+            for a, want in zip(got, _digit_band(d, delta, g, l1)):
                 assert np.array_equal(a, want)
             words = keys ^ np.uint64(level)
             assert np.array_equal(_mix(words, *np.empty((2, 64), dtype=np.uint64)), _mix(words))
