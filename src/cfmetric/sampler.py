@@ -26,10 +26,9 @@ the engine is given: sample_digit_matrix gives the result's column, so a
 block makes no array per level and its history is read-only views of the
 result; step() gives a new row, the one array a level makes there, and
 returns it.  The history keeps each row itself, made read-only, so a caller
-that needs a writable row copies it.  A step with flat streams makes no more
-arrays than any other.  Level 0 reads the start's exact state (beta_0, 0) as
-scalars, so it makes no delta or L(1) array and takes two log1p per digit,
-the band's, where later levels take three.
+that needs a writable row copies it.  Level 0 reads the start's exact state
+(beta_0, 0) as scalars, so it makes no delta or L(1) array and takes two
+log1p per digit, the band's, where later levels take three.
 
 sample_digit_matrix cuts its streams into equal contiguous blocks of at most
 _BLOCK streams by _threads.spans, which keeps at most one thread busy per
