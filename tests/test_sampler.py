@@ -701,9 +701,7 @@ class TestBulkDigitStream:
         with pytest.raises(TypeError):
             eng.streams[0] = 555
 
-    @pytest.mark.parametrize("start, levels, flat", [
-        ("gauss", (2, 3, 4), False), ("lebesgue", (2,), True), ("gauss", (45,), True)])
-    def test_steps_allocate_only_their_row(self, start, levels, flat):
+    def test_steps_allocate_only_their_row(self):
         # with seed 1, no stream is flat at levels 2-4 from the Gauss start,
         # and every stream is at Lebesgue level 2 and Gauss level 45; either
         # way a step writes into the engine's scratch and makes only the row
@@ -713,20 +711,22 @@ class TestBulkDigitStream:
         # before the fold)
         import tracemalloc
 
-        eng = BulkDigitStream(1, 100_000, start=start)
-        while eng.level < levels[0]:
-            eng.step()
-        tracemalloc.start()
-        try:
-            for _ in levels:
-                assert np.all((eng._beta == eng._gamma) == flat)
-                tracemalloc.reset_peak()
-                before, _ = tracemalloc.get_traced_memory()
-                row = eng.step()
-                _, peak = tracemalloc.get_traced_memory()
-                assert peak - before <= row.nbytes + 100_000, (eng.level, peak - before)
-        finally:
-            tracemalloc.stop()
+        for start, levels, flat in (("gauss", (2, 3, 4), False), ("lebesgue", (2,), True),
+                                    ("gauss", (45,), True)):
+            eng = BulkDigitStream(1, 100_000, start=start)
+            while eng.level < levels[0]:
+                eng.step()
+            tracemalloc.start()
+            try:
+                for _ in levels:
+                    assert np.all((eng._beta == eng._gamma) == flat)
+                    tracemalloc.reset_peak()
+                    before, _ = tracemalloc.get_traced_memory()
+                    row = eng.step()
+                    _, peak = tracemalloc.get_traced_memory()
+                    assert peak - before <= row.nbytes + 100_000, (start, eng.level, peak - before)
+            finally:
+                tracemalloc.stop()
 
     def test_history_keeps_the_returned_row(self):
         eng = BulkDigitStream(4, 16)
